@@ -10,8 +10,8 @@ fail for most pasts.
 
 import os
 
-from qlab import (PathFunctional, derive_stream, quenched_clt_experiment,
-                  quenched_wip_experiment, sample_fixture)
+from qlab import (PathFunctional, RandomStream, quenched_wip_experiment,
+                  sample_fixture)
 from qlab.cli import load_model
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -20,14 +20,15 @@ MODEL = os.path.join(HERE, "..", "models", "linear_rho05.json")
 
 def main():
     model = load_model(MODEL)
-    base = derive_stream(20240, [])
+    base = RandomStream(20240, [])
     n, reps = 1024, 2000
 
     print(f"model: geometric linear, n = {n}, replications = {reps}")
     print("\nconditionally centered CLT under five frozen pasts:")
     for i in range(5):
         fixture = sample_fixture(model, base.child(0, i))
-        rep = quenched_clt_experiment(model, fixture, n, reps, base.child(1, i))
+        rep = quenched_wip_experiment(model, fixture, PathFunctional("endpoint"),
+                                      n, reps, base.child(1, i))
         print(f"  past {i}: KS D = {rep.test_statistic:.4f}, "
               f"p = {rep.p_value:.3f} -> {rep.verdict}")
 

@@ -11,7 +11,7 @@ level controlled by the truncation gap |m - m^(r)|.
 import math
 import os
 
-from qlab import (approximation_gap, derive_stream, sample_fixture,
+from qlab import (RandomStream, approximation_gap, sample_fixture,
                   strest_experiment)
 from qlab.cli import load_model
 
@@ -20,7 +20,7 @@ MODELS = os.path.join(HERE, "..", "models")
 
 
 def main():
-    base = derive_stream(30303, [])
+    base = RandomStream(30303, [])
     Ns = [256, 1024, 4096]
     reps = 600
 

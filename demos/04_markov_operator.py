@@ -12,9 +12,8 @@ import os
 
 import numpy as np
 
-from qlab import (derive_stream, dual_operator, hopf_check, maximal_function,
-                  q_operator_from_model, verify_dunford_schwartz,
-                  verify_markov_property, weak_l2_tail)
+from qlab import (RandomStream, dual_operator, hopf_check, maximal_function,
+                  verify_dunford_schwartz, verify_markov_property, weak_l2_tail)
 from qlab.cli import load_model
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -23,25 +22,25 @@ MODEL = os.path.join(HERE, "..", "models", "markov_3state.json")
 
 def main():
     model = load_model(MODEL)
-    op = q_operator_from_model(model)
-    rng = derive_stream(40404, [])
+    P, pi = model.transition, model.stationary
+    rng = RandomStream(40404, [])
 
     print("state space:", model.n_states, "states; pi =",
           np.round(model.stationary, 6))
 
     funcs = [rng.child(0, i).normal(model.n_states) for i in range(100)]
-    ds = verify_dunford_schwartz(op, funcs)
+    ds = verify_dunford_schwartz(model, funcs)
     print(f"L1/Linf contraction over {ds.checked} random functions: "
           f"{'ok' if ds.ok else ds.violations}")
 
-    T = dual_operator(op)
+    T = dual_operator(model)
     h, k = rng.child(1).normal(3), rng.child(2).normal(3)
-    lhs = float(op.pi @ (op.apply(h) * k))
-    rhs = float(op.pi @ (h * (T @ k)))
+    lhs = float(pi @ ((P @ h) * k))
+    rhs = float(pi @ (h * (T @ k)))
     print(f"duality pairing <Qh,k> = {lhs:.12f} vs <h,Tk> = {rhs:.12f}")
 
-    mf = maximal_function(op, np.abs(model.observable), 1000)
-    hopf = hopf_check(op, mf)
+    mf = maximal_function(model, np.abs(model.observable), 1000)
+    hopf = hopf_check(model, mf)
     print(f"maximal function (N = 1000): worst level product "
           f"{hopf.worst_product:.6f} <= |h|_1 = {hopf.l1_norm:.6f} -> "
           f"{'ok' if hopf.ok else 'VIOLATED'}")

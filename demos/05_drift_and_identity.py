@@ -10,7 +10,7 @@ rebuilds the centered sums from shifted projection components, pathwise.
 
 import os
 
-from qlab import (decomposition_identity_check, derive_stream, sample_fixture,
+from qlab import (RandomStream, decomposition_identity_check, sample_fixture,
                   uncentered_drift_check)
 from qlab.cli import load_model
 
@@ -19,7 +19,7 @@ MODELS = os.path.join(HERE, "..", "models")
 
 
 def main():
-    base = derive_stream(50505, [])
+    base = RandomStream(50505, [])
     Ns = [256, 1024, 4096]
 
     for branch, fname in enumerate(["linear_rho05.json", "markov_2state.json"]):

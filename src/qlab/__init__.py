@@ -11,30 +11,27 @@ enumeration permits, statistically elsewhere.
 
 from .experiments import (ExperimentReport, brownian_reference,
                           decomposition_identity_check, doob_bound_check,
-                          mc_projection_norm_sq, quenched_clt_experiment,
-                          quenched_wip_experiment, sample_path_functional,
-                          strest_experiment, uncentered_drift_check)
-from .markov_ops import (MaximalFunction, TransitionOperator, cesaro_average,
-                         dual_operator, hopf_check, maximal_function,
-                         poisson_solve, q_operator_from_model,
+                          mc_projection_norm_sq, quenched_wip_experiment,
+                          sample_path_functional, strest_experiment,
+                          uncentered_drift_check)
+from .markov_ops import (MaximalFunction, cesaro_average, dual_operator,
+                         hopf_check, maximal_function, poisson_solve,
                          verify_dunford_schwartz, verify_markov_property,
                          weak_l2_tail)
 from .models import (LinearModel, MarkovFunctionalModel, PastFixture,
                      Realization, conditional_expectation_E0,
-                     conditional_mean_E0_Sn, e0_increment_series,
-                     sample_fixture, sample_quenched_path,
-                     sample_quenched_paths, sample_stationary_path)
-from .paths import (InterpolatedPath, PathFunctional, build_interpolated_path,
-                    centered_path)
+                     e0_increment_series, sample_fixture,
+                     sample_quenched_paths)
+from .paths import PathFunctional
 from .projections import (HannanDivergesError, MartingaleApprox,
                           ProjectionSeries, approximation_gap,
                           evaluate_martingale, hannan_sum,
                           martingale_increment, mw_criterion,
                           projection_norms, sigma_squared)
 from .stats import (EmpiricalSample, ReferenceCDF, brownian_sup_cdf,
-                    brownian_sup_reference, kolmogorov_sf, ks_one_sample,
-                    ks_two_sample, normal_cdf, normal_reference)
-from .streams import InnovationDistribution, RandomStream, derive_stream, sample
+                    brownian_sup_reference, ks_one_sample, ks_two_sample,
+                    normal_cdf, normal_reference)
+from .streams import InnovationDistribution, RandomStream, sample
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -23,14 +23,13 @@ from .experiments import (decomposition_identity_check, digest_of,
                           doob_bound_check, quenched_wip_experiment,
                           strest_experiment, uncentered_drift_check)
 from .markov_ops import (cesaro_average, dual_operator, hopf_check,
-                         maximal_function, q_operator_from_model,
-                         verify_dunford_schwartz, verify_markov_property,
-                         weak_l2_tail)
+                         maximal_function, verify_dunford_schwartz,
+                         verify_markov_property, weak_l2_tail)
 from .models import (LinearModel, MarkovFunctionalModel, sample_fixture)
 from .paths import FUNCTIONAL_KINDS, PathFunctional
-from .projections import (HannanDivergesError, hannan_sum, mw_criterion,
-                          projection_norms, sigma_squared)
-from .streams import InnovationDistribution, derive_stream
+from .projections import (hannan_sum, mw_criterion, projection_norms,
+                          sigma_squared)
+from .streams import InnovationDistribution, RandomStream
 
 PASS_FRACTION = 0.9
 
@@ -68,6 +67,12 @@ class RunConfig:
             raise CLIError("invalid config: seed is required (no clock default)")
         if self.seed < 0:
             raise CLIError("invalid config: seed must be a nonnegative integer")
+        if not 0 < self.alpha < 1:
+            raise CLIError("invalid config: alpha must lie in (0, 1)")
+        if self.K < 0:
+            raise CLIError("invalid config: K must be >= 0")
+        if not self.Ns or min(self.Ns) < 1:
+            raise CLIError("invalid config: Ns must be positive integers")
 
     def describe(self) -> dict:
         return {
@@ -144,7 +149,8 @@ def _sampled_fixtures(model, base, count):
     return [sample_fixture(model, base.child(0, i)) for i in range(count)]
 
 
-def _run_wip(config: RunConfig, model, base, experiment: str):
+def _run_wip(config: RunConfig, model, base):
+    experiment = config.experiment
     functional = PathFunctional(config.functional if experiment == "quenched-wip"
                                 else "endpoint")
     fixtures = _sampled_fixtures(model, base, config.fixtures)
@@ -211,7 +217,8 @@ def _run_identity(config: RunConfig, model, base):
     return {"reports": reports}, all(r["verdict"] == "pass" for r in reports), None
 
 
-def _series_payload(config: RunConfig, model, which: str):
+def _run_series(config: RunConfig, model, base):
+    which = config.experiment
     series = projection_norms(model, config.K)
     rows = list(zip(range(config.K + 1),
                     (float(v) for v in series.norms),
@@ -233,31 +240,26 @@ def _series_payload(config: RunConfig, model, which: str):
                  "verdict": rep.verdict}
     else:  # sigma2
         block = {"sigma2": sigma_squared(model), "verdict": "computed"}
-    return rows, block
-
-
-def _run_series(config: RunConfig, model, base, which: str):
-    rows, block = _series_payload(config, model, which)
     return {"reports": [block], "csv_rows": rows}, True, None
 
 
 def _run_markov_check(config: RunConfig, model, base):
     _require_markov(model, "markov-check")
-    op = q_operator_from_model(model)
+    P, pi = model.transition, model.stationary
     S = model.n_states
     rng = base.child(0)
     funcs = [rng.normal(S) for _ in range(100)]
-    ds = verify_dunford_schwartz(op, funcs)
-    T = dual_operator(op)
+    ds = verify_dunford_schwartz(model, funcs)
+    T = dual_operator(model)
     dual_err = 0.0
     for _ in range(50):
         h, k = rng.normal(S), rng.normal(S)
-        lhs = float(op.pi @ (op.apply(h) * k))
-        rhs = float(op.pi @ (h * (T @ k)))
+        lhs = float(pi @ ((P @ h) * k))
+        rhs = float(pi @ (h * (T @ k)))
         dual_err = max(dual_err, abs(lhs - rhs))
-    markov = verify_markov_property(model, min(3, 4))
-    ces = cesaro_average(op, model.observable, 1000)
-    ces_err = float(np.max(np.abs(ces - float(op.pi @ model.observable))))
+    markov = verify_markov_property(model, 3)
+    ces = cesaro_average(model, model.observable, 1000)
+    ces_err = float(np.max(np.abs(ces - float(pi @ model.observable))))
     payload = {
         "dunford_schwartz": {"ok": ds.ok, "checked": ds.checked,
                              "violations": ds.violations},
@@ -271,14 +273,13 @@ def _run_markov_check(config: RunConfig, model, base):
 
 def _run_hopf(config: RunConfig, model, base):
     _require_markov(model, "hopf")
-    op = q_operator_from_model(model)
     N = 1000
     rng = base.child(0)
     functions = [np.abs(model.observable)] + [rng.normal(model.n_states)
                                               for _ in range(20)]
     reports = []
     for idx, h in enumerate(functions):
-        rep = hopf_check(op, maximal_function(op, h, N))
+        rep = hopf_check(model, maximal_function(model, h, N))
         reports.append({"function": idx, "ok": rep.ok, "l1_norm": rep.l1_norm,
                         "worst_level": rep.worst_level,
                         "worst_product": rep.worst_product})
@@ -293,31 +294,26 @@ def _run_weak_l2(config: RunConfig, model, base):
 
 EXPERIMENTS = {
     "quenched-clt": ("KS of the centered endpoint law against its normal limit",
-                     lambda c, m, b: _run_wip(c, m, b, "quenched-clt")),
+                     _run_wip),
     "quenched-wip": ("KS of a path functional against its Brownian limit",
-                     lambda c, m, b: _run_wip(c, m, b, "quenched-wip")),
+                     _run_wip),
     "strest": ("decay of the maximal squared martingale-approximation error",
-               lambda c, m, b: _run_strest(c, m, b)),
+               _run_strest),
     "drift": ("exact vanishing check of the conditional drift over sqrt(N)",
-              lambda c, m, b: _run_drift(c, m, b)),
+              _run_drift),
     "doob": ("Monte Carlo maximal bound vs exact maximal functions (markov)",
-             lambda c, m, b: _run_doob(c, m, b)),
-    "identity": ("pathwise check of the centered-sum decomposition",
-                 lambda c, m, b: _run_identity(c, m, b)),
-    "project-norms": ("closed-form projection norms as CSV",
-                      lambda c, m, b: _run_series(c, m, b, "project-norms")),
-    "hannan": ("projection-norm summability verdict",
-               lambda c, m, b: _run_series(c, m, b, "hannan")),
-    "mw": ("summability of conditional norms over sqrt(n)",
-           lambda c, m, b: _run_series(c, m, b, "mw")),
-    "sigma2": ("long-run variance from the martingale increment",
-               lambda c, m, b: _run_series(c, m, b, "sigma2")),
+             _run_doob),
+    "identity": ("pathwise check of the centered-sum decomposition", _run_identity),
+    "project-norms": ("closed-form projection norms as CSV", _run_series),
+    "hannan": ("projection-norm summability verdict", _run_series),
+    "mw": ("summability of conditional norms over sqrt(n)", _run_series),
+    "sigma2": ("long-run variance from the martingale increment", _run_series),
     "markov-check": ("operator contraction, duality and Markov property (markov)",
-                     lambda c, m, b: _run_markov_check(c, m, b)),
+                     _run_markov_check),
     "hopf": ("maximal-function level inequality in exact arithmetic (markov)",
-             lambda c, m, b: _run_hopf(c, m, b)),
+             _run_hopf),
     "weak-l2": ("weak-L2 tail functional of the observable (markov)",
-                lambda c, m, b: _run_weak_l2(c, m, b)),
+                _run_weak_l2),
 }
 
 
@@ -330,11 +326,11 @@ def run(config: RunConfig, base_path=()) -> int:
     if config.experiment not in EXPERIMENTS:
         raise CLIError(f"unknown experiment name: {config.experiment!r}")
     model = load_model(config.model_path)
-    base = derive_stream(config.seed, base_path)
+    base = RandomStream(config.seed, base_path)
     _, runner = EXPERIMENTS[config.experiment]
     try:
         payload, passed, sample_sink = runner(config, model, base)
-    except HannanDivergesError as exc:
+    except ValueError as exc:   # HannanDivergesError and every library refusal
         raise CLIError(f"experiment refused: {exc}") from exc
     try:
         os.makedirs(config.out, exist_ok=True)
@@ -356,6 +352,11 @@ def run(config: RunConfig, base_path=()) -> int:
     except OSError as exc:
         raise CLIError(f"cannot write outputs under {config.out!r}: {exc}") from exc
     return 0 if passed else 2
+
+
+# suite entries may set every RunConfig field except those run-all derives
+_SUITE_KEYS = {f.name for f in fields(RunConfig)} - {"experiment", "model_path",
+                                                     "out", "name", "workers"}
 
 
 def run_suite(suite_path: str, out_root: str, workers: int = 1) -> int:
@@ -381,10 +382,13 @@ def run_suite(suite_path: str, out_root: str, workers: int = 1) -> int:
             raise CLIError(f"suite run {name!r}: no seed given and no suite default")
         if entry.get("r") == "inf":
             entry["r"] = math.inf
-        model_path = entry.pop("model")
+        model_path = entry.pop("model", "")
         if not os.path.isabs(model_path):
             model_path = os.path.join(base_dir, model_path)
-        experiment = entry.pop("experiment")
+        experiment = entry.pop("experiment", None)
+        unknown = sorted(set(entry) - _SUITE_KEYS)
+        if unknown:
+            raise CLIError(f"suite run {name!r}: unknown keys {unknown}")
         config = RunConfig(experiment=experiment, model_path=model_path, seed=seed,
                            out=os.path.join(out_root, name), name=name,
                            workers=workers, **entry)
@@ -440,12 +444,15 @@ def main(argv=None) -> int:
             raise CLIError("missing --model")
         if args.seed is None:
             raise CLIError("missing --seed (runs never default to the clock)")
+        try:
+            Ns = [int(v) for v in args.Ns.split(",") if v]
+            r = math.inf if args.r == "inf" else int(args.r)
+        except ValueError as exc:
+            raise CLIError(f"invalid --Ns or --r: {exc}") from exc
         config = RunConfig(
             experiment=args.experiment, model_path=args.model, seed=args.seed,
             n=args.n, reps=args.reps, fixtures=args.fixtures,
-            functional=args.functional,
-            Ns=[int(v) for v in args.Ns.split(",") if v],
-            r=(math.inf if args.r == "inf" else int(args.r)),
+            functional=args.functional, Ns=Ns, r=r,
             K=args.K, alpha=args.alpha, d_threshold=args.d_threshold,
             workers=args.workers, out=args.out)
         return run(config)

@@ -12,18 +12,20 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import pairwise
 from typing import Optional
 
 import numpy as np
 
 from .models import (LinearModel, MarkovFunctionalModel, Model, PastFixture,
+                     _markov_step, _powers, _stationary_states,
                      e0_increment_series, sample, sample_quenched_paths)
 from .paths import PathFunctional
 from .projections import (evaluate_martingale, martingale_increment,
                           sigma_squared)
 from .stats import (EmpiricalSample, ReferenceCDF, brownian_sup_reference,
                     ks_one_sample, ks_two_sample, normal_reference)
-from .streams import RandomStream, derive_stream
+from .streams import RandomStream
 
 BLOCK_REPS = 256          # replication block size; fixed, never tuned per run
 DEGENERATE_VARIANCE = 1e-18
@@ -105,7 +107,7 @@ def _map_ordered(fn, tasks, workers: int) -> list:
 
 def _functional_block(task) -> np.ndarray:
     (model, fixture, functional, n, count, seed, path, e0cum) = task
-    stream = derive_stream(seed, path)
+    stream = RandomStream(seed, path)
     real = sample_quenched_paths(model, fixture, stream, n, count)
     sbar = np.cumsum(real.values, axis=1) - e0cum[None, :]
     grid = np.concatenate([np.zeros((count, 1)), sbar], axis=1) / math.sqrt(n)
@@ -129,7 +131,7 @@ def sample_path_functional(model: Model, fixture: PastFixture,
 
 def _brownian_block(task) -> np.ndarray:
     functional, sigma, grid_n, count, seed, path = task
-    stream = derive_stream(seed, path)
+    stream = RandomStream(seed, path)
     steps = stream.normal(count * grid_n).reshape(count, grid_n)
     steps *= sigma / math.sqrt(grid_n)
     grid = np.concatenate([np.zeros((count, 1)), np.cumsum(steps, axis=1)], axis=1)
@@ -218,16 +220,6 @@ def quenched_wip_experiment(model: Model, fixture: PastFixture,
                                      "reference": ref_kind, "verdict_rule": rule})
 
 
-def quenched_clt_experiment(model: Model, fixture: PastFixture, n: int,
-                            reps: int, stream: RandomStream, alpha: float = 0.01,
-                            workers: int = 1) -> ExperimentReport:
-    """KS comparison of the centered endpoint law against its normal limit."""
-    report = quenched_wip_experiment(model, fixture, PathFunctional("endpoint"),
-                                     n, reps, stream, alpha, workers=workers)
-    report.experiment = "quenched-clt"
-    return report
-
-
 # --- martingale approximation rate ---------------------------------------
 
 @dataclass
@@ -263,7 +255,7 @@ class StrestReport:
 
 def _strest_block(task) -> np.ndarray:
     (model, fixture, approx, Ns, max_n, count, seed, path, e0cum) = task
-    stream = derive_stream(seed, path)
+    stream = RandomStream(seed, path)
     real = sample_quenched_paths(model, fixture, stream, max_n, count)
     sbar = np.cumsum(real.values, axis=1) - e0cum[None, :]
     mart = evaluate_martingale(model, approx, fixture, real, max_n)
@@ -355,7 +347,7 @@ class DoobReport:
 
 def _lhs_block(task) -> np.ndarray:
     model, fixture, N, count, seed, path, e0cum = task
-    stream = derive_stream(seed, path)
+    stream = RandomStream(seed, path)
     real = sample_quenched_paths(model, fixture, stream, N, count)
     sbar = np.cumsum(real.values, axis=1) - e0cum[None, :]
     return np.max(sbar**2, axis=1)
@@ -390,16 +382,14 @@ def doob_bound_check(model: Model, fixture: PastFixture, N: int, reps: int,
     lhs = math.sqrt(mean)
     rel_se = se / (2.0 * mean) if mean > 0 else 0.0
 
-    P, pi, g = model.transition, model.stationary, model.observable
+    P, g = model.transition, model.observable
     S = model.n_states
     x = fixture.state
     admissible = np.flatnonzero(P[:, x] > 0)
     ns = np.arange(1, N + 1, dtype=float)
     total = np.zeros(S)     # per previous-state a: sum_i sqrt((f_i^2)*_N)(a, x)
-    v = g.copy()
     terms = 0
-    for i in range(20_000):
-        v_next = P @ v
+    for i, (v, v_next) in zip(range(20_000), pairwise(_powers(P, g))):
         pair_sq = (v[None, :] - v_next[:, None]) ** 2   # [prev, cur]
         if pair_sq.max() < 1e-26:
             break
@@ -407,19 +397,12 @@ def doob_bound_check(model: Model, fixture: PastFixture, N: int, reps: int,
         # conditional expectation pushed through the chain
         u = (P * pair_sq).sum(axis=1)                    # function of cur
         prefix = np.zeros(N)                             # sum of first n-1 pushes, at x
-        if N > 1:
-            w = u.copy()
-            acc = 0.0
-            pref = np.empty(N - 1)
-            for l_ in range(N - 1):
-                acc += w[x]
-                pref[l_] = acc
-                if l_ < N - 2:
-                    w = P @ w
-            prefix[1:] = pref
+        acc = 0.0
+        for l_, w in zip(range(1, N), _powers(P, u)):
+            acc += w[x]
+            prefix[l_] = acc
         cesaro = (pair_sq[:, x][:, None] + prefix[None, :]) / ns[None, :]
         total += np.sqrt(cesaro.max(axis=1))
-        v = v_next
         terms = i + 1
     rhs = math.sqrt(N) * float(total[admissible].max())
     rhs_strict = math.sqrt(N) * float(total[admissible].min())
@@ -467,15 +450,12 @@ def decomposition_identity_check(model: Model, fixture: PastFixture, n: int,
     else:
         P, g = model.transition, model.observable
         states = real.states
-        v = g.copy()
         scale = max(1.0, float(np.max(np.abs(g))))
-        for i in range(n):
-            v_next = P @ v
+        for i, (v, v_next) in zip(range(n), pairwise(_powers(P, g))):
             if np.max(np.abs(v)) < 1e-13 * scale:
                 break
             inc = v[states[:, 1:]] - v_next[states[:, :-1]]
             rhs[:, i:] += np.cumsum(inc, axis=1)[:, : n - i]
-            v = v_next
         allowance = 1e-9
     residual = float(np.max(np.abs(lhs - rhs)))
     return IdentityReport(residual=residual, allowance=allowance, reps=reps, n=n)
@@ -485,14 +465,9 @@ def decomposition_identity_check(model: Model, fixture: PastFixture, n: int,
 
 def _evolve_states(model: MarkovFunctionalModel, states: np.ndarray,
                    steps: int, stream: RandomStream) -> np.ndarray:
-    cum = model._cum_rows
-    last = model.n_states - 1
-    current = states.copy()
     for _ in range(steps):
-        u = stream.uniform_open(current.size)
-        rows = cum[current]
-        current = np.minimum((rows <= u[:, None]).sum(axis=1), last)
-    return current
+        states = _markov_step(model, states, stream.uniform_open(states.size))
+    return states
 
 
 def mc_projection_norm_sq(model: Model, k: int, reps: int,
@@ -529,10 +504,7 @@ def mc_projection_norm_sq(model: Model, k: int, reps: int,
             gaps.append(a_hat - b_hat)
     else:
         g = model.observable
-        cum_pi = np.cumsum(model.stationary)
-        u = stream.uniform_open(reps)
-        w_prev = np.minimum(np.searchsorted(cum_pi, u, side="right"),
-                            model.n_states - 1)
+        w_prev = _stationary_states(model, stream, reps)
         w_curr = _evolve_states(model, w_prev, 1, stream)
         gaps = []
         for _ in range(2):

@@ -14,50 +14,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import MarkovFunctionalModel
+from .models import MarkovFunctionalModel, _powers, _stationary_distribution
 
 _ATOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class TransitionOperator:
-    """Row-stochastic matrix acting on state functions, with reference pi."""
-
-    matrix: np.ndarray
-    pi: np.ndarray
-
-    def __post_init__(self):
-        Q = np.asarray(self.matrix, dtype=float)
-        pi = np.asarray(self.pi, dtype=float)
-        if np.max(np.abs(Q.sum(axis=1) - 1.0)) > _ATOL:
-            raise ValueError("operator rows must sum to 1 within 1e-12")
-        if np.any(Q < 0):
-            raise ValueError("operator must be positive (entrywise nonnegative)")
-        if np.max(np.abs(pi @ Q - pi)) > _ATOL:
-            raise ValueError("reference measure must be invariant within 1e-12")
-        object.__setattr__(self, "matrix", Q)
-        object.__setattr__(self, "pi", pi)
-
-    def apply(self, h: np.ndarray) -> np.ndarray:
-        return self.matrix @ h
-
-    def l1_norm(self, h: np.ndarray) -> float:
-        return float(self.pi @ np.abs(h))
-
-    @property
-    def n_states(self) -> int:
-        return self.matrix.shape[0]
+def _l1_norm(model: MarkovFunctionalModel, h: np.ndarray) -> float:
+    return float(model.stationary @ np.abs(h))
 
 
-def q_operator_from_model(model: MarkovFunctionalModel) -> TransitionOperator:
-    """The one-step conditional-expectation operator of the model's chain."""
-    return TransitionOperator(model.transition, model.stationary)
-
-
-def dual_operator(op: TransitionOperator) -> np.ndarray:
+def dual_operator(model: MarkovFunctionalModel) -> np.ndarray:
     """The pi-adjoint matrix T with <Qh, k>_pi = <h, Tk>_pi."""
-    pi = op.pi
-    return (op.matrix.T * pi[None, :]) / pi[:, None]
+    pi = model.stationary
+    return (model.transition.T * pi[None, :]) / pi[:, None]
 
 
 @dataclass
@@ -67,15 +36,16 @@ class ContractionReport:
     checked: int = 0
 
 
-def verify_dunford_schwartz(op: TransitionOperator, test_functions) -> ContractionReport:
+def verify_dunford_schwartz(model: MarkovFunctionalModel,
+                            test_functions) -> ContractionReport:
     """Check that both the L1(pi) and the sup norm never increase under Q."""
     funcs = [np.asarray(h, dtype=float) for h in test_functions]
     if not funcs:
         raise ValueError("need at least one test function")
     report = ContractionReport(ok=True)
     for idx, h in enumerate(funcs):
-        qh = op.apply(h)
-        l1_before, l1_after = op.l1_norm(h), op.l1_norm(qh)
+        qh = model.transition @ h
+        l1_before, l1_after = _l1_norm(model, h), _l1_norm(model, qh)
         sup_before = float(np.max(np.abs(h)))
         sup_after = float(np.max(np.abs(qh)))
         report.checked += 1
@@ -103,16 +73,15 @@ class MaximalFunction:
     truncation: int
 
 
-def maximal_function(op: TransitionOperator, h, N: int) -> MaximalFunction:
+def maximal_function(model: MarkovFunctionalModel, h, N: int) -> MaximalFunction:
     """Compute max_{1<=n<=N} (1/n) sum_{i<n} Q^i |h| by iterated application."""
     if N < 1:
         raise ValueError("N must be >= 1")
     h = np.asarray(h, dtype=float)
-    power = np.abs(h)
-    running = power.copy()
+    powers = _powers(model.transition, np.abs(h))
+    running = next(powers).copy()
     best = running.copy()
-    for n in range(2, N + 1):
-        power = op.apply(power)
+    for n, power in zip(range(2, N + 1), powers):
         running += power
         np.maximum(best, running / n, out=best)
     return MaximalFunction(values=best, base=h, truncation=N)
@@ -127,12 +96,13 @@ class HopfReport:
     levels: np.ndarray
 
 
-def hopf_check(op: TransitionOperator, maximal: MaximalFunction) -> HopfReport:
+def hopf_check(model: MarkovFunctionalModel, maximal: MaximalFunction) -> HopfReport:
     """Evaluate x * pi(h* > x) <= |h|_1 at every attained level of h*."""
-    l1 = op.l1_norm(maximal.base)
+    l1 = _l1_norm(model, maximal.base)
     levels = np.unique(maximal.values)
+    pi = model.stationary
     products = np.array(
-        [lvl * float(op.pi[maximal.values > lvl].sum()) for lvl in levels])
+        [lvl * float(pi[maximal.values > lvl].sum()) for lvl in levels])
     worst = int(np.argmax(products)) if products.size else 0
     ok = bool(np.all(products <= l1 + _ATOL))
     return HopfReport(ok=ok, l1_norm=l1, worst_level=float(levels[worst]),
@@ -222,7 +192,7 @@ def poisson_solve(transition, g, residual_tol: float = 1e-10) -> np.ndarray:
     A = np.eye(n) - P
     if np.linalg.matrix_rank(A, tol=1e-9) != n - 1:
         raise ValueError("singular system beyond the one-dimensional kernel")
-    pi = _stationary_of(P)
+    pi = _stationary_distribution(P)
     if abs(float(pi @ g)) > 1e-9:
         raise ValueError("g must be centered against pi")
     stacked = np.vstack([A, pi[None, :]])
@@ -234,21 +204,10 @@ def poisson_solve(transition, g, residual_tol: float = 1e-10) -> np.ndarray:
     return g_hat
 
 
-def _stationary_of(P: np.ndarray) -> np.ndarray:
-    n = P.shape[0]
-    A = np.vstack([P.T - np.eye(n), np.ones((1, n))])
-    b = np.zeros(n + 1)
-    b[-1] = 1.0
-    pi, *_ = np.linalg.lstsq(A, b, rcond=None)
-    return pi
-
-
-def cesaro_average(op: TransitionOperator, h, n: int) -> np.ndarray:
+def cesaro_average(model: MarkovFunctionalModel, h, n: int) -> np.ndarray:
     """(1/n) sum_{i<n} Q^i h, by iterated application."""
     h = np.asarray(h, dtype=float)
     acc = h.copy()
-    power = h.copy()
-    for _ in range(1, n):
-        power = op.apply(power)
+    for power in itertools.islice(_powers(model.transition, h), 1, n):
         acc += power
     return acc / n

@@ -22,6 +22,7 @@ resample the future") and the stationary law.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -200,15 +201,40 @@ def _check_fixture(model: Model, fixture: PastFixture) -> None:
             raise ValueError("frozen state out of range")
 
 
+def _stationary_states(model: MarkovFunctionalModel, stream: RandomStream,
+                       count: int) -> np.ndarray:
+    """``count`` states drawn from pi by inverse CDF, one uniform each."""
+    u = stream.uniform_open(count)
+    cum_pi = np.cumsum(model.stationary)
+    return np.minimum(np.searchsorted(cum_pi, u, side="right"), model.n_states - 1)
+
+
+def _markov_step(model: MarkovFunctionalModel, states: np.ndarray,
+                 u: np.ndarray) -> np.ndarray:
+    """One transition of each chain in ``states``, driven by one uniform each."""
+    rows = model._cum_rows[states]
+    return np.minimum((rows <= u[:, None]).sum(axis=1), model.n_states - 1)
+
+
+def _powers(P: np.ndarray, v: np.ndarray, pi: Optional[np.ndarray] = None):
+    """Yield v, Pv, P^2 v, ...; with ``pi`` given, re-center each iterate.
+
+    pi(P^k v) = pi(v) exactly, so re-centering a centered v only removes
+    rounding, which keeps a decaying sequence from stalling at the floor.
+    """
+    while True:
+        yield v
+        v = P @ v
+        if pi is not None:
+            v -= float(pi @ v)
+
+
 def sample_fixture(model: Model, stream: RandomStream) -> PastFixture:
     """Draw a past from the stationary law restricted to the past."""
     if isinstance(model, LinearModel):
         eps = sample(stream, model.innovation, model.horizon + 1)
         return PastFixture(innovations=eps)
-    u = stream.uniform_open(1)[0]
-    cum_pi = np.cumsum(model.stationary)
-    state = int(np.searchsorted(cum_pi, u, side="right"))
-    return PastFixture(state=min(state, model.n_states - 1))
+    return PastFixture(state=int(_stationary_states(model, stream, 1)[0]))
 
 
 def conditional_expectation_E0(model: Model, fixture: PastFixture, k: int) -> float:
@@ -237,18 +263,10 @@ def e0_increment_series(model: Model, fixture: PastFixture, n: int) -> np.ndarra
         for k in range(1, min(n, J) + 1):
             out[k - 1] = model.coeffs[k:] @ fixture.innovations[: J - k + 1]
         return out
-    v = model.observable
-    for k in range(1, n + 1):
-        v = model.transition @ v
-        out[k - 1] = v[fixture.state]
+    powers = islice(_powers(model.transition, model.observable), 1, n + 1)
+    for k, v in enumerate(powers):
+        out[k] = v[fixture.state]
     return out
-
-
-def conditional_mean_E0_Sn(model: Model, fixture: PastFixture, n: int) -> np.ndarray:
-    """Prefix sums (E0(S_1), ..., E0(S_n)) of the conditional drift."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return np.cumsum(e0_increment_series(model, fixture, n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,24 +321,7 @@ def sample_quenched_paths(model: Model, fixture: PastFixture,
                            fresh=fresh)
     states = np.empty((reps, n + 1), dtype=np.intp)
     states[:, 0] = fixture.state
-    cum = model._cum_rows
-    last = model.n_states - 1
     for k in range(1, n + 1):
         u = stream.uniform_open(reps)
-        rows = cum[states[:, k - 1]]
-        states[:, k] = np.minimum((rows <= u[:, None]).sum(axis=1), last)
+        states[:, k] = _markov_step(model, states[:, k - 1], u)
     return Realization(values=model.observable[states[:, 1:]], states=states)
-
-
-def sample_quenched_path(model: Model, fixture: PastFixture,
-                         stream: RandomStream, n: int) -> np.ndarray:
-    """Single conditional path (f . theta^1, ..., f . theta^n) under mu_x."""
-    return sample_quenched_paths(model, fixture, stream, n, reps=1).values[0]
-
-
-def sample_stationary_path(model: Model, stream: RandomStream, n: int) -> np.ndarray:
-    """Draw a stationary path by sampling a past and then the future."""
-    fixture = sample_fixture(model, stream)
-    if n == 0:
-        return np.empty(0)
-    return sample_quenched_path(model, fixture, stream, n)

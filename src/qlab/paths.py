@@ -1,4 +1,4 @@
-"""Interpolated partial-sum paths and continuous path functionals."""
+"""Continuous functionals of polygonal partial-sum paths."""
 
 from __future__ import annotations
 
@@ -6,69 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import Model, PastFixture, e0_increment_series
-
 FUNCTIONAL_KINDS = ("endpoint", "supremum", "infimum", "sup-abs", "time-integral")
-
-
-@dataclass(frozen=True, eq=False)
-class InterpolatedPath:
-    """The random polygonal path t -> S_[nt] + (nt - [nt]) f.theta^([nt]+1).
-
-    Grid values are the prefix sums (S_0 = 0); between grid points the
-    path follows the defining interpolation formula, which coincides with
-    the linear interpolation of the grid values.
-    """
-
-    increments: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        inc = np.asarray(self.increments, dtype=float)
-        if inc.size < self.n:
-            raise ValueError("need at least n increments")
-        grid = np.concatenate([[0.0], np.cumsum(inc[: self.n])])
-        object.__setattr__(self, "increments", inc)
-        object.__setattr__(self, "grid", grid)
-
-    def evaluate(self, t):
-        """Path value at t in [0, 1] (scalar or array)."""
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0) or np.any(t > 1):
-            raise ValueError("t must lie in [0, 1]")
-        if self.n == 0:
-            out = np.zeros_like(t)
-            return out if out.shape else 0.0
-        nt = self.n * t
-        idx = np.minimum(np.floor(nt).astype(int), self.n - 1)
-        frac = nt - np.floor(nt)
-        # at t = 1 the floor is n and the fractional part 0: clamp the
-        # index and zero the fraction so the value is exactly S_n
-        at_end = np.floor(nt).astype(int) >= self.n
-        frac = np.where(at_end, 0.0, frac)
-        value = self.grid[idx] + frac * self.increments[idx]
-        value = np.where(at_end, self.grid[self.n], value)
-        return value if value.shape else float(value)
-
-
-def build_interpolated_path(increments, n: int) -> InterpolatedPath:
-    """Wrap raw increments as the interpolated partial-sum path."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return InterpolatedPath(increments=np.asarray(increments, dtype=float), n=n)
-
-
-def centered_path(model: Model, fixture: PastFixture,
-                  path: InterpolatedPath) -> InterpolatedPath:
-    """Subtract the conditional drift given the past from the path.
-
-    The drift of the interpolated path is itself interpolated, so the
-    centered path is the interpolation of the conditionally centered
-    increments.
-    """
-
-    drift = e0_increment_series(model, fixture, path.n)
-    return InterpolatedPath(increments=path.increments[: path.n] - drift, n=path.n)
 
 
 @dataclass(frozen=True)
@@ -101,6 +39,3 @@ class PathFunctional:
         if self.kind == "sup-abs":
             return np.abs(grid).max(axis=1)
         return (grid[:, :-1] + grid[:, 1:]).sum(axis=1) / (2.0 * n)
-
-    def of_path(self, path: InterpolatedPath) -> float:
-        return float(self.of_grid(path.grid[None, :])[0])

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice, pairwise
 from typing import Optional
 
 import numpy as np
 
 from .markov_ops import poisson_solve
 from .models import (LinearModel, Model, PastFixture, Realization,
-                     _check_fixture)
+                     _check_fixture, _powers)
 
 SUMMABLE = "summable"
 DIVERGING = "diverging"
@@ -74,15 +75,10 @@ def projection_norms(model: Model, K: int) -> ProjectionSeries:
         return ProjectionSeries(norms=norms, bias=bias, K=K)
     P, pi, g = model.transition, model.stationary, model.observable
     norms = np.zeros(K + 1)
-    v = g - float(pi @ g)
-    for k in range(K + 1):
-        # pi(P^k g) = pi(g) = 0 exactly; re-centering each iterate keeps the
-        # decay from stalling at the rounding floor
-        v_next = P @ v
-        v_next -= float(pi @ v_next)
+    powers = pairwise(_powers(P, g - float(pi @ g), pi))
+    for k, (v, v_next) in zip(range(K + 1), powers):
         diff = v[None, :] - v_next[:, None]  # (P^k g)(y) - (P^{k+1} g)(x)
         norms[k] = np.sqrt(np.sum(pi[:, None] * P * diff**2))
-        v = v_next
     return ProjectionSeries(norms=norms, bias=np.zeros(K + 1), K=K)
 
 
@@ -181,11 +177,8 @@ def _conditional_norm_E0(model: Model, n_max: int) -> np.ndarray:
         return out
     P, pi, g = model.transition, model.stationary, model.observable
     out = np.zeros(n_max)
-    v = g - float(pi @ g)
-    for n in range(1, n_max + 1):
-        v = P @ v
-        v -= float(pi @ v)
-        out[n - 1] = np.sqrt(float(pi @ v**2))
+    for n, v in enumerate(islice(_powers(P, g - float(pi @ g), pi), 1, n_max + 1)):
+        out[n] = np.sqrt(float(pi @ v**2))
     return out
 
 
@@ -260,9 +253,7 @@ def martingale_increment(model: Model, r: float = math.inf,
         g_hat = poisson_solve(P, g)
     else:
         g_hat = g.copy()
-        v = g.copy()
-        for _ in range(int(r)):
-            v = P @ v
+        for v in islice(_powers(P, g), 1, r + 1):
             g_hat += v
     return MartingaleApprox(r=r, kind="markov", g_hat=g_hat, p_g_hat=P @ g_hat)
 

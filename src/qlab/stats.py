@@ -1,7 +1,7 @@
 """Empirical CDFs, Kolmogorov-Smirnov tests and reference laws.
 
-p-values use the asymptotic Kolmogorov distribution (series truncated
-once terms fall below 1e-10).  That is accurate for the sample sizes the
+p-values use the asymptotic Kolmogorov distribution
+(``scipy.special.kolmogorov``).  That is accurate for the sample sizes the
 experiments use (M >= 1000) and a documented bias source below M = 100.
 """
 
@@ -11,18 +11,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr, ndtri
-
-_SERIES_TOL = 1e-10
+from scipy.special import kolmogorov, ndtr
 
 
 def normal_cdf(z):
     """Standard normal CDF, accurate to machine precision."""
     return ndtr(np.asarray(z, dtype=float))
-
-
-def normal_quantile(p):
-    return ndtri(np.asarray(p, dtype=float))
 
 
 def brownian_sup_cdf(a, sigma: float):
@@ -32,21 +26,6 @@ def brownian_sup_cdf(a, sigma: float):
     a = np.asarray(a, dtype=float)
     out = np.where(a < 0, 0.0, 2.0 * normal_cdf(a / sigma) - 1.0)
     return out if out.shape else float(out)
-
-
-def kolmogorov_sf(x: float) -> float:
-    """Survival function 2 sum_j (-1)^(j-1) exp(-2 j^2 x^2) of the KS limit."""
-    if x <= 0:
-        return 1.0
-    total = 0.0
-    sign = 1.0
-    for j in range(1, 1000):
-        term = np.exp(-2.0 * j * j * x * x)
-        total += sign * term
-        if term < _SERIES_TOL:
-            break
-        sign = -sign
-    return float(min(1.0, max(0.0, 2.0 * total)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,7 +57,6 @@ class ReferenceCDF:
 
     kind: str
     cdf: Callable
-    params: tuple = ()
 
     def __call__(self, t):
         return self.cdf(t)
@@ -88,13 +66,11 @@ def normal_reference(variance: float) -> ReferenceCDF:
     if variance <= 0:
         raise ValueError("variance must be positive")
     sd = float(np.sqrt(variance))
-    return ReferenceCDF("normal", lambda t: normal_cdf(np.asarray(t) / sd),
-                        params=(variance,))
+    return ReferenceCDF("normal", lambda t: normal_cdf(np.asarray(t) / sd))
 
 
 def brownian_sup_reference(sigma: float) -> ReferenceCDF:
-    return ReferenceCDF("brownian-sup", lambda t: brownian_sup_cdf(t, sigma),
-                        params=(sigma,))
+    return ReferenceCDF("brownian-sup", lambda t: brownian_sup_cdf(t, sigma))
 
 
 def ks_one_sample(sample: EmpiricalSample, ref: ReferenceCDF) -> tuple[float, float]:
@@ -106,7 +82,7 @@ def ks_one_sample(sample: EmpiricalSample, ref: ReferenceCDF) -> tuple[float, fl
     upper = np.arange(1, m + 1) / m - f
     lower = f - np.arange(0, m) / m
     d = float(max(upper.max(), lower.max()))
-    return d, kolmogorov_sf(d * np.sqrt(m))
+    return d, float(kolmogorov(d * np.sqrt(m)))
 
 
 def ks_two_sample(a: EmpiricalSample, b: EmpiricalSample) -> tuple[float, float]:
@@ -118,4 +94,4 @@ def ks_two_sample(a: EmpiricalSample, b: EmpiricalSample) -> tuple[float, float]
     fb = np.searchsorted(b.values, pooled, side="right") / b.size
     d = float(np.max(np.abs(fa - fb)))
     effective = a.size * b.size / (a.size + b.size)
-    return d, kolmogorov_sf(d * np.sqrt(effective))
+    return d, float(kolmogorov(d * np.sqrt(effective)))

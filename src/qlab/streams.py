@@ -96,11 +96,6 @@ class InnovationDistribution:
         return float(np.sqrt(self.variance))
 
 
-def derive_stream(master_seed: int, path=()) -> RandomStream:
-    """Build the stream addressed by (master_seed, path)."""
-    return RandomStream(master_seed, path)
-
-
 def sample(stream: RandomStream, dist: InnovationDistribution, count: int) -> np.ndarray:
     """Draw ``count`` iid innovations from ``dist``, advancing ``stream``."""
     if count < 0:

@@ -1,10 +1,14 @@
 import json
 import os
+import subprocess
+import sys
 import time
+
+import pytest
 
 from qlab.cli import list_experiments, main
 
-from conftest import MODELS_DIR, SUITES_DIR
+from conftest import MODELS_DIR, REPO_ROOT, SUITES_DIR
 
 
 def _model(name: str) -> str:
@@ -166,3 +170,32 @@ def test_run_all_acceptance_suite_under_ten_minutes(tmp_path):
     elapsed = time.perf_counter() - start
     assert code == 0
     assert elapsed < 600.0
+
+
+@pytest.mark.parametrize("args", [
+    ["run-all", "--suite", "{suite}"],
+    ["drift", "--model", "linear_identity.json", "--Ns", "1,x"],
+    ["project-norms", "--model", "linear_identity.json", "--K", "-3"],
+    ["strest", "--model", "linear_identity.json", "--r", "-1", "--Ns", "16",
+     "--reps", "40", "--fixtures", "1"],
+    ["quenched-clt", "--model", "linear_identity.json", "--reps", "5",
+     "--n", "16", "--fixtures", "1"],
+    ["quenched-clt", "--model", "linear_identity.json", "--alpha", "2",
+     "--n", "16", "--reps", "20", "--fixtures", "1"],
+], ids=["unknown-suite-key", "bad-Ns", "negative-K", "negative-r", "tiny-reps",
+        "alpha-above-one"])
+def test_invalid_input_exits_three_with_one_line(args, tmp_path):
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"seed": 1, "runs": [{
+        "experiment": "sigma2", "model": _model("linear_identity.json"),
+        "bogus": 1}]}))
+    args = [str(suite) if a == "{suite}" else
+            _model(a) if a.endswith(".json") else a for a in args]
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-m", "qlab.cli", *args, "--seed", "1",
+                           "--out", str(tmp_path / "o")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("qlab: "), proc.stderr

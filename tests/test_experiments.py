@@ -3,15 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from scipy.special import ndtri
+
 from qlab import (EmpiricalSample, MarkovFunctionalModel, PastFixture,
-                  PathFunctional, brownian_reference, brownian_sup_reference,
-                  decomposition_identity_check, derive_stream, doob_bound_check,
-                  ks_one_sample, ks_two_sample, quenched_clt_experiment,
-                  quenched_wip_experiment, sample_fixture,
-                  sample_path_functional, strest_experiment,
-                  uncentered_drift_check)
+                  PathFunctional, RandomStream, brownian_reference,
+                  brownian_sup_reference, decomposition_identity_check,
+                  doob_bound_check, e0_increment_series, ks_one_sample,
+                  ks_two_sample, normal_reference, quenched_wip_experiment,
+                  sample_fixture, sample_path_functional, sample_quenched_paths,
+                  sigma_squared, strest_experiment, uncentered_drift_check)
 from qlab.experiments import ExperimentReport
-from qlab.stats import normal_quantile
+
+ENDPOINT = PathFunctional("endpoint")
 
 
 @pytest.fixture(scope="module")
@@ -35,30 +38,37 @@ def test_clt_exact_normal_identity_model(identity_model):
     # with gaussian innovations the centered endpoint is exactly normal at
     # every n, so the KS distance sits below the 1% critical value
     fx = PastFixture(innovations=np.array([0.0]))
-    rep = quenched_clt_experiment(identity_model, fx, 64, 5000, derive_stream(61, [0]))
+    rep = quenched_wip_experiment(identity_model, fx, ENDPOINT, 64, 5000,
+                                  RandomStream(61, [0]))
     assert rep.test_statistic < 1.63 / math.sqrt(5000)
     assert rep.verdict == "pass"
 
 
 def test_endpoint_wip_reproduces_clt(rho_model):
-    fx = sample_fixture(rho_model, derive_stream(61, [1]))
-    clt = quenched_clt_experiment(rho_model, fx, 128, 500, derive_stream(61, [2]))
-    wip = quenched_wip_experiment(rho_model, fx, PathFunctional("endpoint"),
-                                  128, 500, derive_stream(61, [2]))
-    assert clt.test_statistic == wip.test_statistic
-    assert clt.p_value == wip.p_value
-    assert clt.estimate == wip.estimate
+    # the endpoint WIP experiment is the CLT: a one-sample KS test of the
+    # centered endpoint sample against N(0, sigma^2)
+    fx = sample_fixture(rho_model, RandomStream(61, [1]))
+    values = sample_path_functional(rho_model, fx, ENDPOINT, 128, 500,
+                                    RandomStream(61, [2]))
+    d, p = ks_one_sample(EmpiricalSample(values),
+                         normal_reference(sigma_squared(rho_model)))
+    wip = quenched_wip_experiment(rho_model, fx, ENDPOINT, 128, 500,
+                                  RandomStream(61, [2]))
+    assert wip.test_statistic == d
+    assert wip.p_value == p
+    assert wip.estimate == float(values.mean())
 
 
 def test_empty_sample_rejected(rho_model):
-    fx = sample_fixture(rho_model, derive_stream(61, [3]))
+    fx = sample_fixture(rho_model, RandomStream(61, [3]))
     with pytest.raises(ValueError):
-        quenched_clt_experiment(rho_model, fx, 64, 0, derive_stream(61, [4]))
+        quenched_wip_experiment(rho_model, fx, ENDPOINT, 64, 0, RandomStream(61, [4]))
 
 
 def test_degenerate_observable_reports_not_raises(zero_chain):
     fx = PastFixture(state=0)
-    rep = quenched_clt_experiment(zero_chain, fx, 64, 200, derive_stream(61, [5]))
+    rep = quenched_wip_experiment(zero_chain, fx, ENDPOINT, 64, 200,
+                                  RandomStream(61, [5]))
     assert rep.verdict == "degenerate"
     assert rep.p_value is None
     assert rep.details["max_abs_value"] == 0.0
@@ -67,20 +77,20 @@ def test_degenerate_observable_reports_not_raises(zero_chain):
 def test_time_integral_against_brownian_mc(rho_model):
     # two-sample comparison on a shared grid; the Brownian reference is the
     # simulation oracle here
-    fx = sample_fixture(rho_model, derive_stream(61, [6]))
+    fx = sample_fixture(rho_model, RandomStream(61, [6]))
     rep = quenched_wip_experiment(rho_model, fx, PathFunctional("time-integral"),
-                                  512, 5000, derive_stream(61, [7]),
+                                  512, 5000, RandomStream(61, [7]),
                                   ref_reps=100_000)
     assert rep.details["reference"] == "brownian-mc"
     assert rep.p_value > 0.01
 
 
 def test_workers_do_not_change_values(rho_model):
-    fx = sample_fixture(rho_model, derive_stream(61, [8]))
+    fx = sample_fixture(rho_model, RandomStream(61, [8]))
     f = PathFunctional("supremum")
-    v1 = sample_path_functional(rho_model, fx, f, 300, 700, derive_stream(61, [9]),
+    v1 = sample_path_functional(rho_model, fx, f, 300, 700, RandomStream(61, [9]),
                                 workers=1)
-    v2 = sample_path_functional(rho_model, fx, f, 300, 700, derive_stream(61, [9]),
+    v2 = sample_path_functional(rho_model, fx, f, 300, 700, RandomStream(61, [9]),
                                 workers=3)
     assert np.array_equal(v1, v2)
 
@@ -89,29 +99,29 @@ def test_workers_do_not_change_values(rho_model):
 
 def test_brownian_endpoint_variance():
     vals = brownian_reference(PathFunctional("endpoint"), 1.5, 256, 10_000,
-                              derive_stream(62, [0]))
+                              RandomStream(62, [0]))
     assert abs(vals.var() - 1.5**2) < 0.05 * 1.5**2
 
 
 def test_brownian_supabs_dominates_endpoint():
     # identical stream address -> identical paths, so the comparison is pathwise
     sup_abs = brownian_reference(PathFunctional("sup-abs"), 1.0, 256, 2000,
-                                 derive_stream(62, [1]))
+                                 RandomStream(62, [1]))
     end = brownian_reference(PathFunctional("endpoint"), 1.0, 256, 2000,
-                             derive_stream(62, [1]))
+                             RandomStream(62, [1]))
     assert np.all(sup_abs >= np.abs(end) - 1e-12)
 
 
 def test_brownian_zero_sigma_gives_zero_paths():
     vals = brownian_reference(PathFunctional("sup-abs"), 0.0, 256, 100,
-                              derive_stream(62, [2]))
+                              RandomStream(62, [2]))
     assert np.all(vals == 0.0)
 
 
 def test_brownian_grid_floor_enforced():
     with pytest.raises(ValueError):
         brownian_reference(PathFunctional("endpoint"), 1.0, 128, 100,
-                           derive_stream(62, [3]))
+                           RandomStream(62, [3]))
 
 
 def test_reflection_cdf_against_simulation():
@@ -121,9 +131,9 @@ def test_reflection_cdf_against_simulation():
     # but the p-value is not a fair agreement gauge at that resolution; at
     # M = 1e4 the bias sits below KS noise and the p > 0.01 check applies.
     sim = brownian_reference(PathFunctional("supremum"), 1.0, 4096, 100_000,
-                             derive_stream(2024, [0]))
-    u = derive_stream(2024, [1]).uniform_open(100_000)
-    exact = normal_quantile((u + 1.0) / 2.0)    # inverse-CDF reflection draws
+                             RandomStream(2024, [0]))
+    u = RandomStream(2024, [1]).uniform_open(100_000)
+    exact = ndtri((u + 1.0) / 2.0)              # inverse-CDF reflection draws
     d, _ = ks_two_sample(EmpiricalSample(sim), EmpiricalSample(exact))
     assert d < 0.015
     # the polygonal supremum is biased low by about 0.58 sigma / sqrt(grid)
@@ -139,24 +149,24 @@ def test_reflection_cdf_against_simulation():
 def test_strest_identity_model_exactly_zero(identity_model):
     fx = PastFixture(innovations=np.array([1.0]))
     rep = strest_experiment(identity_model, fx, math.inf, [64, 256, 1024], 100,
-                            derive_stream(63, [0]))
+                            RandomStream(63, [0]))
     assert rep.estimates == [0.0, 0.0, 0.0]
     assert rep.verdict == "pass"
 
 
 def test_strest_decay_geometric_model(rho_model):
-    fx = sample_fixture(rho_model, derive_stream(63, [1]))
+    fx = sample_fixture(rho_model, RandomStream(63, [1]))
     rep = strest_experiment(rho_model, fx, math.inf, [256, 1024, 4096], 400,
-                            derive_stream(63, [2]))
+                            RandomStream(63, [2]))
     assert rep.estimates[0] > rep.estimates[1] > rep.estimates[2]
     assert rep.estimates[2] < rep.estimates[0] / 2
     assert rep.verdict == "pass"
 
 
 def test_strest_nonincreasing_in_truncation_order(rho_model):
-    fx = sample_fixture(rho_model, derive_stream(63, [3]))
+    fx = sample_fixture(rho_model, RandomStream(63, [3]))
     results = [strest_experiment(rho_model, fx, r, [512], 500,
-                                 derive_stream(63, [4]))
+                                 RandomStream(63, [4]))
                for r in (0, 2, 8)]
     for lo, hi in zip(results[1:], results[:-1]):
         slack = 2.0 * (lo.std_errors[0] + hi.std_errors[0])
@@ -166,9 +176,9 @@ def test_strest_nonincreasing_in_truncation_order(rho_model):
 def test_strest_workers_deterministic(two_state_chain):
     fx = PastFixture(state=0)
     a = strest_experiment(two_state_chain, fx, math.inf, [64, 256], 600,
-                          derive_stream(63, [5]), workers=1)
+                          RandomStream(63, [5]), workers=1)
     b = strest_experiment(two_state_chain, fx, math.inf, [64, 256], 600,
-                          derive_stream(63, [5]), workers=2)
+                          RandomStream(63, [5]), workers=2)
     assert a.estimates == b.estimates
 
 
@@ -193,7 +203,7 @@ def test_drift_chain_matches_geometric_oracle(two_state_chain):
 
 
 def test_drift_geometric_model_bounded_and_vanishing(rho_model):
-    base = derive_stream(64, [])
+    base = RandomStream(64, [])
     fxs = [sample_fixture(rho_model, base.child(i)) for i in range(4)]
     rep = uncentered_drift_check(rho_model, fxs, [256, 4096])
     for fx, row in zip(fxs, rep.table):
@@ -207,14 +217,14 @@ def test_drift_geometric_model_bounded_and_vanishing(rho_model):
 
 def test_doob_zero_observable(zero_chain):
     rep = doob_bound_check(zero_chain, PastFixture(state=0), 64, 200,
-                           derive_stream(65, [0]))
+                           RandomStream(65, [0]))
     assert rep.lhs == 0.0 and rep.rhs == 0.0
     assert rep.holds
 
 
 def test_doob_single_step(two_state_chain):
     rep = doob_bound_check(two_state_chain, PastFixture(state=0), 1, 2000,
-                           derive_stream(65, [1]))
+                           RandomStream(65, [1]))
     # exact single-step enumeration: sd of g(W_1) from state 0 is sqrt(0.84)
     assert rep.lhs == pytest.approx(math.sqrt(0.84), abs=0.05)
     assert rep.holds and rep.strict_holds
@@ -222,7 +232,7 @@ def test_doob_single_step(two_state_chain):
 
 def test_doob_two_state_chain_full(two_state_chain):
     rep = doob_bound_check(two_state_chain, PastFixture(state=0), 1024, 10_000,
-                           derive_stream(65, [2]))
+                           RandomStream(65, [2]))
     assert rep.holds
     # the bound as displayed (pointwise in the past) is tighter than the
     # simulated left side here; the report records that disagreement
@@ -231,9 +241,9 @@ def test_doob_two_state_chain_full(two_state_chain):
 
 
 def test_doob_rejects_linear_models(rho_model):
-    fx = sample_fixture(rho_model, derive_stream(65, [3]))
+    fx = sample_fixture(rho_model, RandomStream(65, [3]))
     with pytest.raises(ValueError):
-        doob_bound_check(rho_model, fx, 16, 100, derive_stream(65, [4]))
+        doob_bound_check(rho_model, fx, 16, 100, RandomStream(65, [4]))
 
 
 # --- decomposition identity ------------------------------------------------------------
@@ -241,13 +251,13 @@ def test_doob_rejects_linear_models(rho_model):
 def test_identity_model_decomposition_exact(identity_model):
     fx = PastFixture(innovations=np.array([0.7]))
     rep = decomposition_identity_check(identity_model, fx, 32,
-                                       derive_stream(66, [0]))
+                                       RandomStream(66, [0]))
     assert rep.residual == 0.0
 
 
 def test_geometric_decomposition_within_declared_bias(rho_model):
-    fx = sample_fixture(rho_model, derive_stream(66, [1]))
-    rep = decomposition_identity_check(rho_model, fx, 64, derive_stream(66, [2]))
+    fx = sample_fixture(rho_model, RandomStream(66, [1]))
+    rep = decomposition_identity_check(rho_model, fx, 64, RandomStream(66, [2]))
     assert rep.allowance == pytest.approx(1e-9 + 64 * 0.5**40, rel=1e-12)
     assert rep.residual <= rep.allowance
     assert rep.verdict == "pass"
@@ -255,24 +265,21 @@ def test_geometric_decomposition_within_declared_bias(rho_model):
 
 def test_chain_decomposition_exact(two_state_chain):
     rep = decomposition_identity_check(two_state_chain, PastFixture(state=1),
-                                       16, derive_stream(66, [3]))
+                                       16, RandomStream(66, [3]))
     assert rep.residual <= 1e-9
     assert rep.verdict == "pass"
 
 
 def test_internal_consistency_of_centered_statistics(two_state_chain):
     # the endpoint functional equals the centered sum over sqrt(n) built
-    # path by path from the interpolation
-    from qlab import build_interpolated_path, centered_path, sample_quenched_paths
+    # path by path from the raw values and the exact drift
     fx = PastFixture(state=0)
     n, reps = 48, 32
-    stream = derive_stream(66, [4])
-    values = sample_path_functional(two_state_chain, fx,
-                                    PathFunctional("endpoint"), n, reps, stream)
+    stream = RandomStream(66, [4])
+    values = sample_path_functional(two_state_chain, fx, ENDPOINT, n, reps, stream)
     real = sample_quenched_paths(two_state_chain, fx,
-                                 derive_stream(66, [4, 0, 0]), n, reps)
+                                 RandomStream(66, [4, 0, 0]), n, reps)
+    drift = e0_increment_series(two_state_chain, fx, n)
     for i in range(reps):
-        path = build_interpolated_path(real.values[i], n)
-        bar = centered_path(two_state_chain, fx, path)
-        assert values[i] == pytest.approx(bar.evaluate(1.0) / math.sqrt(n),
-                                          abs=1e-12)
+        centered_sum = float(np.sum(real.values[i] - drift))
+        assert values[i] == pytest.approx(centered_sum / math.sqrt(n), abs=1e-12)

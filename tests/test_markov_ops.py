@@ -1,133 +1,115 @@
 import numpy as np
 import pytest
 
-from qlab import (MarkovFunctionalModel, TransitionOperator, cesaro_average,
-                  derive_stream, dual_operator, hopf_check, maximal_function,
-                  poisson_solve, q_operator_from_model, verify_dunford_schwartz,
-                  verify_markov_property, weak_l2_tail)
+from qlab import (MarkovFunctionalModel, PastFixture, RandomStream,
+                  cesaro_average, dual_operator, e0_increment_series,
+                  hopf_check, maximal_function, poisson_solve,
+                  verify_dunford_schwartz, verify_markov_property, weak_l2_tail)
 
 
 def _random_chain(n_states: int, seed: int) -> MarkovFunctionalModel:
-    raw = derive_stream(seed, [0]).uniform_open(n_states * n_states)
+    raw = RandomStream(seed, [0]).uniform_open(n_states * n_states)
     P = raw.reshape(n_states, n_states) + 0.05
     P /= P.sum(axis=1, keepdims=True)
-    g = derive_stream(seed, [1]).normal(n_states)
+    g = RandomStream(seed, [1]).normal(n_states)
     return MarkovFunctionalModel.from_raw_observable(P, g)
 
 
 # --- operator construction ---------------------------------------------------
 
 def test_q_equals_transition_matrix(two_state_chain):
-    op = q_operator_from_model(two_state_chain)
-    assert np.array_equal(op.matrix, np.array([[0.7, 0.3], [0.3, 0.7]]))
+    # Q applied to the indicator of state j is column j of the matrix:
+    # the two-term Cesaro average is (1_j + Q 1_j) / 2
+    P = np.array([[0.7, 0.3], [0.3, 0.7]])
+    for j in range(2):
+        e_j = np.eye(2)[j]
+        q_e_j = 2.0 * cesaro_average(two_state_chain, e_j, 2) - e_j
+        assert np.allclose(q_e_j, P[:, j], atol=1e-15)
 
 
 def test_q_on_eigenfunction(two_state_chain):
-    op = q_operator_from_model(two_state_chain)
     g = two_state_chain.observable
-    assert np.allclose(op.apply(g), 0.4 * g, atol=1e-14)
+    assert np.allclose(cesaro_average(two_state_chain, g, 2), 0.7 * g, atol=1e-14)
 
 
 def test_q_preserves_constants(two_state_chain):
-    op = q_operator_from_model(two_state_chain)
     ones = np.ones(2)
-    assert np.allclose(op.apply(ones), ones, atol=1e-14)
-
-
-def test_operator_invariants_enforced():
-    with pytest.raises(ValueError):
-        TransitionOperator(np.array([[0.5, 0.6], [0.3, 0.7]]),
-                           np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        TransitionOperator(np.array([[1.2, -0.2], [0.3, 0.7]]),
-                           np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        TransitionOperator(np.array([[0.7, 0.3], [0.3, 0.7]]),
-                           np.array([0.9, 0.1]))
+    assert np.allclose(cesaro_average(two_state_chain, ones, 7), ones, atol=1e-14)
 
 
 # --- contraction --------------------------------------------------------------
 
 def test_contraction_equality_for_constants(two_state_chain):
-    op = q_operator_from_model(two_state_chain)
-    report = verify_dunford_schwartz(op, [np.full(2, 3.5)])
+    report = verify_dunford_schwartz(two_state_chain, [np.full(2, 3.5)])
     assert report.ok
 
 
 def test_contraction_on_eigenfunction(two_state_chain):
-    op = q_operator_from_model(two_state_chain)
-    g = two_state_chain.observable
-    assert op.l1_norm(op.apply(g)) == pytest.approx(0.4)
-    assert op.l1_norm(g) == pytest.approx(1.0)
-    assert verify_dunford_schwartz(op, [g]).ok
+    pi, g = two_state_chain.stationary, two_state_chain.observable
+    assert pi @ np.abs(two_state_chain.transition @ g) == pytest.approx(0.4)
+    assert pi @ np.abs(g) == pytest.approx(1.0)
+    assert verify_dunford_schwartz(two_state_chain, [g]).ok
 
 
 def test_contraction_100_random_functions(three_state_chain):
-    op = q_operator_from_model(three_state_chain)
-    base = derive_stream(51, [])
+    base = RandomStream(51, [])
     funcs = [base.child(i).normal(3) * 5 for i in range(100)]
-    report = verify_dunford_schwartz(op, funcs)
+    report = verify_dunford_schwartz(three_state_chain, funcs)
     assert report.ok and report.checked == 100
 
 
 def test_contraction_requires_input(two_state_chain):
     with pytest.raises(ValueError):
-        verify_dunford_schwartz(q_operator_from_model(two_state_chain), [])
+        verify_dunford_schwartz(two_state_chain, [])
 
 
 # --- maximal function and Hopf -------------------------------------------------
 
 def test_maximal_of_constant_one(two_state_chain):
-    op = q_operator_from_model(two_state_chain)
-    mf = maximal_function(op, np.ones(2), 50)
+    mf = maximal_function(two_state_chain, np.ones(2), 50)
     assert np.allclose(mf.values, 1.0, atol=1e-14)
-    assert hopf_check(op, mf).ok
+    assert hopf_check(two_state_chain, mf).ok
 
 
 def test_maximal_dominates_every_cesaro_average(three_state_chain):
-    op = q_operator_from_model(three_state_chain)
-    h = derive_stream(52, [0]).normal(3) * 2
-    mf = maximal_function(op, h, 10)
+    h = RandomStream(52, [0]).normal(3) * 2
+    mf = maximal_function(three_state_chain, h, 10)
     for n in range(1, 11):      # brute-force oracle, power by power
         avg = np.zeros(3)
         power = np.abs(h)
         for i in range(n):
             avg += power
-            power = op.apply(power)
+            power = three_state_chain.transition @ power
         assert np.all(mf.values >= avg / n - 1e-12)
 
 
 def test_maximal_nondecreasing_in_truncation(three_state_chain):
-    op = q_operator_from_model(three_state_chain)
-    h = derive_stream(52, [1]).normal(3)
-    prev = maximal_function(op, h, 1).values
+    h = RandomStream(52, [1]).normal(3)
+    prev = maximal_function(three_state_chain, h, 1).values
     for N in (2, 5, 20, 100):
-        cur = maximal_function(op, h, N).values
+        cur = maximal_function(three_state_chain, h, N).values
         assert np.all(cur >= prev - 1e-15)
         prev = cur
 
 
 def test_hopf_inequality_exact(two_state_chain):
-    op = q_operator_from_model(two_state_chain)
-    mf = maximal_function(op, np.abs(two_state_chain.observable), 1000)
-    report = hopf_check(op, mf)
+    mf = maximal_function(two_state_chain, np.abs(two_state_chain.observable), 1000)
+    report = hopf_check(two_state_chain, mf)
     assert report.ok
 
 
 def test_hopf_at_truncation_one_is_markov_inequality(three_state_chain):
-    op = q_operator_from_model(three_state_chain)
-    h = derive_stream(52, [2]).normal(3)
-    mf = maximal_function(op, h, 1)
+    h = RandomStream(52, [2]).normal(3)
+    mf = maximal_function(three_state_chain, h, 1)
     assert np.array_equal(mf.values, np.abs(h))
-    assert hopf_check(op, mf).ok
+    assert hopf_check(three_state_chain, mf).ok
 
 
 def test_hopf_many_random_functions(three_state_chain):
-    op = q_operator_from_model(three_state_chain)
-    base = derive_stream(53, [])
+    base = RandomStream(53, [])
     for i in range(20):
-        mf = maximal_function(op, base.child(i).normal(3) * 3, 200)
-        assert hopf_check(op, mf).ok
+        mf = maximal_function(three_state_chain, base.child(i).normal(3) * 3, 200)
+        assert hopf_check(three_state_chain, mf).ok
 
 
 # --- weak L2 tail ----------------------------------------------------------------
@@ -142,7 +124,7 @@ def test_weak_l2_two_level_enumeration(two_state_chain):
 
 
 def test_weak_l2_normal_sample_stability():
-    values = [weak_l2_tail(derive_stream(54, [i]).normal(100_000))
+    values = [weak_l2_tail(RandomStream(54, [i]).normal(100_000))
               for i in range(5)]
     center = np.mean(values)
     assert all(abs(v - center) < 0.2 * center for v in values)
@@ -220,14 +202,14 @@ def test_poisson_rejects_uncentered_rhs(two_state_chain):
 # --- duality and convergence ------------------------------------------------------------
 
 def test_duality_pairing(three_state_chain):
-    op = q_operator_from_model(three_state_chain)
-    T = dual_operator(op)
-    base = derive_stream(58, [])
+    P, pi = three_state_chain.transition, three_state_chain.stationary
+    T = dual_operator(three_state_chain)
+    base = RandomStream(58, [])
     for i in range(50):
         h = base.child(i, 0).normal(3)
         k = base.child(i, 1).normal(3)
-        lhs = float(op.pi @ (op.apply(h) * k))
-        rhs = float(op.pi @ (h * (T @ k)))
+        lhs = float(pi @ ((P @ h) * k))
+        rhs = float(pi @ (h * (T @ k)))
         assert abs(lhs - rhs) <= 1e-12
 
 
@@ -235,19 +217,17 @@ def test_power_convergence_to_stationary_mean(two_state_chain, three_state_chain
     # iterates Q^n h approach pi(h) geometrically; far below 1e-8 by n = 1000
     # for chains with spectral gap >= 0.3
     for chain in (two_state_chain, three_state_chain):
-        op = q_operator_from_model(chain)
-        h = chain.observable
-        power = h.copy()
-        for _ in range(1000):
-            power = op.apply(power)
-        assert np.max(np.abs(power - float(op.pi @ h))) < 1e-8
+        mean = float(chain.stationary @ chain.observable)
+        for x in range(chain.n_states):
+            power = e0_increment_series(chain, PastFixture(state=x), 1000)[-1]
+            assert abs(power - mean) < 1e-8
 
 
 def test_cesaro_average_converges_at_one_over_n(two_state_chain):
     # Cesaro averages converge at rate Theta(1/n); check the constant
-    op = q_operator_from_model(two_state_chain)
     g = two_state_chain.observable
     for n in (100, 1000):
-        err = np.max(np.abs(cesaro_average(op, g, n) - float(op.pi @ g)))
+        err = np.max(np.abs(cesaro_average(two_state_chain, g, n)
+                            - float(two_state_chain.stationary @ g)))
         assert err < 10.0 / n
         assert err > 0.1 / n

@@ -2,17 +2,21 @@ import numpy as np
 import pytest
 
 from qlab import (InnovationDistribution, LinearModel, MarkovFunctionalModel,
-                  PastFixture, conditional_expectation_E0,
-                  conditional_mean_E0_Sn, derive_stream, e0_increment_series,
-                  sample_fixture, sample_quenched_path, sample_quenched_paths,
-                  sample_stationary_path)
+                  PastFixture, RandomStream, conditional_expectation_E0,
+                  e0_increment_series, sample_fixture, sample_quenched_paths)
 from qlab.models import _linear_observables
+
+
+def _stationary_path(model, stream: RandomStream, n: int) -> np.ndarray:
+    """A stationary path: a past drawn from pi, then the future given it."""
+    fixture = sample_fixture(model, stream)
+    return sample_quenched_paths(model, fixture, stream, n).values[0]
 
 
 # --- construction and validation ------------------------------------------
 
 def test_fixture_length_matches_horizon(identity_model):
-    fx = sample_fixture(identity_model, derive_stream(1, [0]))
+    fx = sample_fixture(identity_model, RandomStream(1, [0]))
     assert fx.innovations.size == 1
 
 
@@ -25,6 +29,18 @@ def test_reducible_chain_rejected():
 def test_periodic_chain_rejected():
     P = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ValueError):
+        MarkovFunctionalModel(P, np.array([1.0, -1.0]))
+
+
+def test_negative_transition_entry_rejected():
+    P = np.array([[1.2, -0.2], [0.3, 0.7]])
+    with pytest.raises(ValueError, match="nonnegative"):
+        MarkovFunctionalModel(P, np.array([1.0, -1.0]))
+
+
+def test_transition_rows_must_sum_to_one():
+    P = np.array([[0.5, 0.6], [0.3, 0.7]])
+    with pytest.raises(ValueError, match="sum to 1"):
         MarkovFunctionalModel(P, np.array([1.0, -1.0]))
 
 
@@ -41,7 +57,7 @@ def test_ergodic_chain_has_strictly_positive_pi(two_state_chain, three_state_cha
 
 def test_fixture_frequency_matches_pi(two_state_chain):
     # binomial band: 4 sqrt(0.25 / 1e4) = 0.02 around 0.5
-    base = derive_stream(8, [])
+    base = RandomStream(8, [])
     states = [sample_fixture(two_state_chain, base.child(i)).state
               for i in range(10_000)]
     freq0 = np.mean(np.asarray(states) == 0)
@@ -81,18 +97,18 @@ def test_e0_requires_positive_k(rho_model):
 
 def test_conditional_mean_identity_all_zero(identity_model):
     fx = PastFixture(innovations=np.array([1.25]))
-    assert np.all(conditional_mean_E0_Sn(identity_model, fx, 20) == 0.0)
+    assert np.all(np.cumsum(e0_increment_series(identity_model, fx, 20)) == 0.0)
 
 
 def test_conditional_mean_chain_limit(two_state_chain):
     # oracle: geometric sum of eigenvalue powers, limit 0.4 / 0.6 = 2/3
-    drift = conditional_mean_E0_Sn(two_state_chain, PastFixture(state=0), 200)
+    drift = np.cumsum(e0_increment_series(two_state_chain, PastFixture(state=0), 200))
     assert drift[-1] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
 def test_conditional_mean_geometric_prefix(rho_model):
     fx = PastFixture(innovations=np.ones(41))
-    drift = conditional_mean_E0_Sn(rho_model, fx, 3)
+    drift = np.cumsum(e0_increment_series(rho_model, fx, 3))
     # oracle: direct series summation of sum_{j>=k} 0.5^j for k = 1, 2, 3
     terms = [sum(0.5**j for j in range(k, 41)) for k in (1, 2, 3)]
     oracle = np.cumsum(terms)
@@ -104,14 +120,14 @@ def test_conditional_mean_geometric_prefix(rho_model):
 
 def test_identity_quenched_path_equals_fresh_draws(identity_model):
     fx = PastFixture(innovations=np.array([0.0]))
-    real = sample_quenched_paths(identity_model, fx, derive_stream(4, [0]), 50, 8)
+    real = sample_quenched_paths(identity_model, fx, RandomStream(4, [0]), 50, 8)
     assert np.array_equal(real.values, real.fresh)
 
 
 def test_chain_one_step_mean_matches_e0(two_state_chain):
     m = 100_000
     fx = PastFixture(state=0)
-    real = sample_quenched_paths(two_state_chain, fx, derive_stream(4, [1]), 1, m)
+    real = sample_quenched_paths(two_state_chain, fx, RandomStream(4, [1]), 1, m)
     mc = real.values[:, 0].mean()
     oracle = conditional_expectation_E0(two_state_chain, fx, 1)
     assert abs(mc - oracle) < 4.0 / np.sqrt(m)
@@ -119,8 +135,8 @@ def test_chain_one_step_mean_matches_e0(two_state_chain):
 
 def test_linear_one_step_mean_matches_e0(rho_model):
     m = 100_000
-    fx = sample_fixture(rho_model, derive_stream(4, [2]))
-    real = sample_quenched_paths(rho_model, fx, derive_stream(4, [3]), 1, m)
+    fx = sample_fixture(rho_model, RandomStream(4, [2]))
+    real = sample_quenched_paths(rho_model, fx, RandomStream(4, [3]), 1, m)
     oracle = conditional_expectation_E0(rho_model, fx, 1)
     # conditional sd of f.theta^1 is exactly |a_0| sigma = 1
     assert abs(real.values[:, 0].mean() - oracle) < 4.0 / np.sqrt(m)
@@ -129,7 +145,7 @@ def test_linear_one_step_mean_matches_e0(rho_model):
 def test_chain_e0_exactness_up_to_k10(two_state_chain):
     m = 100_000
     fx = PastFixture(state=1)
-    real = sample_quenched_paths(two_state_chain, fx, derive_stream(4, [4]), 10, m)
+    real = sample_quenched_paths(two_state_chain, fx, RandomStream(4, [4]), 10, m)
     exact = e0_increment_series(two_state_chain, fx, 10)
     mc = real.values.mean(axis=0)
     se = real.values.std(axis=0, ddof=1) / np.sqrt(m)
@@ -137,25 +153,25 @@ def test_chain_e0_exactness_up_to_k10(two_state_chain):
 
 
 def test_stationary_marginal_variance(rho_model):
-    path = sample_stationary_path(rho_model, derive_stream(13, [0]), 100_000)
+    path = _stationary_path(rho_model, RandomStream(13, [0]), 100_000)
     target = sum(0.25**j for j in range(41))  # series oracle, = 4/3 - 4^-41 stuff
     assert abs(path.var() - target) < 0.05 * target
 
 
 def test_chain_lag_one_autocovariance(two_state_chain):
-    path = sample_stationary_path(two_state_chain, derive_stream(13, [1]), 100_000)
+    path = _stationary_path(two_state_chain, RandomStream(13, [1]), 100_000)
     # oracle: pi(g * Pg) = lambda = 0.4
     acov = np.mean(path[:-1] * path[1:]) - path.mean() ** 2
     assert abs(acov - 0.4) < 0.05 * 0.4 + 0.02
 
 
 def test_stationary_empty_path(rho_model):
-    assert sample_stationary_path(rho_model, derive_stream(13, [2]), 0).size == 0
+    assert _stationary_path(rho_model, RandomStream(13, [2]), 0).size == 0
 
 
 def test_quenched_and_stationary_consistency(two_state_chain):
     # averaging conditional means over sampled pasts recovers the global mean 0
-    base = derive_stream(14, [])
+    base = RandomStream(14, [])
     means = [conditional_expectation_E0(
         two_state_chain, sample_fixture(two_state_chain, base.child(i)), 1)
         for i in range(400)]
@@ -165,10 +181,10 @@ def test_quenched_and_stationary_consistency(two_state_chain):
 # --- adaptedness -------------------------------------------------------------
 
 def test_linear_adaptedness(rho_model):
-    fx = PastFixture(innovations=derive_stream(6, [0]).normal(41))
-    fresh = derive_stream(6, [1]).normal(64).reshape(1, 64)
+    fx = PastFixture(innovations=RandomStream(6, [0]).normal(41))
+    fresh = RandomStream(6, [1]).normal(64).reshape(1, 64)
     tampered = fresh.copy()
-    tampered[:, 20:] = derive_stream(6, [2]).normal(44)
+    tampered[:, 20:] = RandomStream(6, [2]).normal(44)
     a = _linear_observables(rho_model, fx, fresh)
     b = _linear_observables(rho_model, fx, tampered)
     assert np.array_equal(a[:, :20], b[:, :20])
@@ -179,8 +195,8 @@ def test_markov_adaptedness(two_state_chain):
     # step k of the chain consumes exactly one uniform per step, so paths of
     # different lengths share their prefix
     fx = PastFixture(state=0)
-    short = sample_quenched_paths(two_state_chain, fx, derive_stream(6, [3]), 5, 10)
-    long = sample_quenched_paths(two_state_chain, fx, derive_stream(6, [3]), 9, 10)
+    short = sample_quenched_paths(two_state_chain, fx, RandomStream(6, [3]), 5, 10)
+    long = sample_quenched_paths(two_state_chain, fx, RandomStream(6, [3]), 9, 10)
     assert np.array_equal(short.states, long.states[:, :6])
 
 
@@ -188,11 +204,11 @@ def test_markov_adaptedness(two_state_chain):
 
 def test_fixture_kind_mismatch_rejected(rho_model, two_state_chain):
     with pytest.raises(ValueError):
-        sample_quenched_path(rho_model, PastFixture(state=0), derive_stream(1, []), 4)
+        sample_quenched_paths(rho_model, PastFixture(state=0), RandomStream(1, []), 4)
     with pytest.raises(ValueError):
-        sample_quenched_path(two_state_chain,
-                             PastFixture(innovations=np.zeros(41)),
-                             derive_stream(1, []), 4)
+        sample_quenched_paths(two_state_chain,
+                              PastFixture(innovations=np.zeros(41)),
+                              RandomStream(1, []), 4)
 
 
 def test_fixture_wrong_length_rejected(rho_model):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from qlab import (HannanDivergesError, InnovationDistribution, LinearModel,
-                  PastFixture, ProjectionSeries, approximation_gap,
-                  derive_stream, evaluate_martingale, hannan_sum,
+                  PastFixture, ProjectionSeries, RandomStream,
+                  approximation_gap, evaluate_martingale, hannan_sum,
                   martingale_increment, mc_projection_norm_sq, mw_criterion,
                   projection_norms, sample_quenched_paths, sigma_squared)
 
@@ -168,7 +168,7 @@ def test_martingale_conditional_increment_mean_is_zero(two_state_chain):
 
 def test_evaluate_martingale_identity_model(identity_model):
     fx = PastFixture(innovations=np.array([0.3]))
-    real = sample_quenched_paths(identity_model, fx, derive_stream(21, [0]), 30, 5)
+    real = sample_quenched_paths(identity_model, fx, RandomStream(21, [0]), 30, 5)
     approx = martingale_increment(identity_model)
     mart = evaluate_martingale(identity_model, approx, fx, real, 30)
     sums = np.cumsum(real.values, axis=1)
@@ -177,7 +177,7 @@ def test_evaluate_martingale_identity_model(identity_model):
 
 def test_evaluate_martingale_contracts(two_state_chain):
     fx = PastFixture(state=0)
-    real = sample_quenched_paths(two_state_chain, fx, derive_stream(21, [1]), 10, 3)
+    real = sample_quenched_paths(two_state_chain, fx, RandomStream(21, [1]), 10, 3)
     approx = martingale_increment(two_state_chain)
     assert evaluate_martingale(two_state_chain, approx, fx, real, 0).shape == (3, 0)
     with pytest.raises(ValueError):
@@ -228,7 +228,7 @@ def test_martingale_property_under_conditional_law(rho_model, two_state_chain):
     # within four standard errors of zero
     m = 20_000
     fx = PastFixture(state=0)
-    real = sample_quenched_paths(two_state_chain, fx, derive_stream(22, [0]), 6, m)
+    real = sample_quenched_paths(two_state_chain, fx, RandomStream(22, [0]), 6, m)
     approx = martingale_increment(two_state_chain)
     mart = evaluate_martingale(two_state_chain, approx, fx, real, 6)
     increments = np.diff(np.concatenate([np.zeros((m, 1)), mart], axis=1), axis=1)
@@ -239,8 +239,8 @@ def test_martingale_property_under_conditional_law(rho_model, two_state_chain):
                 continue
             se = group.std(ddof=1) / np.sqrt(group.size)
             assert abs(group.mean()) < 4 * se
-    fx_lin = PastFixture(innovations=derive_stream(22, [1]).normal(41))
-    real = sample_quenched_paths(rho_model, fx_lin, derive_stream(22, [2]), 4, m)
+    fx_lin = PastFixture(innovations=RandomStream(22, [1]).normal(41))
+    real = sample_quenched_paths(rho_model, fx_lin, RandomStream(22, [2]), 4, m)
     approx = martingale_increment(rho_model)
     mart = evaluate_martingale(rho_model, approx, fx_lin, real, 4)
     increments = np.diff(np.concatenate([np.zeros((m, 1)), mart], axis=1), axis=1)
@@ -252,7 +252,7 @@ def test_martingale_property_under_conditional_law(rho_model, two_state_chain):
 def test_mc_projection_norm_matches_closed_form(which, rho_model, two_state_chain):
     model = rho_model if which == "linear" else two_state_chain
     series = projection_norms(model, 5)
-    base = derive_stream(23, [0 if which == "linear" else 1])
+    base = RandomStream(23, [0 if which == "linear" else 1])
     for k in range(6):
         est, se = mc_projection_norm_sq(model, k, 20_000, base.child(k))
         assert abs(est - series.norms[k] ** 2) < 4 * se

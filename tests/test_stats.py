@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
-from qlab import (EmpiricalSample, brownian_sup_cdf, brownian_sup_reference,
-                  derive_stream, kolmogorov_sf, ks_one_sample, ks_two_sample,
+from qlab import (EmpiricalSample, RandomStream, brownian_sup_cdf,
+                  brownian_sup_reference, ks_one_sample, ks_two_sample,
                   normal_cdf, normal_reference)
 
 
@@ -31,7 +32,7 @@ def test_normal_cdf_against_erf_series():
 
 
 def test_normal_cdf_symmetry():
-    z = derive_stream(41, [0]).normal(100) * 2.0
+    z = RandomStream(41, [0]).normal(100) * 2.0
     assert np.allclose(normal_cdf(-z), 1.0 - normal_cdf(z), atol=1e-12)
 
 
@@ -48,8 +49,7 @@ def test_ks_quantile_construction():
     m = 200
     ref = normal_reference(1.0)
     # sample placed at the exact (i - 1/2)/m quantiles of the reference
-    from qlab.stats import normal_quantile
-    values = normal_quantile((np.arange(1, m + 1) - 0.5) / m)
+    values = ndtri((np.arange(1, m + 1) - 0.5) / m)
     d, _ = ks_one_sample(EmpiricalSample(values), ref)
     assert d == pytest.approx(1.0 / (2 * m), abs=1e-12)
 
@@ -58,7 +58,7 @@ def test_ks_null_rejection_rate():
     # critical value 1.63 / sqrt(5000) = 0.0231 at the 1% level; with pinned
     # streams the count is deterministic and matches the ~99% claim
     ref = normal_reference(1.0)
-    base = derive_stream(42, [7])
+    base = RandomStream(42, [7])
     passes = 0
     for i in range(20):
         x = base.child(i).normal(5000)
@@ -68,13 +68,13 @@ def test_ks_null_rejection_rate():
 
 
 def test_ks_power_against_wrong_variance():
-    x = derive_stream(42, [8]).normal(5000)      # N(0,1) sample
+    x = RandomStream(42, [8]).normal(5000)      # N(0,1) sample
     d, p = ks_one_sample(EmpiricalSample(x), normal_reference(4.0))
     assert p < 1e-6
 
 
 def test_ks_two_sample_identical():
-    x = derive_stream(42, [9]).normal(500)
+    x = RandomStream(42, [9]).normal(500)
     d, p = ks_two_sample(EmpiricalSample(x), EmpiricalSample(x.copy()))
     assert d == 0.0
     assert p == 1.0
@@ -88,7 +88,7 @@ def test_ks_two_sample_disjoint_supports():
 
 
 def test_ks_two_sample_null_rate():
-    base = derive_stream(42, [10])
+    base = RandomStream(42, [10])
     trials = 500
     passes = 0
     for i in range(trials):
@@ -110,22 +110,31 @@ def test_ecdf_shape():
     assert np.all(np.diff(vals) >= 0)
 
 
+def _shifted_pair(m: int, shift: int):
+    """Two samples of size m whose two-sample KS distance is exactly shift/m."""
+    a = np.arange(m, dtype=float)
+    return EmpiricalSample(a), EmpiricalSample(a + shift)
+
+
 def test_p_value_monotone_in_d():
-    m = 1000
-    xs = [0.01, 0.02, 0.04, 0.08]
-    ps = [kolmogorov_sf(d * math.sqrt(m)) for d in xs]
+    # d = 0.01, 0.02, 0.04, 0.08 at m = 1000 per side
+    ps = [ks_two_sample(*_shifted_pair(1000, shift))[1] for shift in (10, 20, 40, 80)]
     assert all(b <= a for a, b in zip(ps, ps[1:]))
 
 
-def test_kolmogorov_sf_limits():
-    assert kolmogorov_sf(0.0) == 1.0
-    assert kolmogorov_sf(1e-9) == 1.0
-    assert kolmogorov_sf(5.0) < 1e-10
-    assert kolmogorov_sf(1.628) == pytest.approx(0.01, abs=5e-4)
+def test_kolmogorov_law_limits():
+    # the p-value is the Kolmogorov survival function at d * sqrt(m n / (m + n))
+    assert ks_two_sample(*_shifted_pair(50, 0))[1] == 1.0
+    d, p = ks_two_sample(*_shifted_pair(5000, 1))       # x = 0.01
+    assert d == pytest.approx(1 / 5000) and p == 1.0
+    assert ks_two_sample(*_shifted_pair(50, 50))[1] < 1e-10   # x = 5
+    d, p = ks_two_sample(*_shifted_pair(5000, 163))     # x = 1.63
+    assert d * math.sqrt(2500) == pytest.approx(1.63)
+    assert p == pytest.approx(0.01, abs=5e-4)
 
 
 def test_cdfs_idempotent_under_reevaluation():
-    z = derive_stream(41, [1]).normal(50)
+    z = RandomStream(41, [1]).normal(50)
     ref_n, ref_b = normal_reference(2.0), brownian_sup_reference(1.5)
     assert np.array_equal(ref_n(z), ref_n(z))
     assert np.array_equal(ref_b(z), ref_b(z))

@@ -1,47 +1,47 @@
 import numpy as np
 import pytest
 
-from qlab import InnovationDistribution, derive_stream, sample
+from qlab import InnovationDistribution, RandomStream, sample
 
 
 def test_same_address_reproduces_draws():
-    a = derive_stream(1, [0]).uniform_open(100)
-    b = derive_stream(1, [0]).uniform_open(100)
+    a = RandomStream(1, [0]).uniform_open(100)
+    b = RandomStream(1, [0]).uniform_open(100)
     assert np.array_equal(a, b)
 
 
 def test_distinct_paths_differ_almost_everywhere():
-    a = derive_stream(1, [0]).uniform_open(100)
-    b = derive_stream(1, [1]).uniform_open(100)
+    a = RandomStream(1, [0]).uniform_open(100)
+    b = RandomStream(1, [1]).uniform_open(100)
     assert np.sum(a != b) >= 90
 
 
 def test_empty_path_is_a_valid_root():
-    root = derive_stream(2, [])
+    root = RandomStream(2, [])
     assert root.uniform_open(10).shape == (10,)
 
 
 def test_child_streams_extend_the_path():
-    root = derive_stream(5, [3])
+    root = RandomStream(5, [3])
     child = root.child(7)
     assert child.path == (3, 7)
-    again = derive_stream(5, [3, 7])
+    again = RandomStream(5, [3, 7])
     assert np.array_equal(child.normal(50), again.normal(50))
 
 
 def test_path_length_and_sign_limits():
     with pytest.raises(ValueError):
-        derive_stream(1, list(range(9)))
+        RandomStream(1, list(range(9)))
     with pytest.raises(ValueError):
-        derive_stream(1, [-1])
+        RandomStream(1, [-1])
     with pytest.raises(ValueError):
-        derive_stream(-1, [])
+        RandomStream(-1, [])
 
 
 def test_sibling_streams_pass_correlation_sanity():
     m = 100_000
     bound = 4.0 / np.sqrt(m)
-    base = derive_stream(99, [])
+    base = RandomStream(99, [])
     draws = [base.child(i).normal(m) for i in range(4)]
     for i in range(4):
         for j in range(i + 1, 4):
@@ -52,19 +52,19 @@ def test_sibling_streams_pass_correlation_sanity():
 def test_gaussian_sample_mean_within_band():
     # 4 / sqrt(1e5) = 0.01265
     dist = InnovationDistribution("gaussian", 1.0)
-    x = sample(derive_stream(3, [0]), dist, 100_000)
+    x = sample(RandomStream(3, [0]), dist, 100_000)
     assert -0.013 < x.mean() < 0.013
 
 
 def test_rademacher_support():
     dist = InnovationDistribution("rademacher", 1.0)
-    x = sample(derive_stream(3, [1]), dist, 4)
+    x = sample(RandomStream(3, [1]), dist, 4)
     assert set(np.unique(x)) <= {-1.0, 1.0}
 
 
 def test_zero_count_gives_empty_sequence():
     dist = InnovationDistribution("gaussian", 1.0)
-    assert sample(derive_stream(3, [2]), dist, 0).size == 0
+    assert sample(RandomStream(3, [2]), dist, 0).size == 0
 
 
 @pytest.mark.parametrize("kind,variance", [
@@ -75,7 +75,7 @@ def test_zero_count_gives_empty_sequence():
 def test_moments_within_four_standard_errors(kind, variance):
     m = 100_000
     dist = InnovationDistribution(kind, variance)
-    x = sample(derive_stream(17, [hash(kind) % 100, int(variance * 4)]), dist, m)
+    x = sample(RandomStream(17, [hash(kind) % 100, int(variance * 4)]), dist, m)
     sd = np.sqrt(variance)
     assert abs(x.mean()) < 4 * sd / np.sqrt(m)
     # variance of the sample variance is (m4 - v^2)/m; bound it with 4 moments
@@ -86,7 +86,7 @@ def test_moments_within_four_standard_errors(kind, variance):
 
 def test_uniform_centered_support_bound():
     dist = InnovationDistribution("uniform-centered", 1.0)
-    x = sample(derive_stream(5, [0]), dist, 10_000)
+    x = sample(RandomStream(5, [0]), dist, 10_000)
     assert np.max(np.abs(x)) <= np.sqrt(3.0)
 
 
