@@ -28,9 +28,8 @@ from .projections import (HannanDivergesError, MartingaleApprox,
                           evaluate_martingale, hannan_sum,
                           martingale_increment, mw_criterion,
                           projection_norms, sigma_squared)
-from .stats import (EmpiricalSample, ReferenceCDF, brownian_sup_cdf,
-                    brownian_sup_reference, ks_one_sample, ks_two_sample,
-                    normal_cdf, normal_reference)
+from .stats import (EmpiricalSample, brownian_sup_cdf, brownian_sup_reference,
+                    ks_one_sample, ks_two_sample, normal_cdf, normal_reference)
 from .streams import InnovationDistribution, RandomStream, sample
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -32,6 +32,8 @@ from .projections import (hannan_sum, mw_criterion, projection_norms,
 from .streams import InnovationDistribution, RandomStream
 
 PASS_FRACTION = 0.9
+# the Python types each RunConfig annotation accepts; bool is never a number
+_FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "list": (list,)}
 
 
 class CLIError(Exception):
@@ -59,19 +61,32 @@ class RunConfig:
     name: str = ""
 
     def __post_init__(self):
+        if self.seed is None:
+            raise CLIError("invalid config: seed is required (no clock default)")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) not in _FIELD_TYPES[f.type]:
+                raise CLIError(f"invalid config: {f.name} must be of type {f.type}, "
+                               f"got {value!r}")
+        if self.experiment not in EXPERIMENTS:
+            raise CLIError(f"unknown experiment name: {self.experiment!r}")
+        if not self.model_path:
+            raise CLIError("invalid config: missing --model")
         for label, value in (("n", self.n), ("reps", self.reps),
                              ("fixtures", self.fixtures), ("workers", self.workers)):
             if value < 1:
                 raise CLIError(f"invalid config: {label} must be >= 1")
-        if self.seed is None:
-            raise CLIError("invalid config: seed is required (no clock default)")
         if self.seed < 0:
             raise CLIError("invalid config: seed must be a nonnegative integer")
         if not 0 < self.alpha < 1:
             raise CLIError("invalid config: alpha must lie in (0, 1)")
+        if not 0 < self.d_threshold <= 1:
+            raise CLIError("invalid config: d_threshold must lie in (0, 1]")
         if self.K < 0:
             raise CLIError("invalid config: K must be >= 0")
-        if not self.Ns or min(self.Ns) < 1:
+        if self.r != math.inf and (type(self.r) is not int or self.r < 0):
+            raise CLIError("invalid config: r must be a nonnegative integer or 'inf'")
+        if not self.Ns or any(type(v) is not int or v < 1 for v in self.Ns):
             raise CLIError("invalid config: Ns must be positive integers")
 
     def describe(self) -> dict:
@@ -323,8 +338,6 @@ def list_experiments() -> list[tuple[str, str]]:
 
 def run(config: RunConfig, base_path=()) -> int:
     """Execute one configured experiment, writing artifacts to config.out."""
-    if config.experiment not in EXPERIMENTS:
-        raise CLIError(f"unknown experiment name: {config.experiment!r}")
     model = load_model(config.model_path)
     base = RandomStream(config.seed, base_path)
     _, runner = EXPERIMENTS[config.experiment]
@@ -368,13 +381,15 @@ def run_suite(suite_path: str, out_root: str, workers: int = 1) -> int:
         raise CLIError(f"cannot read suite file {suite_path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CLIError(f"suite file {suite_path!r} is not valid JSON: {exc}") from exc
-    runs = suite.get("runs")
+    runs = suite.get("runs") if isinstance(suite, dict) else None
     if not isinstance(runs, list) or not runs:
         raise CLIError(f"suite file {suite_path!r} has no runs")
     default_seed = suite.get("seed")
     base_dir = os.path.dirname(os.path.abspath(suite_path))
     summary, worst = [], 0
     for index, entry in enumerate(runs):
+        if not isinstance(entry, dict):
+            raise CLIError(f"suite run {index}: expected an object, got {entry!r}")
         entry = dict(entry)
         name = entry.pop("name", f"run-{index:03d}")
         seed = entry.pop("seed", default_seed)
@@ -383,6 +398,8 @@ def run_suite(suite_path: str, out_root: str, workers: int = 1) -> int:
         if entry.get("r") == "inf":
             entry["r"] = math.inf
         model_path = entry.pop("model", "")
+        if not isinstance(name, str) or not isinstance(model_path, str):
+            raise CLIError(f"suite run {index}: name and model must be strings")
         if not os.path.isabs(model_path):
             model_path = os.path.join(base_dir, model_path)
         experiment = entry.pop("experiment", None)
@@ -402,60 +419,55 @@ def run_suite(suite_path: str, out_root: str, workers: int = 1) -> int:
     return worst
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise CLIError(f"invalid arguments: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qlab",
-        description="stochastic-limit-theorem verification lab")
+    # a flag left out stays out of the namespace, so RunConfig's default holds
+    parser = _Parser(prog="qlab", argument_default=argparse.SUPPRESS,
+                     description="stochastic-limit-theorem verification lab")
     parser.add_argument("experiment", help="experiment name, 'run-all' or 'list'")
-    parser.add_argument("--model", help="model definition JSON file")
+    parser.add_argument("--model", dest="model_path", help="model definition JSON file")
     parser.add_argument("--seed", type=int, help="master seed (required)")
-    parser.add_argument("--n", type=int, default=4096)
-    parser.add_argument("--reps", type=int, default=5000)
-    parser.add_argument("--fixtures", type=int, default=10)
-    parser.add_argument("--functional", default="endpoint", choices=FUNCTIONAL_KINDS)
-    parser.add_argument("--Ns", default="256,1024,4096",
-                        help="comma-separated horizons for strest/drift")
-    parser.add_argument("--r", default="inf",
-                        help="martingale truncation order (integer or 'inf')")
-    parser.add_argument("--K", type=int, default=64, help="projection horizon")
-    parser.add_argument("--alpha", type=float, default=0.01)
-    parser.add_argument("--d-threshold", type=float, default=0.03,
+    parser.add_argument("--n", type=int)
+    parser.add_argument("--reps", type=int)
+    parser.add_argument("--fixtures", type=int)
+    parser.add_argument("--functional", choices=FUNCTIONAL_KINDS)
+    parser.add_argument("--Ns", help="comma-separated horizons for strest/drift")
+    parser.add_argument("--r", help="martingale truncation order (integer or 'inf')")
+    parser.add_argument("--K", type=int, help="projection horizon")
+    parser.add_argument("--alpha", type=float)
+    parser.add_argument("--d-threshold", type=float,
                         help="KS distance bound for the supremum verdict")
-    parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--out", default="out", help="output directory")
+    parser.add_argument("--workers", type=int)
+    parser.add_argument("--out", help="output directory")
     parser.add_argument("--suite", help="suite file for run-all")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        if args.experiment == "list":
+        args = vars(_build_parser().parse_args(argv))
+        if args["experiment"] == "list":
             for name, desc in list_experiments():
                 print(f"{name}: {desc}")
             return 0
-        if args.experiment == "run-all":
-            if not args.suite:
+        if args["experiment"] == "run-all":
+            if "suite" not in args:
                 raise CLIError("run-all requires --suite")
-            return run_suite(args.suite, args.out, workers=args.workers)
-        if args.experiment not in EXPERIMENTS:
-            raise CLIError(f"unknown experiment name: {args.experiment!r}")
-        if not args.model:
-            raise CLIError("missing --model")
-        if args.seed is None:
-            raise CLIError("missing --seed (runs never default to the clock)")
+            return run_suite(args["suite"], args.get("out", RunConfig.out),
+                             workers=args.get("workers", RunConfig.workers))
+        args.pop("suite", None)
         try:
-            Ns = [int(v) for v in args.Ns.split(",") if v]
-            r = math.inf if args.r == "inf" else int(args.r)
+            if "Ns" in args:
+                args["Ns"] = [int(v) for v in args["Ns"].split(",") if v]
+            if "r" in args:
+                args["r"] = math.inf if args["r"] == "inf" else int(args["r"])
         except ValueError as exc:
             raise CLIError(f"invalid --Ns or --r: {exc}") from exc
-        config = RunConfig(
-            experiment=args.experiment, model_path=args.model, seed=args.seed,
-            n=args.n, reps=args.reps, fixtures=args.fixtures,
-            functional=args.functional, Ns=Ns, r=r,
-            K=args.K, alpha=args.alpha, d_threshold=args.d_threshold,
-            workers=args.workers, out=args.out)
-        return run(config)
+        return run(RunConfig(**{"model_path": "", "seed": None, **args}))
     except CLIError as exc:
         print(f"qlab: {exc}", file=sys.stderr)
         return exc.code

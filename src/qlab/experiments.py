@@ -11,7 +11,7 @@ import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import pairwise
 from typing import Optional
 
@@ -23,8 +23,8 @@ from .models import (LinearModel, MarkovFunctionalModel, Model, PastFixture,
 from .paths import PathFunctional
 from .projections import (evaluate_martingale, martingale_increment,
                           sigma_squared)
-from .stats import (EmpiricalSample, ReferenceCDF, brownian_sup_reference,
-                    ks_one_sample, ks_two_sample, normal_reference)
+from .stats import (EmpiricalSample, brownian_sup_reference, ks_one_sample,
+                    ks_two_sample, normal_reference)
 from .streams import RandomStream
 
 BLOCK_REPS = 256          # replication block size; fixed, never tuned per run
@@ -34,8 +34,6 @@ DEFAULT_REF_REPS = 100_000
 
 def digest_of(payload) -> str:
     """Short stable digest of a describable object (model or fixture)."""
-    if payload is None:
-        return None
     if hasattr(payload, "describe"):
         payload = payload.describe()
     blob = json.dumps(payload, sort_keys=True).encode()
@@ -49,7 +47,7 @@ class ExperimentReport:
     experiment: str
     statistic: str
     model_digest: str
-    fixture_digest: Optional[str]
+    fixture_digest: str
     n: int
     reps: int
     seed_path: list
@@ -67,21 +65,7 @@ class ExperimentReport:
             raise ValueError("p-value must lie in [0, 1]")
 
     def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "statistic": self.statistic,
-            "model_digest": self.model_digest,
-            "fixture_digest": self.fixture_digest,
-            "n": self.n,
-            "reps": self.reps,
-            "seed_path": list(self.seed_path),
-            "estimate": self.estimate,
-            "std_error": self.std_error,
-            "test_statistic": self.test_statistic,
-            "p_value": self.p_value,
-            "verdict": self.verdict,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 def _seed_path(stream: RandomStream) -> list:
@@ -192,7 +176,7 @@ def quenched_wip_experiment(model: Model, fixture: PastFixture,
                                          "max_abs_value": float(np.max(np.abs(values)))})
     sample_emp = EmpiricalSample(values)
     if functional.kind == "endpoint":
-        ref: ReferenceCDF = normal_reference(sigma2)
+        ref = normal_reference(sigma2)
         d, p = ks_one_sample(sample_emp, ref)
         ref_kind = "normal"
     elif functional.kind == "supremum":
@@ -205,7 +189,7 @@ def quenched_wip_experiment(model: Model, fixture: PastFixture,
                                         ref_reps, stream.child(1), workers)
         ref_emp = EmpiricalSample(ref_values)
         d, p = ks_two_sample(sample_emp, ref_emp)
-        ref = ReferenceCDF("empirical", ref_emp.ecdf)
+        ref = ref_emp.ecdf
         ref_kind = "brownian-mc"
     if sample_sink is not None:
         sample_sink["values"] = values
@@ -341,7 +325,6 @@ class DoobReport:
     relative_se: float
     holds: bool
     strict_holds: bool
-    truncation: int
     terms: int
 
 
@@ -409,8 +392,7 @@ def doob_bound_check(model: Model, fixture: PastFixture, N: int, reps: int,
     slack = 1.0 + 3.0 * rel_se
     return DoobReport(lhs=lhs, rhs=rhs, rhs_strict=rhs_strict,
                       relative_se=rel_se, holds=lhs <= rhs * slack,
-                      strict_holds=lhs <= rhs_strict * slack,
-                      truncation=N, terms=terms)
+                      strict_holds=lhs <= rhs_strict * slack, terms=terms)
 
 
 # --- exact decomposition identity -----------------------------------------
@@ -428,16 +410,18 @@ class IdentityReport:
 
 
 def decomposition_identity_check(model: Model, fixture: PastFixture, n: int,
-                                 stream: RandomStream, reps: int = 64) -> IdentityReport:
+                                 stream: RandomStream) -> IdentityReport:
     """Evaluate both sides of the centered-sum decomposition pathwise.
 
     The left side is the centered partial sum; the right side rebuilds it
     from the time-0 projection components shifted along the path.  Both
-    are computed on a shared realization at every prefix length up to n.
+    are computed on a shared realization of 64 paths at every prefix
+    length up to n.
     """
 
-    if n < 1 or reps < 1:
-        raise ValueError("need n >= 1 and reps >= 1")
+    if n < 1:
+        raise ValueError("need n >= 1")
+    reps = 64
     real = sample_quenched_paths(model, fixture, stream, n, reps)
     lhs = np.cumsum(real.values, axis=1) - np.cumsum(
         e0_increment_series(model, fixture, n))[None, :]

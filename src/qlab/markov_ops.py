@@ -70,7 +70,6 @@ class MaximalFunction:
 
     values: np.ndarray
     base: np.ndarray
-    truncation: int
 
 
 def maximal_function(model: MarkovFunctionalModel, h, N: int) -> MaximalFunction:
@@ -84,7 +83,7 @@ def maximal_function(model: MarkovFunctionalModel, h, N: int) -> MaximalFunction
     for n, power in zip(range(2, N + 1), powers):
         running += power
         np.maximum(best, running / n, out=best)
-    return MaximalFunction(values=best, base=h, truncation=N)
+    return MaximalFunction(values=best, base=h)
 
 
 @dataclass
@@ -93,7 +92,6 @@ class HopfReport:
     l1_norm: float
     worst_level: float
     worst_product: float
-    levels: np.ndarray
 
 
 def hopf_check(model: MarkovFunctionalModel, maximal: MaximalFunction) -> HopfReport:
@@ -106,25 +104,21 @@ def hopf_check(model: MarkovFunctionalModel, maximal: MaximalFunction) -> HopfRe
     worst = int(np.argmax(products)) if products.size else 0
     ok = bool(np.all(products <= l1 + _ATOL))
     return HopfReport(ok=ok, l1_norm=l1, worst_level=float(levels[worst]),
-                      worst_product=float(products[worst]), levels=levels)
+                      worst_product=float(products[worst]))
 
 
-def weak_l2_tail(values, weights=None) -> float:
+def weak_l2_tail(values, weights) -> float:
     """sup_lambda lambda^2 mu(|h| >= lambda) over the attained levels.
 
-    ``values`` is either a state function (with ``weights`` = pi) or a
-    Monte Carlo sample (uniform weights).  The supremum over all lambda
-    is attained at one of the levels because the tail measure is constant
-    between them.
+    ``values`` is a state function with ``weights`` = pi, or a Monte Carlo
+    sample with weights 1/n.  The supremum over all lambda is attained at
+    one of the levels because the tail measure is constant between them.
     """
 
     v = np.abs(np.asarray(values, dtype=float))
     if v.size == 0:
         raise ValueError("need a nonempty input")
-    if weights is None:
-        w = np.full(v.size, 1.0 / v.size)
-    else:
-        w = np.asarray(weights, dtype=float)
+    w = np.asarray(weights, dtype=float)
     order = np.argsort(v)
     v_sorted = v[order]
     # tail weight at level v_sorted[i] is the total weight of entries >= it
@@ -179,7 +173,7 @@ def verify_markov_property(model: MarkovFunctionalModel, n_max: int) -> MarkovPr
     return MarkovPropertyReport(max_discrepancy=worst, per_n=per_n)
 
 
-def poisson_solve(transition, g, residual_tol: float = 1e-10) -> np.ndarray:
+def poisson_solve(transition, g) -> np.ndarray:
     """Solve (I - P) g_hat = g with the normalization pi(g_hat) = 0.
 
     Requires pi(g) = 0 (solvability) and the kernel of I - P to be the
@@ -199,8 +193,8 @@ def poisson_solve(transition, g, residual_tol: float = 1e-10) -> np.ndarray:
     rhs = np.concatenate([g, [0.0]])
     g_hat, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
     residual = float(np.max(np.abs(A @ g_hat - g)))
-    if residual > residual_tol:
-        raise ValueError(f"poisson residual {residual:.2e} exceeds {residual_tol:.0e}")
+    if residual > 1e-10:
+        raise ValueError(f"poisson residual {residual:.2e} exceeds 1e-10")
     return g_hat
 
 

@@ -285,10 +285,6 @@ class Realization:
     states: Optional[np.ndarray] = None
 
     @property
-    def reps(self) -> int:
-        return self.values.shape[0]
-
-    @property
     def n(self) -> int:
         return self.values.shape[1]
 

@@ -11,7 +11,9 @@ approximation, its limit increment m, and the long-run variance.  Any
 finite computation of an infinite-sum criterion has to declare its
 extrapolation rule; ours fits the observed decay (geometric and
 polynomial) over the tail of the computed range and extrapolates the
-better fit.
+better fit.  That fit gates the r = infinity increment of a linear model
+only: a Markov model is primitive by construction, and for a primitive
+finite chain |P^k g| decays geometrically, so its norms are summable.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ class ProjectionSeries:
 
     norms: np.ndarray
     bias: np.ndarray
-    K: int
 
     def __post_init__(self):
         if np.any(self.norms < 0) or np.any(self.bias < 0):
@@ -72,14 +73,14 @@ def projection_norms(model: Model, K: int) -> ProjectionSeries:
         norms[: upto + 1] = np.abs(model.coeffs[: upto + 1]) * model.sigma_eps
         if K > J:
             bias[J + 1 :] = model.tail_bound * model.sigma_eps
-        return ProjectionSeries(norms=norms, bias=bias, K=K)
+        return ProjectionSeries(norms=norms, bias=bias)
     P, pi, g = model.transition, model.stationary, model.observable
     norms = np.zeros(K + 1)
     powers = pairwise(_powers(P, g - float(pi @ g), pi))
     for k, (v, v_next) in zip(range(K + 1), powers):
         diff = v[None, :] - v_next[:, None]  # (P^k g)(y) - (P^{k+1} g)(x)
         norms[k] = np.sqrt(np.sum(pi[:, None] * P * diff**2))
-    return ProjectionSeries(norms=norms, bias=np.zeros(K + 1), K=K)
+    return ProjectionSeries(norms=norms, bias=np.zeros(K + 1))
 
 
 @dataclass
@@ -88,7 +89,6 @@ class SummabilityReport:
     tail_fit: str            # "geometric" | "polynomial" | "none"
     verdict: str             # "summable" | "diverging" | "inconclusive"
     fitted_tail: float
-    fit_details: dict
 
 
 def _fit_tail(indices: np.ndarray, values: np.ndarray, K: int) -> dict:
@@ -127,7 +127,7 @@ def _summability(values: np.ndarray, bias: np.ndarray) -> SummabilityReport:
                      or (nonzero[-1] < K and np.all(bias[nonzero[-1] + 1 :] == 0)))
     if exact_support:
         return SummabilityReport(partial_sums=partial, tail_fit="none",
-                                 verdict=SUMMABLE, fitted_tail=0.0, fit_details={})
+                                 verdict=SUMMABLE, fitted_tail=0.0)
     # entries at the rounding floor cannot carry decay information; a tail
     # that is entirely below the floor (and declared bias free) is summable
     # outright, with the raw remainder reported as the tail
@@ -137,13 +137,11 @@ def _summability(values: np.ndarray, bias: np.ndarray) -> SummabilityReport:
             and np.all(bias[live[-1] + 1 :] == 0)):
         return SummabilityReport(partial_sums=partial, tail_fit="none",
                                  verdict=SUMMABLE,
-                                 fitted_tail=float(values[live[-1] + 1 :].sum()),
-                                 fit_details={"floor": floor})
+                                 fitted_tail=float(values[live[-1] + 1 :].sum()))
     window = live[live.size // 2 :]
     if window.size < 3:
         return SummabilityReport(partial_sums=partial, tail_fit="none",
-                                 verdict=INCONCLUSIVE, fitted_tail=math.inf,
-                                 fit_details={})
+                                 verdict=INCONCLUSIVE, fitted_tail=math.inf)
     fit = _fit_tail(window, values[window], K)
     geometric_wins = fit["geo_sse"] <= fit["poly_sse"]
     tail_fit = "geometric" if geometric_wins else "polynomial"
@@ -157,8 +155,7 @@ def _summability(values: np.ndarray, bias: np.ndarray) -> SummabilityReport:
     else:
         verdict = INCONCLUSIVE
     return SummabilityReport(partial_sums=partial, tail_fit=tail_fit,
-                             verdict=verdict, fitted_tail=float(fitted_tail),
-                             fit_details=fit)
+                             verdict=verdict, fitted_tail=float(fitted_tail))
 
 
 def hannan_sum(series: ProjectionSeries) -> SummabilityReport:
@@ -226,25 +223,20 @@ class MartingaleApprox:
     p_g_hat: Optional[np.ndarray] = None
 
 
-def _default_hannan_horizon(model: Model) -> int:
-    # a few entries past the coefficient range let exactly finite support
-    # show itself as bias-free trailing zeros
-    return model.horizon + 8 if isinstance(model, LinearModel) else 128
-
-
-def martingale_increment(model: Model, r: float = math.inf,
-                         hannan_horizon: Optional[int] = None) -> MartingaleApprox:
+def martingale_increment(model: Model, r: float = math.inf) -> MartingaleApprox:
     """The order-r martingale increment, r a nonnegative integer or inf."""
     if r != math.inf:
         r = int(r)
         if r < 0:
             raise ValueError("r must be >= 0 or infinity")
-    if r == math.inf:
-        series = projection_norms(model, hannan_horizon or _default_hannan_horizon(model))
-        report = hannan_sum(series)
-        if report.verdict != SUMMABLE:
-            raise HannanDivergesError(report.verdict, report)
     if isinstance(model, LinearModel):
+        if r == math.inf:
+            # a few entries past the coefficient range let exactly finite
+            # support show itself as bias-free trailing zeros.  A Markov
+            # model needs no gate: construction refuses non-primitive chains
+            report = hannan_sum(projection_norms(model, model.horizon + 8))
+            if report.verdict != SUMMABLE:
+                raise HannanDivergesError(report.verdict, report)
         upto = model.horizon if r == math.inf else min(int(r), model.horizon)
         return MartingaleApprox(r=r, kind="linear",
                                 c=float(np.sum(model.coeffs[: upto + 1])))
@@ -288,19 +280,18 @@ def _pair_variance(P: np.ndarray, pi: np.ndarray, u: np.ndarray) -> float:
     return float(pi @ u**2 - pi @ pu**2)
 
 
-def sigma_squared(model: Model, hannan_horizon: Optional[int] = None) -> float:
+def sigma_squared(model: Model) -> float:
     """The limit of E(S_n^2)/n, equal to the squared norm of m."""
-    approx = martingale_increment(model, math.inf, hannan_horizon)
+    approx = martingale_increment(model)
     if isinstance(model, LinearModel):
         return approx.c**2 * model.innovation.variance
     return _pair_variance(model.transition, model.stationary, approx.g_hat)
 
 
-def approximation_gap(model: Model, r: float,
-                      hannan_horizon: Optional[int] = None) -> float:
+def approximation_gap(model: Model, r: float) -> float:
     """Exact |m - m^(r)|_2, the L2 distance to the limit increment."""
-    full = martingale_increment(model, math.inf, hannan_horizon)
-    part = martingale_increment(model, r, hannan_horizon)
+    full = martingale_increment(model)
+    part = martingale_increment(model, r)
     if isinstance(model, LinearModel):
         return abs(full.c - part.c) * model.sigma_eps
     delta = full.g_hat - part.g_hat

@@ -51,29 +51,18 @@ class EmpiricalSample:
         return out if out.shape else float(out)
 
 
-@dataclass(frozen=True)
-class ReferenceCDF:
-    """A reference law for one-sample comparisons."""
-
-    kind: str
-    cdf: Callable
-
-    def __call__(self, t):
-        return self.cdf(t)
-
-
-def normal_reference(variance: float) -> ReferenceCDF:
+def normal_reference(variance: float) -> Callable:
     if variance <= 0:
         raise ValueError("variance must be positive")
     sd = float(np.sqrt(variance))
-    return ReferenceCDF("normal", lambda t: normal_cdf(np.asarray(t) / sd))
+    return lambda t: normal_cdf(np.asarray(t) / sd)
 
 
-def brownian_sup_reference(sigma: float) -> ReferenceCDF:
-    return ReferenceCDF("brownian-sup", lambda t: brownian_sup_cdf(t, sigma))
+def brownian_sup_reference(sigma: float) -> Callable:
+    return lambda t: brownian_sup_cdf(t, sigma)
 
 
-def ks_one_sample(sample: EmpiricalSample, ref: ReferenceCDF) -> tuple[float, float]:
+def ks_one_sample(sample: EmpiricalSample, ref: Callable) -> tuple[float, float]:
     """KS distance to a reference CDF with its asymptotic p-value."""
     if sample.size < 10:
         raise ValueError("one-sample KS requires M >= 10")

@@ -172,8 +172,12 @@ def test_run_all_acceptance_suite_under_ten_minutes(tmp_path):
     assert elapsed < 600.0
 
 
+_RUN = {"experiment": "sigma2", "model": _model("linear_identity.json")}
+
+
+# a non-string argument is written to a suite file and replaced by its path
 @pytest.mark.parametrize("args", [
-    ["run-all", "--suite", "{suite}"],
+    ["run-all", "--suite", {"seed": 1, "runs": [{**_RUN, "bogus": 1}]}],
     ["drift", "--model", "linear_identity.json", "--Ns", "1,x"],
     ["project-norms", "--model", "linear_identity.json", "--K", "-3"],
     ["strest", "--model", "linear_identity.json", "--r", "-1", "--Ns", "16",
@@ -182,15 +186,31 @@ def test_run_all_acceptance_suite_under_ten_minutes(tmp_path):
      "--n", "16", "--fixtures", "1"],
     ["quenched-clt", "--model", "linear_identity.json", "--alpha", "2",
      "--n", "16", "--reps", "20", "--fixtures", "1"],
+    ["sigma2", "--model", "linear_identity.json", "--n", "abc"],
+    ["sigma2", "--model", "linear_identity.json", "--alpha", "x"],
+    ["quenched-wip", "--model", "linear_identity.json", "--functional", "bogus"],
+    ["sigma2", "--model", "linear_identity.json", "--bogus", "1"],
+    ["quenched-wip", "--model", "linear_identity.json", "--d-threshold", "-1"],
+    ["run-all", "--suite", {"seed": "42", "runs": [_RUN]}],
+    ["run-all", "--suite", {"seed": 1, "runs": [{**_RUN, "n": "16"}]}],
+    ["run-all", "--suite", {"seed": 1, "runs": [{**_RUN, "Ns": 5}]}],
+    ["run-all", "--suite", {"seed": 1, "runs": [{**_RUN, "r": 2.5}]}],
+    ["run-all", "--suite", [_RUN]],
+    ["run-all", "--suite", {"seed": 1, "runs": ["sigma2"]}],
 ], ids=["unknown-suite-key", "bad-Ns", "negative-K", "negative-r", "tiny-reps",
-        "alpha-above-one"])
+        "alpha-above-one", "n-not-int", "alpha-not-float", "unknown-functional",
+        "unknown-flag", "negative-d-threshold", "suite-seed-string",
+        "suite-n-string", "suite-Ns-scalar", "suite-r-fraction", "suite-top-level-list",
+        "suite-run-not-object"])
 def test_invalid_input_exits_three_with_one_line(args, tmp_path):
-    suite = tmp_path / "suite.json"
-    suite.write_text(json.dumps({"seed": 1, "runs": [{
-        "experiment": "sigma2", "model": _model("linear_identity.json"),
-        "bogus": 1}]}))
-    args = [str(suite) if a == "{suite}" else
-            _model(a) if a.endswith(".json") else a for a in args]
+    def resolve(arg):
+        if not isinstance(arg, str):
+            suite = tmp_path / "suite.json"
+            suite.write_text(json.dumps(arg))
+            return str(suite)
+        return _model(arg) if arg.endswith(".json") else arg
+
+    args = [resolve(a) for a in args]
     env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
     proc = subprocess.run([sys.executable, "-m", "qlab.cli", *args, "--seed", "1",
                            "--out", str(tmp_path / "o")],

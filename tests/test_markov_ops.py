@@ -124,7 +124,8 @@ def test_weak_l2_two_level_enumeration(two_state_chain):
 
 
 def test_weak_l2_normal_sample_stability():
-    values = [weak_l2_tail(RandomStream(54, [i]).normal(100_000))
+    values = [weak_l2_tail(RandomStream(54, [i]).normal(100_000),
+                           np.full(100_000, 1 / 100_000))
               for i in range(5)]
     center = np.mean(values)
     assert all(abs(v - center) < 0.2 * center for v in values)
@@ -132,7 +133,7 @@ def test_weak_l2_normal_sample_stability():
 
 def test_weak_l2_rejects_empty():
     with pytest.raises(ValueError):
-        weak_l2_tail(np.array([]))
+        weak_l2_tail(np.array([]), np.array([]))
 
 
 # --- Markov property ---------------------------------------------------------------

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qlab import (HannanDivergesError, InnovationDistribution, LinearModel,
-                  PastFixture, ProjectionSeries, RandomStream,
+                  MarkovFunctionalModel, PastFixture, ProjectionSeries,
+                  RandomStream,
                   approximation_gap, evaluate_martingale, hannan_sum,
                   martingale_increment, mc_projection_norm_sq, mw_criterion,
                   projection_norms, sample_quenched_paths, sigma_squared)
@@ -42,7 +43,7 @@ def test_norms_bias_marks_truncation(rho_model):
 
 def test_hannan_geometric_series():
     series = ProjectionSeries(norms=0.5 ** np.arange(61),
-                              bias=np.zeros(61), K=60)
+                              bias=np.zeros(61))
     rep = hannan_sum(series)
     assert rep.partial_sums[-1] == pytest.approx(2.0, abs=1e-12)
     assert rep.verdict == "summable"
@@ -52,7 +53,7 @@ def test_hannan_geometric_fit_on_live_tail():
     # all entries above the rounding floor, so the verdict comes from the
     # geometric extrapolation itself
     series = ProjectionSeries(norms=0.5 ** np.arange(21),
-                              bias=np.full(21, 1e-9), K=20)
+                              bias=np.full(21, 1e-9))
     rep = hannan_sum(series)
     assert rep.tail_fit == "geometric"
     assert rep.verdict == "summable"
@@ -61,7 +62,7 @@ def test_hannan_geometric_fit_on_live_tail():
 
 def test_hannan_harmonic_series():
     norms = 1.0 / (np.arange(201) + 1.0)
-    rep = hannan_sum(ProjectionSeries(norms=norms, bias=np.full(201, 1e-9), K=200))
+    rep = hannan_sum(ProjectionSeries(norms=norms, bias=np.full(201, 1e-9)))
     # oracle: the harmonic partial sum, about ln(201) + gamma = 5.88
     oracle = float(np.sum(norms))
     assert rep.partial_sums[-1] == pytest.approx(oracle)
@@ -72,7 +73,7 @@ def test_hannan_harmonic_series():
 
 def test_hannan_finite_support():
     series = ProjectionSeries(norms=np.array([2.5, 0, 0, 0, 0]),
-                              bias=np.zeros(5), K=4)
+                              bias=np.zeros(5))
     rep = hannan_sum(series)
     assert rep.partial_sums[-1] == 2.5
     assert rep.verdict == "summable"
@@ -80,13 +81,13 @@ def test_hannan_finite_support():
 
 
 def test_hannan_all_zero_is_summable():
-    rep = hannan_sum(ProjectionSeries(norms=np.zeros(8), bias=np.zeros(8), K=7))
+    rep = hannan_sum(ProjectionSeries(norms=np.zeros(8), bias=np.zeros(8)))
     assert rep.verdict == "summable"
 
 
 def test_hannan_constant_norms_diverge():
     rep = hannan_sum(ProjectionSeries(norms=np.ones(64),
-                                      bias=np.full(64, 1e-9), K=63))
+                                      bias=np.full(64, 1e-9)))
     assert rep.verdict == "diverging"
 
 
@@ -199,6 +200,40 @@ def test_sigma_squared_chain_autocovariance_oracle(two_state_chain):
     oracle = 1.0 + 2.0 * sum(0.4**k for k in range(1, 200))
     assert sigma_squared(two_state_chain) == pytest.approx(oracle, abs=1e-12)
     assert sigma_squared(two_state_chain) == pytest.approx(7.0 / 3.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [0.05, 0.01, 0.001])
+def test_sigma_squared_slow_two_state_chain(p):
+    # a primitive chain is never refused: lambda = 1 - 2p gives the
+    # autocovariance sum (1 + lambda) / (1 - lambda) = (1 - p) / p
+    chain = MarkovFunctionalModel(np.array([[1 - p, p], [p, 1 - p]]),
+                                  np.array([1.0, -1.0]))
+    assert sigma_squared(chain) == pytest.approx((1 - p) / p, rel=1e-9)
+
+
+def _lazy_cycle(S: int) -> np.ndarray:
+    P = 0.5 * np.eye(S)
+    for x in range(S):
+        P[x, (x + 1) % S] += 0.25
+        P[x, (x - 1) % S] += 0.25
+    return P
+
+
+@pytest.mark.parametrize("which", ["random6", "lazy-cycle16"])
+def test_sigma_squared_autocovariance_sum(which):
+    # oracle: pi(g^2) + 2 sum_k pi(g P^k g), each power by matrix_power,
+    # sharing no code with the Poisson solve behind sigma_squared
+    if which == "random6":
+        rng = np.random.default_rng(20240)
+        P, raw = rng.dirichlet(np.ones(6), size=6), rng.normal(size=6)
+    else:
+        P, raw = _lazy_cycle(16), np.arange(16.0) % 5
+    chain = MarkovFunctionalModel.from_raw_observable(P, raw)
+    pi, g = chain.stationary, chain.observable
+    oracle = float(pi @ g**2) + 2.0 * sum(
+        float(pi @ (g * (np.linalg.matrix_power(chain.transition, k) @ g)))
+        for k in range(1, 2000))
+    assert sigma_squared(chain) == pytest.approx(oracle, rel=1e-9)
 
 
 def test_sigma_squared_refusal():

@@ -3,12 +3,16 @@
 Every name exported by ``qlab`` must be used somewhere in ``src/qlab``
 outside its own definition, or in a demo.  The allowlist names the
 reference implementations that exist so tests can compare against them.
+Likewise every defaulted parameter of an exported function must be passed
+at some call in ``src/qlab`` or a demo; forwarding a caller's own default
+counts only if that caller's parameter is passed in turn.
 """
 
 import ast
 import glob
 import inspect
 import os
+from itertools import takewhile
 
 import qlab
 
@@ -22,6 +26,9 @@ ALLOWLIST = {
         "nested Monte Carlo estimator, sharing no code with the closed-form "
         "projection norms, that acceptance criterion 2 compares against",
 }
+
+# "function.parameter" -> why only the tests pass it
+PARAMETER_ALLOWLIST = {}
 
 
 def _references(path: str, own_definitions: bool) -> set:
@@ -59,3 +66,54 @@ def test_every_export_is_used_outside_the_tests():
 
 def test_allowlist_names_real_exports():
     assert set(ALLOWLIST) <= set(qlab.__all__)
+    assert {key.split(".")[0] for key in PARAMETER_ALLOWLIST} <= set(qlab.__all__)
+
+
+def _defaulted(args: ast.arguments) -> set:
+    positional = args.posonlyargs + args.args
+    return ({a.arg for a in positional[len(positional) - len(args.defaults):]}
+            | {a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+               if d is not None})
+
+
+def _parse(path: str) -> ast.Module:
+    with open(path) as fh:
+        return ast.parse(fh.read())
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    trees = [_parse(path)
+             for pattern in (("src", "qlab", "*.py"), ("demos", "*.py"))
+             for path in glob.glob(os.path.join(REPO_ROOT, *pattern))]
+    signatures = {stmt.name: [a.arg for a in stmt.args.posonlyargs + stmt.args.args]
+                  for tree in trees for stmt in tree.body
+                  if isinstance(stmt, ast.FunctionDef)}
+    passed, forwarded = set(), set()    # (function, parameter); (from, to)
+    for tree in trees:
+        for stmt in tree.body:
+            own = _defaulted(stmt.args) if isinstance(stmt, ast.FunctionDef) else set()
+            for call in (n for n in ast.walk(stmt) if isinstance(n, ast.Call)):
+                callee = getattr(call.func, "id", getattr(call.func, "attr", None))
+                if callee not in signatures:
+                    continue
+                positional = takewhile(lambda a: not isinstance(a, ast.Starred),
+                                       call.args)
+                given = list(zip(signatures[callee], positional))
+                given += [(kw.arg, kw.value) for kw in call.keywords if kw.arg]
+                for name, arg in given:
+                    if isinstance(arg, ast.Name) and arg.id in own:
+                        forwarded.add(((stmt.name, arg.id), (callee, name)))
+                    else:
+                        passed.add((callee, name))
+    while True:
+        reached = {to for source, to in forwarded if source in passed} - passed
+        if not reached:
+            break
+        passed |= reached
+    unpassed = sorted(
+        f"{name}.{param.name}" for name in qlab.__all__
+        if inspect.isfunction(getattr(qlab, name))
+        for param in inspect.signature(getattr(qlab, name)).parameters.values()
+        if param.default is not param.empty and (name, param.name) not in passed)
+    unused = sorted(set(unpassed) - set(PARAMETER_ALLOWLIST))
+    assert not unused, f"defaulted parameters no caller passes: {unused}"
