@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .models import (LinearModel, MarkovFunctionalModel, Model, PastFixture,
-                     _markov_step, _powers, _stationary_states,
+                     _markov_paths, _powers, _stationary_states,
                      e0_increment_series, sample, sample_quenched_paths)
 from .paths import PathFunctional
 from .projections import (evaluate_martingale, martingale_increment,
@@ -447,13 +447,6 @@ def decomposition_identity_check(model: Model, fixture: PastFixture, n: int,
 
 # --- Monte Carlo estimator of the projection norms ------------------------
 
-def _evolve_states(model: MarkovFunctionalModel, states: np.ndarray,
-                   steps: int, stream: RandomStream) -> np.ndarray:
-    for _ in range(steps):
-        states = _markov_step(model, states, stream.uniform_open(states.size))
-    return states
-
-
 def mc_projection_norm_sq(model: Model, k: int, reps: int,
                           stream: RandomStream) -> tuple[float, float]:
     """Nested conditional Monte Carlo estimate of |P_0(f . theta^k)|_2^2.
@@ -489,11 +482,11 @@ def mc_projection_norm_sq(model: Model, k: int, reps: int,
     else:
         g = model.observable
         w_prev = _stationary_states(model, stream, reps)
-        w_curr = _evolve_states(model, w_prev, 1, stream)
+        w_curr = _markov_paths(model, w_prev, 1, stream)[:, -1]
         gaps = []
         for _ in range(2):
-            a_end = _evolve_states(model, w_curr, k, stream)
-            b_end = _evolve_states(model, w_prev, k + 1, stream)
+            a_end = _markov_paths(model, w_curr, k, stream)[:, -1]
+            b_end = _markov_paths(model, w_prev, k + 1, stream)[:, -1]
             gaps.append(g[a_end] - g[b_end])
     products = gaps[0] * gaps[1]
     return (float(products.mean()),

@@ -128,7 +128,8 @@ class MarkovFunctionalModel:
         object.__setattr__(self, "transition", P)
         object.__setattr__(self, "observable", g)
         object.__setattr__(self, "_pi", pi)
-        object.__setattr__(self, "_cum_rows", np.cumsum(P, axis=1))
+        # the last cumulative sum is 1; leaving it out caps a step at S - 1
+        object.__setattr__(self, "_thresholds", np.cumsum(P, axis=1)[:, :-1])
 
     @classmethod
     def from_raw_observable(cls, transition, raw_observable) -> "MarkovFunctionalModel":
@@ -209,11 +210,16 @@ def _stationary_states(model: MarkovFunctionalModel, stream: RandomStream,
     return np.minimum(np.searchsorted(cum_pi, u, side="right"), model.n_states - 1)
 
 
-def _markov_step(model: MarkovFunctionalModel, states: np.ndarray,
-                 u: np.ndarray) -> np.ndarray:
-    """One transition of each chain in ``states``, driven by one uniform each."""
-    rows = model._cum_rows[states]
-    return np.minimum((rows <= u[:, None]).sum(axis=1), model.n_states - 1)
+def _markov_paths(model: MarkovFunctionalModel, start: np.ndarray, steps: int,
+                  stream: RandomStream) -> np.ndarray:
+    """One row W_0..W_steps per entry of ``start``, drawn as in sample_quenched_paths."""
+    count = start.size
+    u = stream.uniform_open(steps * count).reshape(steps, count)
+    states = np.empty((count, steps + 1), dtype=np.intp)
+    states[:, 0] = start
+    for k in range(steps):
+        states[:, k + 1] = (model._thresholds[states[:, k]] <= u[k, :, None]).sum(axis=1)
+    return states
 
 
 def _powers(P: np.ndarray, v: np.ndarray, pi: Optional[np.ndarray] = None):
@@ -307,7 +313,12 @@ def _linear_observables(model: LinearModel, fixture: PastFixture,
 
 def sample_quenched_paths(model: Model, fixture: PastFixture,
                           stream: RandomStream, n: int, reps: int = 1) -> Realization:
-    """Draw ``reps`` conditional paths of length ``n`` given the frozen past."""
+    """Draw ``reps`` conditional paths of length ``n`` given the frozen past.
+
+    A Markov block takes all ``n * reps`` uniforms in one call, time-major:
+    uniform ``k * reps + i`` moves chain ``i`` from step ``k`` to ``k + 1``
+    by inverse CDF on the cumulative sums of its current row.
+    """
     if n < 0 or reps < 0:
         raise ValueError("n and reps must be >= 0")
     _check_fixture(model, fixture)
@@ -315,9 +326,5 @@ def sample_quenched_paths(model: Model, fixture: PastFixture,
         fresh = sample(stream, model.innovation, reps * n).reshape(reps, n)
         return Realization(values=_linear_observables(model, fixture, fresh),
                            fresh=fresh)
-    states = np.empty((reps, n + 1), dtype=np.intp)
-    states[:, 0] = fixture.state
-    for k in range(1, n + 1):
-        u = stream.uniform_open(reps)
-        states[:, k] = _markov_step(model, states[:, k - 1], u)
+    states = _markov_paths(model, np.full(reps, fixture.state), n, stream)
     return Realization(values=model.observable[states[:, 1:]], states=states)

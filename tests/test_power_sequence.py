@@ -1,4 +1,5 @@
-"""Every consumer of the power sequence P^k g against np.linalg.matrix_power.
+"""Every consumer of the power sequence P^k g against np.linalg.matrix_power,
+and every consumer of the Markov step against a stepwise draw oracle.
 
 The chains are the bundled 3-state chain and a seeded random primitive
 6-state chain; neither observable is an eigenfunction, so each power
@@ -10,9 +11,8 @@ import pytest
 
 from qlab import (MarkovFunctionalModel, PastFixture, RandomStream,
                   cesaro_average, e0_increment_series, martingale_increment,
-                  maximal_function, mw_criterion, projection_norms,
-                  sample_quenched_paths)
-from qlab.experiments import _evolve_states
+                  maximal_function, mc_projection_norm_sq, mw_criterion,
+                  projection_norms, sample_quenched_paths)
 
 K = 200
 TOL = 1e-12
@@ -84,13 +84,61 @@ def test_maximal_function(chain):
     assert np.allclose(got, np.max(averages, axis=0), rtol=0, atol=TOL)
 
 
-def test_one_markov_step_kernel(chain):
-    # the path sampler and the Monte Carlo norm estimator step the chain with
-    # the same kernel: from one frozen state and one stream they end alike
+def _stepwise_paths(P: np.ndarray, start: np.ndarray, steps: int,
+                    stream: RandomStream) -> np.ndarray:
+    """Draw-contract oracle sharing no code with qlab.models: one
+    ``uniform_open(count)`` call per step, then per chain the inverse CDF
+    of its row by ``searchsorted``, clipped to the last state."""
+    cum = np.cumsum(P, axis=1)
+    last = P.shape[0] - 1
+    paths = [np.asarray(start)]
+    for _ in range(steps):
+        u = stream.uniform_open(len(start))
+        paths.append(np.array([min(np.searchsorted(cum[s], x, side="right"), last)
+                               for s, x in zip(paths[-1], u)], dtype=np.intp))
+    return np.column_stack(paths)
+
+
+def _sparse_six_state() -> MarkovFunctionalModel:
+    """A seeded primitive 6-state chain with zero entries; row 2 ends in zeros."""
+    raw = RandomStream(7005, [0]).uniform_open(36).reshape(6, 6)
+    raw[raw < 0.4] = 0.0
+    raw[2, 3:] = 0.0
+    # self-loops and the cycle i -> i - 1 keep it irreducible and aperiodic
+    raw += 0.1 * (np.eye(6) + np.roll(np.eye(6), -1, axis=1))
+    P = raw / raw.sum(axis=1, keepdims=True)
+    return MarkovFunctionalModel.from_raw_observable(P, RandomStream(7005, [1]).normal(6))
+
+
+@pytest.mark.parametrize("which", ["two", "three", "sparse-six"])
+def test_sampler_draw_contract(which, two_state_chain, three_state_chain):
+    chain = {"two": two_state_chain, "three": three_state_chain,
+             "sparse-six": _sparse_six_state()}[which]
     n, reps = 40, 300
     for x in range(chain.n_states):
         real = sample_quenched_paths(chain, PastFixture(state=x),
                                      RandomStream(7004, [x]), n, reps)
-        ends = _evolve_states(chain, np.full(reps, x, dtype=np.intp), n,
-                              RandomStream(7004, [x]))
-        assert np.array_equal(real.states[:, -1], ends)
+        oracle = _stepwise_paths(chain.transition, np.full(reps, x), n,
+                                 RandomStream(7004, [x]))
+        assert np.array_equal(real.states, oracle)
+
+
+def test_one_markov_step_kernel(chain):
+    # the Monte Carlo norm estimator steps its legs under the sampler's draw
+    # contract: replaying its stream through the oracle gives its estimate
+    P, g, reps = chain.transition, chain.observable, 500
+    cum_pi = np.cumsum(chain.stationary)
+    for k in (0, 1, 5):
+        stream = RandomStream(7004, [k])
+        u = stream.uniform_open(reps)
+        w_prev = np.minimum(np.searchsorted(cum_pi, u, side="right"), chain.n_states - 1)
+        w_curr = _stepwise_paths(P, w_prev, 1, stream)[:, -1]
+        gaps = []
+        for _ in range(2):
+            a_end = _stepwise_paths(P, w_curr, k, stream)[:, -1]
+            b_end = _stepwise_paths(P, w_prev, k + 1, stream)[:, -1]
+            gaps.append(g[a_end] - g[b_end])
+        products = gaps[0] * gaps[1]
+        oracle = (products.mean(), products.std(ddof=1) / np.sqrt(reps))
+        got = mc_projection_norm_sq(chain, k, reps, RandomStream(7004, [k]))
+        assert got == oracle
