@@ -21,7 +21,8 @@ import numpy as np
 
 from .experiments import (decomposition_identity_check, digest_of,
                           doob_bound_check, quenched_wip_experiment,
-                          strest_experiment, uncentered_drift_check)
+                          strest_experiment, uncentered_drift_check,
+                          worker_pool)
 from .markov_ops import (cesaro_average, dual_operator, hopf_check,
                          maximal_function, verify_dunford_schwartz,
                          verify_markov_property, weak_l2_tail)
@@ -342,7 +343,8 @@ def run(config: RunConfig, base_path=()) -> int:
     base = RandomStream(config.seed, base_path)
     _, runner = EXPERIMENTS[config.experiment]
     try:
-        payload, passed, sample_sink = runner(config, model, base)
+        with worker_pool(config.workers):
+            payload, passed, sample_sink = runner(config, model, base)
     except ValueError as exc:   # HannanDivergesError and every library refusal
         raise CLIError(f"experiment refused: {exc}") from exc
     try:

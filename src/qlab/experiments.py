@@ -2,7 +2,9 @@
 
 Replications are generated in fixed-size blocks, each block drawing from
 its own derived stream and the blocks being reduced in index order, so
-results are bit-identical no matter how many workers execute them.
+results are bit-identical no matter how many workers execute them.  The
+blocks are split into one contiguous group per worker, and a group of
+Markov blocks is stepped in one loop.
 """
 
 from __future__ import annotations
@@ -11,14 +13,16 @@ import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from itertools import pairwise
 from typing import Optional
 
 import numpy as np
 
 from .models import (LinearModel, MarkovFunctionalModel, Model, PastFixture,
-                     _markov_paths, _powers, _stationary_states,
+                     _e0_series, _markov_paths, _powers, _stationary_states,
                      e0_increment_series, sample, sample_quenched_paths)
 from .paths import PathFunctional
 from .projections import (evaluate_martingale, martingale_increment,
@@ -72,30 +76,91 @@ def _seed_path(stream: RandomStream) -> list:
     return [stream.master_seed, *stream.path]
 
 
-def _block_sizes(total: int) -> list[int]:
-    sizes = [BLOCK_REPS] * (total // BLOCK_REPS)
-    if total % BLOCK_REPS:
-        sizes.append(total % BLOCK_REPS)
-    return sizes
+_pools = []    # the process pool of each open worker_pool block
+
+
+@contextmanager
+def worker_pool(workers: int):
+    """Run every parallel map inside the block on one process pool.
+
+    The experiment functions take a worker count, not a pool, so the pool
+    of the innermost open block is kept here for ``_map_ordered`` to find.
+    """
+    if workers <= 1:
+        yield
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        _pools.append(pool)
+        try:
+            yield
+        finally:
+            _pools.pop()
 
 
 def _map_ordered(fn, tasks, workers: int) -> list:
-    """Run tasks (any executor), collect results in task order."""
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+    """Apply ``fn`` to ``workers`` contiguous groups of tasks, in task order.
+
+    The groups run on the pool of the enclosing ``worker_pool`` block, or
+    on a pool started for this call.
+    """
+    parts = min(workers, len(tasks))
+    if parts <= 1:
+        return [fn(tasks)]
+    if not _pools:
+        with worker_pool(workers):
+            return _map_ordered(fn, tasks, workers)
+    bounds = [len(tasks) * j // parts for j in range(parts + 1)]
+    return list(_pools[-1].map(fn, [tasks[lo:hi] for lo, hi in pairwise(bounds)]))
+
+
+def _block_tasks(prefix: tuple, reps: int) -> list:
+    """(stream path, count) of each replication block under ``prefix``."""
+    sizes = [BLOCK_REPS] * (reps // BLOCK_REPS)
+    if reps % BLOCK_REPS:
+        sizes.append(reps % BLOCK_REPS)
+    return [(prefix + (b,), count) for b, count in enumerate(sizes)]
+
+
+def _reduce_blocks(model: Model, fixture: PastFixture, n: int, seed: int,
+                   reduce, blocks) -> np.ndarray:
+    """Concatenate ``reduce(realization)`` over the blocks, in order.
+
+    A group of Markov blocks is sampled in one call that steps all its
+    chains together, then split by rows; a linear model is sampled block
+    by block.  No block's realization outlives its reduction.
+    """
+    streams = [RandomStream(seed, path) for path, _ in blocks]
+    counts = [count for _, count in blocks]
+    if isinstance(model, LinearModel):
+        return np.concatenate([reduce(sample_quenched_paths(model, fixture, stream, n, count))
+                               for stream, count in zip(streams, counts)])
+    real = sample_quenched_paths(model, fixture, streams, n, counts)
+    return np.concatenate([reduce(real.rows(lo, hi))
+                           for lo, hi in pairwise(np.cumsum([0, *counts]))])
+
+
+def _replicate(model: Model, fixture: PastFixture, n: int, reps: int,
+               stream: RandomStream, workers: int, reduce) -> np.ndarray:
+    """``reduce`` of every replication block of conditional paths, in block order."""
+    fn = partial(_reduce_blocks, model, fixture, n, stream.master_seed, reduce)
+    return np.concatenate(_map_ordered(fn, _block_tasks(stream.path + (0,), reps), workers))
+
+
+def _centered_sums(real, e0cum: np.ndarray, divisor: float = 1.0) -> np.ndarray:
+    """(count, n + 1) grid: 0, then (S_k - E0(S_k)) / divisor for k = 1..n."""
+    values = real.values[:]
+    grid = np.empty((values.shape[0], values.shape[1] + 1))
+    grid[:, 0] = 0.0
+    np.cumsum(values, axis=1, out=grid[:, 1:])
+    grid[:, 1:] -= e0cum
+    grid /= divisor
+    return grid
 
 
 # --- replicated functional sampling -------------------------------------
 
-def _functional_block(task) -> np.ndarray:
-    (model, fixture, functional, n, count, seed, path, e0cum) = task
-    stream = RandomStream(seed, path)
-    real = sample_quenched_paths(model, fixture, stream, n, count)
-    sbar = np.cumsum(real.values, axis=1) - e0cum[None, :]
-    grid = np.concatenate([np.zeros((count, 1)), sbar], axis=1) / math.sqrt(n)
-    return functional.of_grid(grid)
+def _functional_of(functional, n, e0cum, real) -> np.ndarray:
+    return functional.of_grid(_centered_sums(real, e0cum, math.sqrt(n)))
 
 
 def sample_path_functional(model: Model, fixture: PastFixture,
@@ -107,19 +172,20 @@ def sample_path_functional(model: Model, fixture: PastFixture,
     if reps < 1:
         raise ValueError("empty sample: reps must be >= 1")
     e0cum = np.cumsum(e0_increment_series(model, fixture, n))
-    tasks = [(model, fixture, functional, n, count, stream.master_seed,
-              stream.path + (0, b), e0cum)
-             for b, count in enumerate(_block_sizes(reps))]
-    return np.concatenate(_map_ordered(_functional_block, tasks, workers))
+    return _replicate(model, fixture, n, reps, stream, workers,
+                      partial(_functional_of, functional, n, e0cum))
 
 
-def _brownian_block(task) -> np.ndarray:
-    functional, sigma, grid_n, count, seed, path = task
-    stream = RandomStream(seed, path)
-    steps = stream.normal(count * grid_n).reshape(count, grid_n)
+def _brownian_block(functional, sigma, grid_n, seed, path, count) -> np.ndarray:
+    steps = RandomStream(seed, path).normal(count * grid_n).reshape(count, grid_n)
     steps *= sigma / math.sqrt(grid_n)
     grid = np.concatenate([np.zeros((count, 1)), np.cumsum(steps, axis=1)], axis=1)
     return functional.of_grid(grid)
+
+
+def _brownian_blocks(functional, sigma, grid_n, seed, blocks) -> np.ndarray:
+    return np.concatenate([_brownian_block(functional, sigma, grid_n, seed, path, count)
+                           for path, count in blocks])
 
 
 def brownian_reference(functional: PathFunctional, sigma: float, grid_n: int,
@@ -129,10 +195,8 @@ def brownian_reference(functional: PathFunctional, sigma: float, grid_n: int,
         raise ValueError("grid_n must be >= 256")
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    tasks = [(functional, sigma, grid_n, count, stream.master_seed,
-              stream.path + (b,))
-             for b, count in enumerate(_block_sizes(reps))]
-    return np.concatenate(_map_ordered(_brownian_block, tasks, workers))
+    fn = partial(_brownian_blocks, functional, sigma, grid_n, stream.master_seed)
+    return np.concatenate(_map_ordered(fn, _block_tasks(stream.path, reps), workers))
 
 
 # --- CLT / WIP experiments ----------------------------------------------
@@ -237,11 +301,8 @@ class StrestReport:
                 "seed_path": list(self.seed_path), "verdict": self.verdict}
 
 
-def _strest_block(task) -> np.ndarray:
-    (model, fixture, approx, Ns, max_n, count, seed, path, e0cum) = task
-    stream = RandomStream(seed, path)
-    real = sample_quenched_paths(model, fixture, stream, max_n, count)
-    sbar = np.cumsum(real.values, axis=1) - e0cum[None, :]
+def _strest_of(model, fixture, approx, Ns, max_n, e0cum, real) -> np.ndarray:
+    sbar = _centered_sums(real, e0cum)[:, 1:]
     mart = evaluate_martingale(model, approx, fixture, real, max_n)
     running = np.maximum.accumulate((sbar - mart) ** 2, axis=1)
     return running[:, [N - 1 for N in Ns]]
@@ -264,10 +325,8 @@ def strest_experiment(model: Model, fixture: PastFixture, r: float,
     approx = martingale_increment(model, r)
     max_n = Ns[-1]
     e0cum = np.cumsum(e0_increment_series(model, fixture, max_n))
-    tasks = [(model, fixture, approx, Ns, max_n, count, stream.master_seed,
-              stream.path + (0, b), e0cum)
-             for b, count in enumerate(_block_sizes(reps))]
-    mat = np.concatenate(_map_ordered(_strest_block, tasks, workers), axis=0)
+    mat = _replicate(model, fixture, max_n, reps, stream, workers,
+                     partial(_strest_of, model, fixture, approx, Ns, max_n, e0cum))
     scaled = mat / np.asarray(Ns, dtype=float)[None, :]
     return StrestReport(
         Ns=Ns,
@@ -305,8 +364,8 @@ def uncentered_drift_check(model: Model, fixtures, Ns) -> DriftReport:
         raise ValueError("Ns must be positive integers")
     rows = []
     verdicts = []
-    for fixture in fixtures:
-        drift = np.cumsum(e0_increment_series(model, fixture, Ns[-1]))
+    series = _e0_series(model, list(fixtures), Ns[-1])
+    for drift in np.cumsum(series, axis=1, out=series):
         ratios = np.array([abs(drift[N - 1]) / math.sqrt(N) for N in Ns])
         rows.append(ratios)
         small = ratios[0] < 1e-6 and ratios[-1] < 1e-6
@@ -328,12 +387,8 @@ class DoobReport:
     terms: int
 
 
-def _lhs_block(task) -> np.ndarray:
-    model, fixture, N, count, seed, path, e0cum = task
-    stream = RandomStream(seed, path)
-    real = sample_quenched_paths(model, fixture, stream, N, count)
-    sbar = np.cumsum(real.values, axis=1) - e0cum[None, :]
-    return np.max(sbar**2, axis=1)
+def _max_square_of(e0cum, real) -> np.ndarray:
+    return np.max(_centered_sums(real, e0cum)[:, 1:] ** 2, axis=1)
 
 
 def doob_bound_check(model: Model, fixture: PastFixture, N: int, reps: int,
@@ -356,10 +411,8 @@ def doob_bound_check(model: Model, fixture: PastFixture, N: int, reps: int,
     if N < 1 or reps < 2:
         raise ValueError("need N >= 1 and reps >= 2")
     e0cum = np.cumsum(e0_increment_series(model, fixture, N))
-    tasks = [(model, fixture, N, count, stream.master_seed,
-              stream.path + (0, b), e0cum)
-             for b, count in enumerate(_block_sizes(reps))]
-    maxima = np.concatenate(_map_ordered(_lhs_block, tasks, workers))
+    maxima = _replicate(model, fixture, N, reps, stream, workers,
+                        partial(_max_square_of, e0cum))
     mean = float(maxima.mean())
     se = float(maxima.std(ddof=1) / math.sqrt(reps))
     lhs = math.sqrt(mean)
@@ -482,11 +535,12 @@ def mc_projection_norm_sq(model: Model, k: int, reps: int,
     else:
         g = model.observable
         w_prev = _stationary_states(model, stream, reps)
-        w_curr = _markov_paths(model, w_prev, 1, stream)[:, -1]
+        block = [(stream, reps)]
+        w_curr = _markov_paths(model, w_prev, 1, block)[:, -1]
         gaps = []
         for _ in range(2):
-            a_end = _markov_paths(model, w_curr, k, stream)[:, -1]
-            b_end = _markov_paths(model, w_prev, k + 1, stream)[:, -1]
+            a_end = _markov_paths(model, w_curr, k, block)[:, -1]
+            b_end = _markov_paths(model, w_prev, k + 1, block)[:, -1]
             gaps.append(g[a_end] - g[b_end])
     products = gaps[0] * gaps[1]
     return (float(products.mean()),

@@ -21,6 +21,7 @@ resample the future") and the stationary law.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import islice
 from typing import Optional
@@ -30,8 +31,10 @@ from scipy.signal import lfilter
 
 from .streams import InnovationDistribution, RandomStream, sample
 
-MAX_STATES = 64
+MAX_STATES = 64            # states fit in uint8
 _ATOL = 1e-12
+GUIDE_BITS = 12           # the Markov step's guide table has 2^12 buckets of u
+_STEP_CHUNK = 128         # time steps of uniforms drawn per call
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,6 +97,32 @@ def _is_primitive(P: np.ndarray) -> bool:
     return bool(reach.all())
 
 
+def _guide_table(thresholds: np.ndarray) -> np.ndarray:
+    """Chen & Asau's guide table for the inverse-CDF step, as next-row offsets.
+
+    Entry ``s * 2^GUIDE_BITS + j`` belongs to row ``s`` and the bucket
+    ``[j, j + 1) / 2^GUIDE_BITS`` of u.  When no threshold of the row lies
+    strictly inside the bucket, ``count(t <= u)`` is the same for every u
+    in it, and the entry holds that next state shifted left by GUIDE_BITS;
+    otherwise it holds -1 and the step compares the row.  Scaling by a
+    power of two is exact: bucket j starts in state
+    ``count(ceil(t * 2^GUIDE_BITS) <= j)``, and a threshold with a
+    fractional ``t * 2^GUIDE_BITS`` lies inside bucket ``floor`` of it.
+    """
+    S = thresholds.shape[0]
+    buckets = 1 << GUIDE_BITS
+    scaled = thresholds * buckets
+    # a row's thresholds are sorted, so each state fills one run of buckets
+    starts = np.minimum(np.ceil(scaled), buckets).astype(np.intp)
+    edges = np.column_stack([np.zeros(S, np.intp), starts, np.full(S, buckets)])
+    offsets = np.arange(S, dtype=np.int32) << GUIDE_BITS
+    guide = np.repeat(np.tile(offsets, S), np.diff(edges, axis=1).ravel()).reshape(S, buckets)
+    floors = np.floor(scaled)
+    rows, cols = np.nonzero((scaled != floors) & (floors < buckets))
+    guide[rows, floors[rows, cols].astype(np.intp)] = -1
+    return guide.ravel()
+
+
 @dataclass(frozen=True, eq=False)
 class MarkovFunctionalModel:
     """Finite ergodic chain (P, pi) observed through a centered g."""
@@ -129,7 +158,9 @@ class MarkovFunctionalModel:
         object.__setattr__(self, "observable", g)
         object.__setattr__(self, "_pi", pi)
         # the last cumulative sum is 1; leaving it out caps a step at S - 1
-        object.__setattr__(self, "_thresholds", np.cumsum(P, axis=1)[:, :-1])
+        thresholds = np.cumsum(P, axis=1)[:, :-1]
+        object.__setattr__(self, "_thresholds", thresholds)
+        object.__setattr__(self, "_guide", _guide_table(thresholds))
 
     @classmethod
     def from_raw_observable(cls, transition, raw_observable) -> "MarkovFunctionalModel":
@@ -211,15 +242,41 @@ def _stationary_states(model: MarkovFunctionalModel, stream: RandomStream,
 
 
 def _markov_paths(model: MarkovFunctionalModel, start: np.ndarray, steps: int,
-                  stream: RandomStream) -> np.ndarray:
-    """One row W_0..W_steps per entry of ``start``, drawn as in sample_quenched_paths."""
-    count = start.size
-    u = stream.uniform_open(steps * count).reshape(steps, count)
-    states = np.empty((count, steps + 1), dtype=np.intp)
-    states[:, 0] = start
-    for k in range(steps):
-        states[:, k + 1] = (model._thresholds[states[:, k]] <= u[k, :, None]).sum(axis=1)
-    return states
+                  blocks: Sequence[tuple[RandomStream, int]]) -> np.ndarray:
+    """Rows W_0..W_steps (uint8), one per entry of ``start``, stepped together.
+
+    ``blocks`` holds (stream, count) pairs whose counts sum to
+    ``start.size``; block b owns the next ``count`` rows and draws their
+    uniforms from its own stream as sample_quenched_paths documents, in
+    chunks of _STEP_CHUNK steps.  A step looks up the guide table and
+    compares the row's thresholds only in the lanes whose bucket holds one.
+    The result is the transposed view of a time-major array.
+    """
+    thresholds, guide = model._thresholds, model._guide
+    total = start.size
+    states = np.empty((steps + 1, total), dtype=np.uint8)    # time-major
+    states[0] = start
+    offset = states[0].astype(np.int32) << GUIDE_BITS
+    index = np.empty(total, dtype=np.int32)
+    for k0 in range(0, steps, _STEP_CHUNK):
+        width = min(_STEP_CHUNK, steps - k0)
+        u = np.empty((width, total))
+        lo = 0
+        for stream, count in blocks:
+            u[:, lo : lo + count] = stream.uniform_open(width * count).reshape(width, count)
+            lo += count
+        # u * 2^GUIDE_BITS is exact, so truncation gives u's bucket
+        buckets = (u * (1 << GUIDE_BITS)).astype(np.int32)
+        for k in range(width):
+            np.add(offset, buckets[k], out=index)
+            np.take(guide, index, out=offset)
+            lanes = np.flatnonzero(offset < 0)
+            if lanes.size:
+                rows = thresholds[states[k0 + k, lanes]]
+                offset[lanes] = (rows <= u[k, lanes, None]).sum(axis=1) << GUIDE_BITS
+            np.right_shift(offset, GUIDE_BITS, out=index)
+            states[k0 + k + 1] = index
+    return states.T
 
 
 def _powers(P: np.ndarray, v: np.ndarray, pi: Optional[np.ndarray] = None):
@@ -260,19 +317,61 @@ def conditional_expectation_E0(model: Model, fixture: PastFixture, k: int) -> fl
 
 def e0_increment_series(model: Model, fixture: PastFixture, n: int) -> np.ndarray:
     """The vector (E0(f . theta^k))_{k=1..n}, computed exactly."""
+    return _e0_series(model, [fixture], n)[0]
+
+
+def _e0_series(model: Model, fixtures, n: int) -> np.ndarray:
+    """One row of e0_increment_series per fixture; for a Markov model every
+    row is read off a single pass of the power sequence P^k g."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    _check_fixture(model, fixture)
-    out = np.zeros(n)
+    for fixture in fixtures:
+        _check_fixture(model, fixture)
+    out = np.zeros((len(fixtures), n))
     if isinstance(model, LinearModel):
         J = model.horizon
-        for k in range(1, min(n, J) + 1):
-            out[k - 1] = model.coeffs[k:] @ fixture.innovations[: J - k + 1]
+        for row, fixture in zip(out, fixtures):
+            for k in range(1, min(n, J) + 1):
+                row[k - 1] = model.coeffs[k:] @ fixture.innovations[: J - k + 1]
         return out
+    states = np.array([fixture.state for fixture in fixtures], dtype=np.intp)
     powers = islice(_powers(model.transition, model.observable), 1, n + 1)
     for k, v in enumerate(powers):
-        out[k] = v[fixture.state]
+        out[:, k] = v[states]
     return out
+
+
+class _StateValues:
+    """g(W_1..W_n) of each row of a Markov state array, built on demand.
+
+    ``values[key]`` evaluates g only on the entries ``key`` selects, so a
+    realization of many blocks never holds its whole float array; any
+    other array attribute (``mean``, ``std``, ...) reads the full array.
+    """
+
+    __slots__ = ("observable", "states")
+
+    def __init__(self, observable: np.ndarray, states: np.ndarray):
+        self.observable, self.states = observable, states
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.states.shape[0], self.states.shape[1] - 1
+
+    @property
+    def size(self) -> int:
+        return self.shape[0] * self.shape[1]
+
+    def __getitem__(self, key) -> np.ndarray:
+        return self.observable[self.states[:, 1:][key]]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return self[:] if dtype is None else self[:].astype(dtype)
+
+    def __getattr__(self, name):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return getattr(self[:], name)
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,19 +379,26 @@ class Realization:
     """The raw randomness behind a batch of conditional paths.
 
     For a linear model ``fresh`` holds the post-past innovations
-    eps_1..eps_n per replication; for a Markov model ``states`` holds
-    W_0..W_n per replication (column 0 is the frozen state).  ``values``
-    holds the observables f . theta^k, k = 1..n.  Keeping the raw
+    eps_1..eps_n per replication and ``values`` the observables
+    f . theta^k, k = 1..n.  For a Markov model ``states`` (uint8) holds
+    W_0..W_n per replication (column 0 is the frozen state) and
+    ``values[rows]`` evaluates g on the rows asked for.  Keeping the raw
     randomness lets the martingale be evaluated on the same paths.
     """
 
-    values: np.ndarray
+    values: np.ndarray | _StateValues
     fresh: Optional[np.ndarray] = None
     states: Optional[np.ndarray] = None
 
     @property
     def n(self) -> int:
         return self.values.shape[1]
+
+    def rows(self, lo: int, hi: int) -> "Realization":
+        """The replications lo..hi-1 of a Markov realization, their states
+        copied to one contiguous array."""
+        states = np.ascontiguousarray(self.states[lo:hi])
+        return Realization(_StateValues(self.values.observable, states), states=states)
 
 
 def _linear_observables(model: LinearModel, fixture: PastFixture,
@@ -312,19 +418,31 @@ def _linear_observables(model: LinearModel, fixture: PastFixture,
 
 
 def sample_quenched_paths(model: Model, fixture: PastFixture,
-                          stream: RandomStream, n: int, reps: int = 1) -> Realization:
+                          stream: RandomStream | Sequence[RandomStream], n: int,
+                          reps: int | Sequence[int] = 1) -> Realization:
     """Draw ``reps`` conditional paths of length ``n`` given the frozen past.
 
-    A Markov block takes all ``n * reps`` uniforms in one call, time-major:
-    uniform ``k * reps + i`` moves chain ``i`` from step ``k`` to ``k + 1``
-    by inverse CDF on the cumulative sums of its current row.
+    A Markov model also takes a sequence of block streams with a matching
+    sequence of counts, and steps all their chains together; the rows
+    follow the blocks in order.  The draw contract is per block: a block
+    of ``count`` chains draws ``n * count`` uniforms from its own stream,
+    time-major, and uniform ``k * count + i`` moves its chain ``i`` from
+    step ``k`` to ``k + 1`` by inverse CDF on the cumulative sums of the
+    current row.  How many calls fetch them does not change the numbers.
+    A linear model is sampled one block at a time.
     """
-    if n < 0 or reps < 0:
+    blocks = (list(zip(stream, reps, strict=True))
+              if isinstance(stream, Sequence) else [(stream, reps)])
+    if n < 0 or any(count < 0 for _, count in blocks):
         raise ValueError("n and reps must be >= 0")
     _check_fixture(model, fixture)
     if isinstance(model, LinearModel):
+        if len(blocks) != 1:
+            raise ValueError("a linear model is sampled one block at a time")
+        [(stream, reps)] = blocks
         fresh = sample(stream, model.innovation, reps * n).reshape(reps, n)
         return Realization(values=_linear_observables(model, fixture, fresh),
                            fresh=fresh)
-    states = _markov_paths(model, np.full(reps, fixture.state), n, stream)
-    return Realization(values=model.observable[states[:, 1:]], states=states)
+    total = sum(count for _, count in blocks)
+    states = _markov_paths(model, np.full(total, fixture.state), n, blocks)
+    return Realization(values=_StateValues(model.observable, states), states=states)

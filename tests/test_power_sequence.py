@@ -3,16 +3,22 @@ and every consumer of the Markov step against a stepwise draw oracle.
 
 The chains are the bundled 3-state chain and a seeded random primitive
 6-state chain; neither observable is an eigenfunction, so each power
-carries a mixture of modes and an off-by-one in any loop shows.
+carries a mixture of modes and an off-by-one in any loop shows.  The step
+kernel is also checked on chains whose thresholds sit on the edges of its
+guide buckets, crowd into one bucket, or tie with the uniforms.
 """
+
+import math
 
 import numpy as np
 import pytest
 
-from qlab import (MarkovFunctionalModel, PastFixture, RandomStream,
-                  cesaro_average, e0_increment_series, martingale_increment,
-                  maximal_function, mc_projection_norm_sq, mw_criterion,
-                  projection_norms, sample_quenched_paths)
+from qlab import (MarkovFunctionalModel, PastFixture, PathFunctional,
+                  RandomStream, cesaro_average, doob_bound_check,
+                  e0_increment_series, martingale_increment, maximal_function,
+                  mc_projection_norm_sq, mw_criterion, projection_norms,
+                  sample_path_functional, sample_quenched_paths,
+                  strest_experiment)
 
 K = 200
 TOL = 1e-12
@@ -110,19 +116,6 @@ def _sparse_six_state() -> MarkovFunctionalModel:
     return MarkovFunctionalModel.from_raw_observable(P, RandomStream(7005, [1]).normal(6))
 
 
-@pytest.mark.parametrize("which", ["two", "three", "sparse-six"])
-def test_sampler_draw_contract(which, two_state_chain, three_state_chain):
-    chain = {"two": two_state_chain, "three": three_state_chain,
-             "sparse-six": _sparse_six_state()}[which]
-    n, reps = 40, 300
-    for x in range(chain.n_states):
-        real = sample_quenched_paths(chain, PastFixture(state=x),
-                                     RandomStream(7004, [x]), n, reps)
-        oracle = _stepwise_paths(chain.transition, np.full(reps, x), n,
-                                 RandomStream(7004, [x]))
-        assert np.array_equal(real.states, oracle)
-
-
 def test_one_markov_step_kernel(chain):
     # the Monte Carlo norm estimator steps its legs under the sampler's draw
     # contract: replaying its stream through the oracle gives its estimate
@@ -142,3 +135,128 @@ def test_one_markov_step_kernel(chain):
         oracle = (products.mean(), products.std(ddof=1) / np.sqrt(reps))
         got = mc_projection_norm_sq(chain, k, reps, RandomStream(7004, [k]))
         assert got == oracle
+
+
+def _dyadic_four_state() -> MarkovFunctionalModel:
+    """Every threshold is a multiple of 1/4, so it sits on a guide-bucket edge."""
+    P = np.array([[0.25, 0.25, 0.25, 0.25],
+                  [0.5, 0.25, 0.25, 0.0],
+                  [0.0, 0.5, 0.0, 0.5],
+                  [0.75, 0.0, 0.0, 0.25]])
+    return MarkovFunctionalModel.from_raw_observable(P, np.array([1.0, -2.0, 0.5, 3.0]))
+
+
+def _crowded_five_state() -> MarkovFunctionalModel:
+    """Repeated thresholds (zero entries) and entries below 2^-12, so several
+    thresholds share one guide bucket."""
+    P = np.array([[1e-5, 0.0, 3e-5, 2e-4, 1 - 2.4e-4],
+                  [0.3, 1e-6, 1e-6, 0.0, 0.699998],
+                  [0.2, 0.2, 0.2, 0.2, 0.2],
+                  [0.0, 0.0, 0.5, 1e-4, 0.4999],
+                  [0.6, 1e-5, 1e-5, 1e-5, 0.39997]])
+    return MarkovFunctionalModel.from_raw_observable(P, np.arange(5.0))
+
+
+def _dense_64_state() -> MarkovFunctionalModel:
+    raw = RandomStream(7006, [0]).uniform_open(64 * 64).reshape(64, 64)
+    P = raw / raw.sum(axis=1, keepdims=True)
+    return MarkovFunctionalModel.from_raw_observable(P, RandomStream(7006, [1]).normal(64))
+
+
+class _ReplayStream:
+    """Serves a fixed sequence of uniforms, in order, to any call pattern."""
+
+    def __init__(self, u: np.ndarray):
+        self.u, self.used = u, 0
+
+    def uniform_open(self, count: int) -> np.ndarray:
+        out = self.u[self.used : self.used + count]
+        self.used += count
+        return out
+
+
+KERNEL_CHAINS = {"dyadic-four": _dyadic_four_state, "crowded-five": _crowded_five_state,
+                 "dense-64": _dense_64_state}
+
+
+@pytest.mark.parametrize("which", ["two", "three", "sparse-six", *KERNEL_CHAINS])
+def test_sampler_draw_contract(which, two_state_chain, three_state_chain):
+    # 300 steps cross the kernel's chunks of uniforms; the last three chains
+    # put thresholds on guide-bucket edges, crowd them into one bucket, and
+    # fill 64 states
+    named = {"two": two_state_chain, "three": three_state_chain}
+    chain = named[which] if which in named else {"sparse-six": _sparse_six_state,
+                                                 **KERNEL_CHAINS}[which]()
+    n, reps = 300, 257
+    for x in range(min(chain.n_states, 6)):
+        real = sample_quenched_paths(chain, PastFixture(state=x),
+                                     RandomStream(7004, [x]), n, reps)
+        oracle = _stepwise_paths(chain.transition, np.full(reps, x), n,
+                                 RandomStream(7004, [x]))
+        assert real.states.dtype == np.uint8
+        assert np.array_equal(real.states, oracle)
+
+
+@pytest.mark.parametrize("which", sorted(KERNEL_CHAINS))
+def test_step_kernel_ties_move_up(which):
+    # uniforms equal to every threshold, one ulp either side of it, and on
+    # every guide-bucket edge near it: a tie t == u counts (t <= u)
+    chain = KERNEL_CHAINS[which]()
+    cum = np.cumsum(chain.transition, axis=1)[:, :-1].ravel()
+    cum = cum[(cum > 0) & (cum < 1)]
+    edges = np.round(cum * 4096) / 4096
+    u = np.concatenate([cum, np.nextafter(cum, 0), np.nextafter(cum, 1),
+                        edges[(edges > 0) & (edges < 1)]])
+    n, reps = 40, 211
+    order = np.argsort(RandomStream(7008, []).uniform_open(u.size))
+    pool = np.resize(u[order], n * reps)
+    for x in range(min(chain.n_states, 4)):
+        real = sample_quenched_paths(chain, PastFixture(state=x), _ReplayStream(pool),
+                                     n, reps)
+        oracle = _stepwise_paths(chain.transition, np.full(reps, x), n,
+                                 _ReplayStream(pool))
+        assert np.array_equal(real.states, oracle)
+
+
+def _oracle_blocks(chain, x, n, reps, stream):
+    """Per-block oracle paths: block b of 256 chains from its own stream."""
+    sizes = [256] * (reps // 256) + [reps % 256] * (reps % 256 > 0)
+    return [_stepwise_paths(chain.transition, np.full(count, x), n,
+                            RandomStream(stream.master_seed, stream.path + (0, b)))
+            for b, count in enumerate(sizes)]
+
+
+def _oracle_centered(chain, x, states):
+    # the exact drift is the library's own (checked against matrix_power above)
+    e0 = e0_increment_series(chain, PastFixture(state=x), states.shape[1] - 1)
+    return np.cumsum(chain.observable[states[:, 1:]], axis=1) - np.cumsum(e0)
+
+
+def test_markov_experiments_step_blocks_jointly(three_state_chain):
+    # five blocks, the last one partial: every worker count groups them
+    # differently, and every grouping must give the per-block oracle's arrays
+    chain, x, reps = three_state_chain, 2, 4 * 256 + 37
+    fixture, stream = PastFixture(state=x), RandomStream(7009, [3])
+    n, Ns = 60, [15, 60]
+    blocks = _oracle_blocks(chain, x, n, reps, stream)
+    centered = np.concatenate([_oracle_centered(chain, x, st) for st in blocks])
+
+    grid = np.concatenate([np.zeros((reps, 1)), centered], axis=1) / math.sqrt(n)
+    approx = martingale_increment(chain, math.inf)
+    mart = np.concatenate([np.cumsum(approx.g_hat[st[:, 1:]] - approx.p_g_hat[st[:, :-1]],
+                                     axis=1) for st in blocks])
+    running = np.maximum.accumulate((centered - mart) ** 2, axis=1)
+    scaled = running[:, [N - 1 for N in Ns]] / np.asarray(Ns, dtype=float)[None, :]
+    lhs = math.sqrt(float(np.max(centered**2, axis=1).mean()))
+
+    for workers in (1, 2, 3):
+        for kind in ("supremum", "time-integral"):
+            functional = PathFunctional(kind)
+            got = sample_path_functional(chain, fixture, functional, n, reps,
+                                         stream, workers=workers)
+            assert np.array_equal(got, functional.of_grid(grid))
+        rep = strest_experiment(chain, fixture, math.inf, Ns, reps, stream,
+                                workers=workers)
+        assert rep.estimates == [float(v) for v in scaled.mean(axis=0)]
+        rep = doob_bound_check(chain, fixture, n, reps, stream, workers=workers)
+        assert rep.lhs == lhs
