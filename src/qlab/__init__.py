@@ -9,11 +9,10 @@ proofs, and the Markov-chain representation - exactly where finite
 enumeration permits, statistically elsewhere.
 """
 
-from .experiments import (ExperimentReport, brownian_reference,
-                          decomposition_identity_check, doob_bound_check,
-                          mc_projection_norm_sq, quenched_wip_experiment,
-                          sample_path_functional, strest_experiment,
-                          uncentered_drift_check)
+from .experiments import (ExperimentReport, decomposition_identity_check,
+                          doob_bound_check, mc_projection_norm_sq,
+                          quenched_wip_experiment, sample_path_functional,
+                          strest_experiment, uncentered_drift_check)
 from .markov_ops import (MaximalFunction, cesaro_average, dual_operator,
                          hopf_check, maximal_function, poisson_solve,
                          verify_dunford_schwartz, verify_markov_property,
@@ -28,8 +27,9 @@ from .projections import (HannanDivergesError, MartingaleApprox,
                           evaluate_martingale, hannan_sum,
                           martingale_increment, mw_criterion,
                           projection_norms, sigma_squared)
-from .stats import (EmpiricalSample, brownian_sup_cdf, brownian_sup_reference,
-                    ks_one_sample, ks_two_sample, normal_cdf, normal_reference)
+from .stats import (EmpiricalSample, brownian_inf_cdf, brownian_sup_abs_cdf,
+                    brownian_sup_cdf, brownian_sup_reference, ks_one_sample,
+                    normal_cdf, normal_reference)
 from .streams import InnovationDistribution, RandomStream, sample
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -27,13 +27,12 @@ from .models import (LinearModel, MarkovFunctionalModel, Model, PastFixture,
 from .paths import PathFunctional
 from .projections import (evaluate_martingale, martingale_increment,
                           sigma_squared)
-from .stats import (EmpiricalSample, brownian_sup_reference, ks_one_sample,
-                    ks_two_sample, normal_reference)
+from .stats import (EmpiricalSample, brownian_inf_cdf, brownian_sup_abs_cdf,
+                    brownian_sup_reference, ks_one_sample, normal_reference)
 from .streams import RandomStream
 
 BLOCK_REPS = 256          # replication block size; fixed, never tuned per run
 DEGENERATE_VARIANCE = 1e-18
-DEFAULT_REF_REPS = 100_000
 
 
 def digest_of(payload) -> str:
@@ -176,50 +175,44 @@ def sample_path_functional(model: Model, fixture: PastFixture,
                       partial(_functional_of, functional, n, e0cum))
 
 
-def _brownian_block(functional, sigma, grid_n, seed, path, count) -> np.ndarray:
-    steps = RandomStream(seed, path).normal(count * grid_n).reshape(count, grid_n)
-    steps *= sigma / math.sqrt(grid_n)
-    grid = np.concatenate([np.zeros((count, 1)), np.cumsum(steps, axis=1)], axis=1)
-    return functional.of_grid(grid)
-
-
-def _brownian_blocks(functional, sigma, grid_n, seed, blocks) -> np.ndarray:
-    return np.concatenate([_brownian_block(functional, sigma, grid_n, seed, path, count)
-                           for path, count in blocks])
-
-
-def brownian_reference(functional: PathFunctional, sigma: float, grid_n: int,
-                       reps: int, stream: RandomStream, workers: int = 1) -> np.ndarray:
-    """Functional evaluated on simulated polygonal Brownian paths."""
-    if grid_n < 256:
-        raise ValueError("grid_n must be >= 256")
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
-    fn = partial(_brownian_blocks, functional, sigma, grid_n, stream.master_seed)
-    return np.concatenate(_map_ordered(fn, _block_tasks(stream.path, reps), workers))
-
-
 # --- CLT / WIP experiments ----------------------------------------------
+
+EXTREMA = ("supremum", "infimum", "sup-abs")
+
+
+def _limit_law(kind: str, sigma2: float, n: int):
+    """(name, CDF) of the functional of sigma W on [0, 1]; for the time
+    integral, the law N(0, sigma^2 (4n^2 - 1) / (12 n^2)) of the trapezoid
+    rule on n Gaussian steps, which weights step j by (n - j + 1/2) / n."""
+    sigma = math.sqrt(sigma2)
+    if kind == "endpoint":
+        return "normal", normal_reference(sigma2)
+    if kind == "time-integral":
+        return "trapezoid-normal", normal_reference(sigma2 * (4 * n * n - 1) / (12 * n * n))
+    if kind == "supremum":
+        return "brownian-sup", brownian_sup_reference(sigma)
+    if kind == "infimum":
+        return "brownian-inf", partial(brownian_inf_cdf, sigma=sigma)
+    return "brownian-sup-abs", partial(brownian_sup_abs_cdf, sigma=sigma)
+
 
 def quenched_wip_experiment(model: Model, fixture: PastFixture,
                             functional: PathFunctional, n: int, reps: int,
                             stream: RandomStream, alpha: float = 0.01,
-                            ref_reps: int = DEFAULT_REF_REPS,
                             d_threshold: float = 0.03,
                             workers: int = 1,
                             sample_sink: Optional[dict] = None) -> ExperimentReport:
     """Compare the law of a path functional with its Brownian limit.
 
-    Endpoint and supremum functionals have closed-form limit CDFs; the
-    others are compared two-sample against a simulated Brownian reference
-    on the same grid (which also cancels the common discretization bias).
-    The comparison is against the limit law, so systematic finite-n bias
-    shows up as inflation of the KS distance, not as an error: the
-    endpoint and the grid-matched two-sample routes are judged by the
-    p-value at ``alpha``, while the supremum (whose closed-form reference
-    ignores the polygonal-grid bias by design) is judged by the distance
-    threshold ``d_threshold``.  Passing a dict as ``sample_sink`` collects
-    the raw sample and the reference CDF for plotting dumps.
+    Every functional is tested one-sample against a closed-form CDF (see
+    ``_limit_law``).  The comparison is against the limit law, so
+    systematic finite-n bias shows up as inflation of the KS distance,
+    not as an error: the endpoint and the grid-exact time integral are
+    judged by the p-value at ``alpha``, while the three extrema (whose
+    references ignore the polygonal-grid bias by design) are judged by
+    the distance threshold ``d_threshold``.  Passing a dict as
+    ``sample_sink`` collects the raw sample and the reference CDF for
+    plotting dumps.
     """
 
     sigma2 = sigma_squared(model)
@@ -238,27 +231,12 @@ def quenched_wip_experiment(model: Model, fixture: PastFixture,
                                 verdict="degenerate",
                                 details={"sigma2": sigma2,
                                          "max_abs_value": float(np.max(np.abs(values)))})
-    sample_emp = EmpiricalSample(values)
-    if functional.kind == "endpoint":
-        ref = normal_reference(sigma2)
-        d, p = ks_one_sample(sample_emp, ref)
-        ref_kind = "normal"
-    elif functional.kind == "supremum":
-        ref = brownian_sup_reference(math.sqrt(sigma2))
-        d, p = ks_one_sample(sample_emp, ref)
-        ref_kind = "brownian-sup"
-    else:
-        grid_n = max(n, 256)
-        ref_values = brownian_reference(functional, math.sqrt(sigma2), grid_n,
-                                        ref_reps, stream.child(1), workers)
-        ref_emp = EmpiricalSample(ref_values)
-        d, p = ks_two_sample(sample_emp, ref_emp)
-        ref = ref_emp.ecdf
-        ref_kind = "brownian-mc"
+    ref_kind, ref = _limit_law(functional.kind, sigma2, n)
+    d, p = ks_one_sample(EmpiricalSample(values), ref)
     if sample_sink is not None:
         sample_sink["values"] = values
         sample_sink["ref_cdf"] = ref
-    if functional.kind == "supremum":
+    if functional.kind in EXTREMA:
         passed, rule = d <= d_threshold, f"D<={d_threshold}"
     else:
         passed, rule = p > alpha, f"p>{alpha}"

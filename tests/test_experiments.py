@@ -1,17 +1,19 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
-
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
+from scipy.stats import ks_2samp
 
 from qlab import (EmpiricalSample, MarkovFunctionalModel, PastFixture,
-                  PathFunctional, RandomStream, brownian_reference,
-                  brownian_sup_reference, decomposition_identity_check,
-                  doob_bound_check, e0_increment_series, ks_one_sample,
-                  ks_two_sample, normal_reference, quenched_wip_experiment,
-                  sample_fixture, sample_path_functional, sample_quenched_paths,
-                  sigma_squared, strest_experiment, uncentered_drift_check)
+                  PathFunctional, RandomStream, brownian_inf_cdf,
+                  brownian_sup_abs_cdf, brownian_sup_cdf, brownian_sup_reference,
+                  decomposition_identity_check, doob_bound_check,
+                  e0_increment_series, ks_one_sample, normal_cdf,
+                  normal_reference, quenched_wip_experiment, sample_fixture,
+                  sample_path_functional, sample_quenched_paths, sigma_squared,
+                  strest_experiment, uncentered_drift_check)
 from qlab.experiments import ExperimentReport
 
 ENDPOINT = PathFunctional("endpoint")
@@ -75,14 +77,20 @@ def test_degenerate_observable_reports_not_raises(zero_chain):
 
 
 def test_time_integral_against_brownian_mc(rho_model):
-    # two-sample comparison on a shared grid; the Brownian reference is the
-    # simulation oracle here
+    # one-sample test against the grid-exact normal law, with 1e5 simulated
+    # polygonal Brownian paths on the same 512 grid as the oracle for both
+    # the sample and the closed form
     fx = sample_fixture(rho_model, RandomStream(61, [6]))
+    sink = {}
     rep = quenched_wip_experiment(rho_model, fx, PathFunctional("time-integral"),
-                                  512, 5000, RandomStream(61, [7]),
-                                  ref_reps=100_000)
-    assert rep.details["reference"] == "brownian-mc"
+                                  512, 5000, RandomStream(61, [7]), sample_sink=sink)
+    assert rep.details["reference"] == "trapezoid-normal"
+    assert rep.details["verdict_rule"] == "p>0.01"
     assert rep.p_value > 0.01
+    sim = _polygonal_brownian(_trapezoid, math.sqrt(sigma_squared(rho_model)), 512,
+                              100_000, RandomStream(61, [7, 1]))
+    assert ks_2samp(sink["values"], sim).pvalue > 0.01
+    assert ks_one_sample(EmpiricalSample(sim), sink["ref_cdf"])[1] > 0.01
 
 
 def test_workers_do_not_change_values(rho_model):
@@ -95,33 +103,128 @@ def test_workers_do_not_change_values(rho_model):
     assert np.array_equal(v1, v2)
 
 
-# --- Brownian reference ---------------------------------------------------------
+# --- closed-form Brownian laws ---------------------------------------------------
+
+def _polygonal_brownian(reduce, sigma, grid_n, reps, stream):
+    """``reduce`` of each simulated polygonal sigma-Brownian grid path on
+    [0, 1], a simulation oracle sharing no code with the closed forms;
+    drawn 1000 paths at a time to bound memory."""
+    out = []
+    for b, lo in enumerate(range(0, reps, 1000)):
+        count = min(1000, reps - lo)
+        steps = stream.child(b).normal(count * grid_n).reshape(count, grid_n)
+        grid = np.zeros((count, grid_n + 1))
+        np.cumsum(steps * (sigma / math.sqrt(grid_n)), axis=1, out=grid[:, 1:])
+        out.append(reduce(grid))
+    return np.concatenate(out)
+
+
+def _trapezoid(grid):
+    return (grid[:, :-1] + grid[:, 1:]).sum(axis=1) / (2.0 * (grid.shape[1] - 1))
+
 
 def test_brownian_endpoint_variance():
-    vals = brownian_reference(PathFunctional("endpoint"), 1.5, 256, 10_000,
-                              RandomStream(62, [0]))
+    # the simulation oracle's endpoint has variance sigma^2, and its law is
+    # the endpoint reference N(0, sigma^2)
+    vals = _polygonal_brownian(lambda g: g[:, -1], 1.5, 256, 10_000,
+                               RandomStream(62, [0]))
     assert abs(vals.var() - 1.5**2) < 0.05 * 1.5**2
+    assert ks_one_sample(EmpiricalSample(vals), normal_reference(1.5**2))[1] > 0.01
+
+
+def test_brownian_grid_floor_enforced(identity_model):
+    # the only grid floor left is n >= 1: n = 0 is refused for every
+    # functional, and n = 128, which the simulated reference once refused,
+    # is judged against the closed-form law
+    fx = PastFixture(innovations=np.array([0.0]))
+    for kind in ("endpoint", "time-integral", "supremum", "infimum", "sup-abs"):
+        with pytest.raises(ValueError):
+            quenched_wip_experiment(identity_model, fx, PathFunctional(kind),
+                                    0, 100, RandomStream(62, [3]))
+        rep = quenched_wip_experiment(identity_model, fx, PathFunctional(kind),
+                                      128, 100, RandomStream(62, [3]))
+        assert rep.n == 128 and rep.test_statistic is not None
+
+
+def test_time_integral_law_at_own_grid(identity_model):
+    # the reference is the law of the trapezoid rule on the sample's own
+    # n steps, with no grid floor: its variance is sum_j w_j^2 / n with
+    # weight w_j = (n - j + 1/2) / n on step j (1/4 at n = 1)
+    fx = PastFixture(innovations=np.array([0.0]))
+    z = np.linspace(-2.0, 2.0, 9)
+    for n in (1, 2, 7, 64, 300):
+        sink = {}
+        quenched_wip_experiment(identity_model, fx, PathFunctional("time-integral"),
+                                n, 100, RandomStream(62, [0, n]), sample_sink=sink)
+        w = (n - np.arange(1, n + 1) + 0.5) / n
+        sd = math.sqrt(np.sum(w**2) / n)
+        assert np.allclose(sink["ref_cdf"](z), normal_cdf(z / sd), rtol=0, atol=1e-15)
 
 
 def test_brownian_supabs_dominates_endpoint():
-    # identical stream address -> identical paths, so the comparison is pathwise
-    sup_abs = brownian_reference(PathFunctional("sup-abs"), 1.0, 256, 2000,
-                                 RandomStream(62, [1]))
-    end = brownian_reference(PathFunctional("endpoint"), 1.0, 256, 2000,
-                             RandomStream(62, [1]))
-    assert np.all(sup_abs >= np.abs(end) - 1e-12)
+    # sup|W| >= |W_1| and >= sup W, and sup|W| > a needs sup W > a or
+    # inf W < -a, which pins the sup-abs CDF between three reflection laws
+    a = np.linspace(0.3, 6.0, 115)
+    for sigma in (0.5, 1.0, 2.0):
+        f = brownian_sup_abs_cdf(a, sigma)
+        assert np.all(f <= 2 * normal_cdf(a / sigma) - 1 + 1e-15)
+        assert np.all(f <= brownian_sup_cdf(a, sigma) + 1e-15)
+        assert np.all(f >= 2 * brownian_sup_cdf(a, sigma) - 1 - 1e-15)
+        assert np.all(np.diff(f) >= 0) and np.all(f > 0)
 
 
-def test_brownian_zero_sigma_gives_zero_paths():
-    vals = brownian_reference(PathFunctional("sup-abs"), 0.0, 256, 100,
-                              RandomStream(62, [2]))
-    assert np.all(vals == 0.0)
+def test_brownian_zero_sigma_gives_zero_paths(zero_chain):
+    # sigma = 0: the limit CDFs refuse it and every functional of the
+    # identically zero centered path is reported degenerate
+    for cdf in (brownian_sup_cdf, brownian_inf_cdf, brownian_sup_abs_cdf):
+        with pytest.raises(ValueError):
+            cdf(1.0, 0.0)
+    for kind in ("infimum", "sup-abs", "time-integral"):
+        rep = quenched_wip_experiment(zero_chain, PastFixture(state=0),
+                                      PathFunctional(kind), 64, 100,
+                                      RandomStream(62, [2]))
+        assert rep.verdict == "degenerate"
+        assert rep.details["max_abs_value"] == 0.0
 
 
-def test_brownian_grid_floor_enforced():
-    with pytest.raises(ValueError):
-        brownian_reference(PathFunctional("endpoint"), 1.0, 128, 100,
-                           RandomStream(62, [3]))
+def test_extrema_judged_by_distance_threshold(identity_model):
+    # at the acceptance scale of the supremum criterion (n = 4096, M = 5000)
+    fx = PastFixture(innovations=np.array([0.0]))
+    for kind, reference in (("supremum", "brownian-sup"), ("infimum", "brownian-inf"),
+                            ("sup-abs", "brownian-sup-abs")):
+        rep = quenched_wip_experiment(identity_model, fx, PathFunctional(kind),
+                                      4096, 5000, RandomStream(62, [3]))
+        assert rep.details["reference"] == reference
+        assert rep.details["verdict_rule"] == "D<=0.03"
+        assert rep.verdict == "pass"
+
+
+def test_sup_abs_cdf_against_dual_series_and_simulation():
+    # the dual normal-CDF series sum_{k in Z} (-1)^k [Phi((2k+1)x) - Phi((2k-1)x)],
+    # summed here to |k| <= 60, against the library CDF
+    k = np.arange(-60, 61)[:, None]
+    for sigma in (1.0, 1.7):
+        a = np.array([0.2, 0.5, 1.0, 2.0, 4.0, 0.999 * sigma, 1.001 * sigma])
+        x = a[None, :] / sigma
+        dual = np.sum((-1.0) ** k * (ndtr((2 * k + 1) * x) - ndtr((2 * k - 1) * x)), axis=0)
+        assert np.allclose(brownian_sup_abs_cdf(a, sigma), dual, rtol=0, atol=1e-14)
+    # polygonal simulation on a 4096 grid, judged like the supremum by the
+    # KS distance, which carries the 0.58 sigma / sqrt(n) grid bias
+    sim = _polygonal_brownian(lambda g: np.abs(g).max(axis=1), 1.0, 4096, 10_000,
+                              RandomStream(2024, [2]))
+    d, _ = ks_one_sample(EmpiricalSample(sim), partial(brownian_sup_abs_cdf, sigma=1.0))
+    assert d <= 0.03
+
+
+def test_time_integral_exact_normal_identity_model(identity_model):
+    # with gaussian innovations the time integral of the centered polygonal
+    # path is exactly N(0, (4n^2 - 1) / (12 n^2)) at every n, also below 256
+    fx = PastFixture(innovations=np.array([0.0]))
+    rep = quenched_wip_experiment(identity_model, fx, PathFunctional("time-integral"),
+                                  64, 5000, RandomStream(61, [0]))
+    assert rep.details["reference"] == "trapezoid-normal"
+    assert rep.test_statistic < 1.63 / math.sqrt(5000)
+    assert rep.verdict == "pass"
 
 
 def test_reflection_cdf_against_simulation():
@@ -130,11 +233,11 @@ def test_reflection_cdf_against_simulation():
     # 0.58/64 = 0.009 here), so the KS distance is bias-dominated and small
     # but the p-value is not a fair agreement gauge at that resolution; at
     # M = 1e4 the bias sits below KS noise and the p > 0.01 check applies.
-    sim = brownian_reference(PathFunctional("supremum"), 1.0, 4096, 100_000,
-                             RandomStream(2024, [0]))
+    sim = _polygonal_brownian(lambda g: g.max(axis=1), 1.0, 4096, 100_000,
+                              RandomStream(2024, [0]))
     u = RandomStream(2024, [1]).uniform_open(100_000)
     exact = ndtri((u + 1.0) / 2.0)              # inverse-CDF reflection draws
-    d, _ = ks_two_sample(EmpiricalSample(sim), EmpiricalSample(exact))
+    d = ks_2samp(sim, exact).statistic
     assert d < 0.015
     # the polygonal supremum is biased low by about 0.58 sigma / sqrt(grid)
     bias = float(np.mean(exact) - np.mean(sim))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from qlab import (EmpiricalSample, RandomStream, brownian_sup_cdf,
-                  brownian_sup_reference, ks_one_sample, ks_two_sample,
+from qlab import (EmpiricalSample, RandomStream, brownian_inf_cdf,
+                  brownian_sup_cdf, brownian_sup_reference, ks_one_sample,
                   normal_cdf, normal_reference)
 
 
@@ -73,32 +73,6 @@ def test_ks_power_against_wrong_variance():
     assert p < 1e-6
 
 
-def test_ks_two_sample_identical():
-    x = RandomStream(42, [9]).normal(500)
-    d, p = ks_two_sample(EmpiricalSample(x), EmpiricalSample(x.copy()))
-    assert d == 0.0
-    assert p == 1.0
-
-
-def test_ks_two_sample_disjoint_supports():
-    a = EmpiricalSample(np.linspace(0, 1, 50))
-    b = EmpiricalSample(np.linspace(5, 6, 50))
-    d, _ = ks_two_sample(a, b)
-    assert d == 1.0
-
-
-def test_ks_two_sample_null_rate():
-    base = RandomStream(42, [10])
-    trials = 500
-    passes = 0
-    for i in range(trials):
-        x = base.child(i, 0).normal(5000)
-        y = base.child(i, 1).normal(5000)
-        _, p = ks_two_sample(EmpiricalSample(x), EmpiricalSample(y))
-        passes += p > 0.01
-    assert passes >= 0.98 * trials
-
-
 def test_ecdf_shape():
     s = EmpiricalSample(np.array([1.0, 1.0, 2.0, 3.0]))
     assert s.ecdf(0.5) == 0.0
@@ -110,27 +84,43 @@ def test_ecdf_shape():
     assert np.all(np.diff(vals) >= 0)
 
 
-def _shifted_pair(m: int, shift: int):
-    """Two samples of size m whose two-sample KS distance is exactly shift/m."""
-    a = np.arange(m, dtype=float)
-    return EmpiricalSample(a), EmpiricalSample(a + shift)
+def _at_distance(m: int, d: float):
+    """A sample of size m and a reference CDF at KS distance exactly d.
+
+    The sample sits at the (i - 1/2)/m quantiles of U(0, 1) and the
+    reference is U(s, 1 + s), so the distance is 1/(2m) + s.
+    """
+    values = (np.arange(1, m + 1) - 0.5) / m
+    s = d - 0.5 / m
+    assert 0.0 <= s <= 1.0 - 0.5 / m
+    return EmpiricalSample(values), lambda t: np.clip(np.asarray(t) - s, 0.0, 1.0)
 
 
 def test_p_value_monotone_in_d():
-    # d = 0.01, 0.02, 0.04, 0.08 at m = 1000 per side
-    ps = [ks_two_sample(*_shifted_pair(1000, shift))[1] for shift in (10, 20, 40, 80)]
-    assert all(b <= a for a, b in zip(ps, ps[1:]))
+    # d = 0.01, 0.02, 0.04, 0.08 at m = 1000
+    ps = [ks_one_sample(*_at_distance(1000, d))[1] for d in (0.01, 0.02, 0.04, 0.08)]
+    assert all(b < a for a, b in zip(ps, ps[1:]))
 
 
 def test_kolmogorov_law_limits():
-    # the p-value is the Kolmogorov survival function at d * sqrt(m n / (m + n))
-    assert ks_two_sample(*_shifted_pair(50, 0))[1] == 1.0
-    d, p = ks_two_sample(*_shifted_pair(5000, 1))       # x = 0.01
-    assert d == pytest.approx(1 / 5000) and p == 1.0
-    assert ks_two_sample(*_shifted_pair(50, 50))[1] < 1e-10   # x = 5
-    d, p = ks_two_sample(*_shifted_pair(5000, 163))     # x = 1.63
-    assert d * math.sqrt(2500) == pytest.approx(1.63)
+    # the p-value is the Kolmogorov survival function at x = d * sqrt(m)
+    d, p = ks_one_sample(*_at_distance(5000, 0.01 / math.sqrt(5000)))   # x = 0.01
+    assert d * math.sqrt(5000) == pytest.approx(0.01) and p == 1.0
+    assert ks_one_sample(*_at_distance(50, 5 / math.sqrt(50)))[1] < 1e-10   # x = 5
+    d, p = ks_one_sample(*_at_distance(5000, 1.63 / math.sqrt(5000)))  # x = 1.63
+    assert d * math.sqrt(5000) == pytest.approx(1.63)
     assert p == pytest.approx(0.01, abs=5e-4)
+
+
+def test_inf_cdf_mirrors_sup_cdf():
+    # the infimum of sigma W is minus the supremum of sigma (-W), and -W is
+    # again a Brownian motion: F_inf(t) = 1 - F_sup(-t)
+    t = np.linspace(-6.0, 6.0, 241)
+    for sigma in (0.5, 1.0, 2.5):
+        assert np.allclose(brownian_inf_cdf(t, sigma), 1.0 - brownian_sup_cdf(-t, sigma),
+                           rtol=0, atol=1e-15)
+    assert brownian_inf_cdf(0.0, 1.0) == 1.0
+    assert brownian_inf_cdf(-1.0, 1.0) == pytest.approx(2 * normal_cdf(-1.0))
 
 
 def test_cdfs_idempotent_under_reevaluation():
@@ -146,5 +136,4 @@ def test_small_samples_rejected():
     tiny = EmpiricalSample(np.arange(5.0))
     with pytest.raises(ValueError):
         ks_one_sample(tiny, normal_reference(1.0))
-    with pytest.raises(ValueError):
-        ks_two_sample(tiny, tiny)
+    ks_one_sample(EmpiricalSample(np.arange(10.0)), normal_reference(1.0))
