@@ -12,7 +12,8 @@ enumeration permits, statistically elsewhere.
 from .experiments import (ExperimentReport, decomposition_identity_check,
                           doob_bound_check, mc_projection_norm_sq,
                           quenched_wip_experiment, sample_path_functional,
-                          strest_experiment, uncentered_drift_check)
+                          strest_experiment, uncentered_drift_check,
+                          worker_pool)
 from .markov_ops import (MaximalFunction, cesaro_average, dual_operator,
                          hopf_check, maximal_function, poisson_solve,
                          verify_dunford_schwartz, verify_markov_property,

@@ -103,12 +103,14 @@ class RunConfig:
 def load_model(path: str):
     """Parse and validate a model definition file."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise CLIError(f"cannot read model file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CLIError(f"model file {path!r} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise CLIError(f"model file {path!r} is not a JSON object: {type(raw).__name__}")
     try:
         kind = raw.get("type")
         if kind == "linear":
@@ -177,7 +179,6 @@ def _run_wip(config: RunConfig, model, base):
                                          config.reps, base.child(1, i),
                                          alpha=config.alpha,
                                          d_threshold=config.d_threshold,
-                                         workers=config.workers,
                                          sample_sink=sink)
         report.experiment = experiment
         reports.append(report.to_dict())
@@ -194,7 +195,7 @@ def _run_wip(config: RunConfig, model, base):
 def _run_strest(config: RunConfig, model, base):
     fixtures = _sampled_fixtures(model, base, config.fixtures)
     reports = [strest_experiment(model, fixture, config.r, config.Ns, config.reps,
-                                 base.child(1, i), workers=config.workers).to_dict()
+                                 base.child(1, i)).to_dict()
                for i, fixture in enumerate(fixtures)]
     passed = all(r["verdict"] == "pass" for r in reports)
     return {"reports": reports}, passed, None
@@ -214,8 +215,7 @@ def _run_doob(config: RunConfig, model, base):
     fixtures = _sampled_fixtures(model, base, config.fixtures)
     reports = []
     for i, fixture in enumerate(fixtures):
-        rep = doob_bound_check(model, fixture, config.n, config.reps,
-                               base.child(1, i), workers=config.workers)
+        rep = doob_bound_check(model, fixture, config.n, config.reps, base.child(1, i))
         reports.append({"fixture": fixture.describe(), "lhs": rep.lhs,
                         "rhs": rep.rhs, "rhs_strict": rep.rhs_strict,
                         "relative_se": rep.relative_se, "holds": rep.holds,
@@ -377,11 +377,11 @@ _SUITE_KEYS = {f.name for f in fields(RunConfig)} - {"experiment", "model_path",
 def run_suite(suite_path: str, out_root: str, workers: int = 1) -> int:
     """Run every entry of a suite file; exit 0 only if every run passes."""
     try:
-        with open(suite_path) as fh:
+        with open(suite_path, encoding="utf-8") as fh:
             suite = json.load(fh)
     except OSError as exc:
         raise CLIError(f"cannot read suite file {suite_path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CLIError(f"suite file {suite_path!r} is not valid JSON: {exc}") from exc
     runs = suite.get("runs") if isinstance(suite, dict) else None
     if not isinstance(runs, list) or not runs:

@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import pairwise
@@ -22,8 +22,9 @@ from typing import Optional
 import numpy as np
 
 from .models import (LinearModel, MarkovFunctionalModel, Model, PastFixture,
-                     _e0_series, _markov_paths, _powers, _stationary_states,
-                     e0_increment_series, sample, sample_quenched_paths)
+                     Realization, _e0_series, _markov_paths, _powers,
+                     _stationary_states, e0_increment_series, sample,
+                     sample_quenched_paths)
 from .paths import PathFunctional
 from .projections import (evaluate_martingale, martingale_increment,
                           sigma_squared)
@@ -75,41 +76,33 @@ def _seed_path(stream: RandomStream) -> list:
     return [stream.master_seed, *stream.path]
 
 
-_pools = []    # the process pool of each open worker_pool block
+_pool = None    # (executor, workers) of the innermost open worker_pool block
 
 
 @contextmanager
 def worker_pool(workers: int):
-    """Run every parallel map inside the block on one process pool.
-
-    The experiment functions take a worker count, not a pool, so the pool
-    of the innermost open block is kept here for ``_map_ordered`` to find.
-    """
-    if workers <= 1:
-        yield
-        return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        _pools.append(pool)
+    """Run the blocks of every experiment inside the block on one pool of
+    ``workers`` processes, or in-process when ``workers <= 1``.  The pool is
+    kept in a module slot for ``_map_ordered``; exiting restores the slot."""
+    global _pool
+    enclosing = _pool
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
+    with pool:
+        _pool = (pool, workers) if workers > 1 else None
         try:
             yield
         finally:
-            _pools.pop()
+            _pool = enclosing
 
 
-def _map_ordered(fn, tasks, workers: int) -> list:
-    """Apply ``fn`` to ``workers`` contiguous groups of tasks, in task order.
-
-    The groups run on the pool of the enclosing ``worker_pool`` block, or
-    on a pool started for this call.
-    """
-    parts = min(workers, len(tasks))
+def _map_ordered(fn, tasks) -> list:
+    """Apply ``fn`` to contiguous groups of tasks, in task order: one group
+    per worker of the open ``worker_pool``, or one in-process group."""
+    parts = min(_pool[1], len(tasks)) if _pool else 1
     if parts <= 1:
         return [fn(tasks)]
-    if not _pools:
-        with worker_pool(workers):
-            return _map_ordered(fn, tasks, workers)
     bounds = [len(tasks) * j // parts for j in range(parts + 1)]
-    return list(_pools[-1].map(fn, [tasks[lo:hi] for lo, hi in pairwise(bounds)]))
+    return list(_pool[0].map(fn, [tasks[lo:hi] for lo, hi in pairwise(bounds)]))
 
 
 def _block_tasks(prefix: tuple, reps: int) -> list:
@@ -120,59 +113,71 @@ def _block_tasks(prefix: tuple, reps: int) -> list:
     return [(prefix + (b,), count) for b, count in enumerate(sizes)]
 
 
-def _reduce_blocks(model: Model, fixture: PastFixture, n: int, seed: int,
-                   reduce, blocks) -> np.ndarray:
-    """Concatenate ``reduce(realization)`` over the blocks, in order.
-
-    A group of Markov blocks is sampled in one call that steps all its
-    chains together, then split by rows; a linear model is sampled block
-    by block.  No block's realization outlives its reduction.
-    """
-    streams = [RandomStream(seed, path) for path, _ in blocks]
-    counts = [count for _, count in blocks]
-    if isinstance(model, LinearModel):
-        return np.concatenate([reduce(sample_quenched_paths(model, fixture, stream, n, count))
-                               for stream, count in zip(streams, counts)])
-    real = sample_quenched_paths(model, fixture, streams, n, counts)
-    return np.concatenate([reduce(real.rows(lo, hi))
-                           for lo, hi in pairwise(np.cumsum([0, *counts]))])
-
-
-def _replicate(model: Model, fixture: PastFixture, n: int, reps: int,
-               stream: RandomStream, workers: int, reduce) -> np.ndarray:
-    """``reduce`` of every replication block of conditional paths, in block order."""
-    fn = partial(_reduce_blocks, model, fixture, n, stream.master_seed, reduce)
-    return np.concatenate(_map_ordered(fn, _block_tasks(stream.path + (0,), reps), workers))
-
-
-def _centered_sums(real, e0cum: np.ndarray, divisor: float = 1.0) -> np.ndarray:
-    """(count, n + 1) grid: 0, then (S_k - E0(S_k)) / divisor for k = 1..n."""
-    values = real.values[:]
+def _centered_sums(values: np.ndarray, e0cum: np.ndarray) -> np.ndarray:
+    """(count, n + 1) grid: 0, then S_k - E0(S_k) for k = 1..n."""
     grid = np.empty((values.shape[0], values.shape[1] + 1))
     grid[:, 0] = 0.0
     np.cumsum(values, axis=1, out=grid[:, 1:])
     grid[:, 1:] -= e0cum
-    grid /= divisor
     return grid
+
+
+def _reduce_block(reduce, e0cum, real: Realization) -> np.ndarray:
+    return reduce(_centered_sums(real.values, e0cum), real)
+
+
+def _block_of(observable: np.ndarray, states: np.ndarray) -> Realization:
+    block = np.ascontiguousarray(states)
+    return Realization(observable[block[:, 1:]], states=block)
+
+
+def _reduce_blocks(model: Model, fixture: PastFixture, n: int, seed: int,
+                   e0cum: np.ndarray, reduce, blocks) -> np.ndarray:
+    """Concatenate ``reduce(grid, realization)`` over the blocks, in order,
+    ``grid`` being the block's centered sums.
+
+    A group of Markov blocks is sampled in one call that steps all its
+    chains together, then split into one contiguous state array per block;
+    a linear model is sampled block by block.  Each block's realization is
+    a temporary argument, freed before the next block is built.
+    """
+    streams = [RandomStream(seed, path) for path, _ in blocks]
+    counts = [count for _, count in blocks]
+    if isinstance(model, LinearModel):
+        return np.concatenate([_reduce_block(reduce, e0cum, sample_quenched_paths(
+            model, fixture, stream, n, count)) for stream, count in zip(streams, counts)])
+    states = sample_quenched_paths(model, fixture, streams, n, counts).states
+    return np.concatenate([_reduce_block(reduce, e0cum, _block_of(model.observable, states[lo:hi]))
+                           for lo, hi in pairwise(np.cumsum([0, *counts]))])
+
+
+
+def _replicate(model: Model, fixture: PastFixture, n: int, reps: int,
+               stream: RandomStream, reduce) -> np.ndarray:
+    """``reduce(grid, realization)`` of every replication block of
+    conditional paths, in block order, on the grid of its centered sums."""
+    e0cum = np.cumsum(e0_increment_series(model, fixture, n))
+    fn = partial(_reduce_blocks, model, fixture, n, stream.master_seed, e0cum, reduce)
+    return np.concatenate(_map_ordered(fn, _block_tasks(stream.path + (0,), reps)))
 
 
 # --- replicated functional sampling -------------------------------------
 
-def _functional_of(functional, n, e0cum, real) -> np.ndarray:
-    return functional.of_grid(_centered_sums(real, e0cum, math.sqrt(n)))
+def _functional_of(functional, n, grid, real) -> np.ndarray:
+    grid /= math.sqrt(n)
+    return functional.of_grid(grid)
 
 
 def sample_path_functional(model: Model, fixture: PastFixture,
                            functional: PathFunctional, n: int, reps: int,
-                           stream: RandomStream, workers: int = 1) -> np.ndarray:
+                           stream: RandomStream) -> np.ndarray:
     """Replicated values of the functional of the centered path / sqrt(n)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if reps < 1:
         raise ValueError("empty sample: reps must be >= 1")
-    e0cum = np.cumsum(e0_increment_series(model, fixture, n))
-    return _replicate(model, fixture, n, reps, stream, workers,
-                      partial(_functional_of, functional, n, e0cum))
+    return _replicate(model, fixture, n, reps, stream,
+                      partial(_functional_of, functional, n))
 
 
 # --- CLT / WIP experiments ----------------------------------------------
@@ -200,7 +205,6 @@ def quenched_wip_experiment(model: Model, fixture: PastFixture,
                             functional: PathFunctional, n: int, reps: int,
                             stream: RandomStream, alpha: float = 0.01,
                             d_threshold: float = 0.03,
-                            workers: int = 1,
                             sample_sink: Optional[dict] = None) -> ExperimentReport:
     """Compare the law of a path functional with its Brownian limit.
 
@@ -216,8 +220,7 @@ def quenched_wip_experiment(model: Model, fixture: PastFixture,
     """
 
     sigma2 = sigma_squared(model)
-    values = sample_path_functional(model, fixture, functional, n, reps,
-                                    stream, workers)
+    values = sample_path_functional(model, fixture, functional, n, reps, stream)
     base = dict(experiment="quenched-wip", statistic=functional.kind,
                 model_digest=digest_of(model), fixture_digest=digest_of(fixture),
                 n=n, reps=reps, seed_path=_seed_path(stream),
@@ -279,16 +282,15 @@ class StrestReport:
                 "seed_path": list(self.seed_path), "verdict": self.verdict}
 
 
-def _strest_of(model, fixture, approx, Ns, max_n, e0cum, real) -> np.ndarray:
-    sbar = _centered_sums(real, e0cum)[:, 1:]
+def _strest_of(model, fixture, approx, Ns, max_n, grid, real) -> np.ndarray:
+    sbar = grid[:, 1:]
     mart = evaluate_martingale(model, approx, fixture, real, max_n)
     running = np.maximum.accumulate((sbar - mart) ** 2, axis=1)
     return running[:, [N - 1 for N in Ns]]
 
 
 def strest_experiment(model: Model, fixture: PastFixture, r: float,
-                      Ns, reps: int, stream: RandomStream,
-                      workers: int = 1) -> StrestReport:
+                      Ns, reps: int, stream: RandomStream) -> StrestReport:
     """Monte Carlo decay check of the maximal squared approximation error.
 
     The centered sums and the martingale share each replication's
@@ -302,9 +304,8 @@ def strest_experiment(model: Model, fixture: PastFixture, r: float,
         raise ValueError("reps must be >= 2")
     approx = martingale_increment(model, r)
     max_n = Ns[-1]
-    e0cum = np.cumsum(e0_increment_series(model, fixture, max_n))
-    mat = _replicate(model, fixture, max_n, reps, stream, workers,
-                     partial(_strest_of, model, fixture, approx, Ns, max_n, e0cum))
+    mat = _replicate(model, fixture, max_n, reps, stream,
+                     partial(_strest_of, model, fixture, approx, Ns, max_n))
     scaled = mat / np.asarray(Ns, dtype=float)[None, :]
     return StrestReport(
         Ns=Ns,
@@ -365,12 +366,12 @@ class DoobReport:
     terms: int
 
 
-def _max_square_of(e0cum, real) -> np.ndarray:
-    return np.max(_centered_sums(real, e0cum)[:, 1:] ** 2, axis=1)
+def _max_square_of(grid, real) -> np.ndarray:
+    return np.max(grid[:, 1:] ** 2, axis=1)
 
 
 def doob_bound_check(model: Model, fixture: PastFixture, N: int, reps: int,
-                     stream: RandomStream, workers: int = 1) -> DoobReport:
+                     stream: RandomStream) -> DoobReport:
     """Monte Carlo LHS vs exact maximal-function RHS of the tightness bound.
 
     Markov models only: the right side needs exact maximal functions of
@@ -388,9 +389,7 @@ def doob_bound_check(model: Model, fixture: PastFixture, N: int, reps: int,
                          "linear model lacks exact maximal functions")
     if N < 1 or reps < 2:
         raise ValueError("need N >= 1 and reps >= 2")
-    e0cum = np.cumsum(e0_increment_series(model, fixture, N))
-    maxima = _replicate(model, fixture, N, reps, stream, workers,
-                        partial(_max_square_of, e0cum))
+    maxima = _replicate(model, fixture, N, reps, stream, _max_square_of)
     mean = float(maxima.mean())
     se = float(maxima.std(ddof=1) / math.sqrt(reps))
     lhs = math.sqrt(mean)
@@ -454,8 +453,8 @@ def decomposition_identity_check(model: Model, fixture: PastFixture, n: int,
         raise ValueError("need n >= 1")
     reps = 64
     real = sample_quenched_paths(model, fixture, stream, n, reps)
-    lhs = np.cumsum(real.values, axis=1) - np.cumsum(
-        e0_increment_series(model, fixture, n))[None, :]
+    e0cum = np.cumsum(e0_increment_series(model, fixture, n))
+    lhs = _centered_sums(real.values[:], e0cum)[:, 1:]
     rhs = np.zeros_like(lhs)
     if isinstance(model, LinearModel):
         E = np.cumsum(real.fresh, axis=1)

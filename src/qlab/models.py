@@ -162,14 +162,6 @@ class MarkovFunctionalModel:
         object.__setattr__(self, "_thresholds", thresholds)
         object.__setattr__(self, "_guide", _guide_table(thresholds))
 
-    @classmethod
-    def from_raw_observable(cls, transition, raw_observable) -> "MarkovFunctionalModel":
-        """Center an arbitrary observable against the stationary law."""
-        P = np.asarray(transition, dtype=float)
-        g = np.asarray(raw_observable, dtype=float)
-        pi = _stationary_distribution(P)
-        return cls(P, g - float(pi @ g))
-
     @property
     def stationary(self) -> np.ndarray:
         return self._pi
@@ -345,8 +337,7 @@ class _StateValues:
     """g(W_1..W_n) of each row of a Markov state array, built on demand.
 
     ``values[key]`` evaluates g only on the entries ``key`` selects, so a
-    realization of many blocks never holds its whole float array; any
-    other array attribute (``mean``, ``std``, ...) reads the full array.
+    realization of many blocks never holds its whole float array.
     """
 
     __slots__ = ("observable", "states")
@@ -368,11 +359,6 @@ class _StateValues:
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return self[:] if dtype is None else self[:].astype(dtype)
 
-    def __getattr__(self, name):
-        if name.startswith("_"):
-            raise AttributeError(name)
-        return getattr(self[:], name)
-
 
 @dataclass(frozen=True, eq=False)
 class Realization:
@@ -382,7 +368,7 @@ class Realization:
     eps_1..eps_n per replication and ``values`` the observables
     f . theta^k, k = 1..n.  For a Markov model ``states`` (uint8) holds
     W_0..W_n per replication (column 0 is the frozen state) and
-    ``values[rows]`` evaluates g on the rows asked for.  Keeping the raw
+    ``values[key]`` evaluates g on the entries asked for.  Keeping the raw
     randomness lets the martingale be evaluated on the same paths.
     """
 
@@ -393,12 +379,6 @@ class Realization:
     @property
     def n(self) -> int:
         return self.values.shape[1]
-
-    def rows(self, lo: int, hi: int) -> "Realization":
-        """The replications lo..hi-1 of a Markov realization, their states
-        copied to one contiguous array."""
-        states = np.ascontiguousarray(self.states[lo:hi])
-        return Realization(_StateValues(self.values.observable, states), states=states)
 
 
 def _linear_observables(model: LinearModel, fixture: PastFixture,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice, pairwise
 from typing import Optional
 
@@ -85,6 +86,7 @@ def projection_norms(model: Model, K: int) -> ProjectionSeries:
 
 @dataclass
 class SummabilityReport:
+    terms: np.ndarray
     partial_sums: np.ndarray
     tail_fit: str            # "geometric" | "polynomial" | "none"
     verdict: str             # "summable" | "diverging" | "inconclusive"
@@ -119,15 +121,15 @@ def _fit_tail(indices: np.ndarray, values: np.ndarray, K: int) -> dict:
 
 
 def _summability(values: np.ndarray, bias: np.ndarray) -> SummabilityReport:
-    partial = np.cumsum(values)
+    sums = np.cumsum(values)
+    report = partial(SummabilityReport, values, sums)
     K = values.size - 1
-    total = float(partial[-1])
+    total = float(sums[-1])
     nonzero = np.flatnonzero(values > 0)
     exact_support = (nonzero.size == 0
                      or (nonzero[-1] < K and np.all(bias[nonzero[-1] + 1 :] == 0)))
     if exact_support:
-        return SummabilityReport(partial_sums=partial, tail_fit="none",
-                                 verdict=SUMMABLE, fitted_tail=0.0)
+        return report(tail_fit="none", verdict=SUMMABLE, fitted_tail=0.0)
     # entries at the rounding floor cannot carry decay information; a tail
     # that is entirely below the floor (and declared bias free) is summable
     # outright, with the raw remainder reported as the tail
@@ -135,13 +137,11 @@ def _summability(values: np.ndarray, bias: np.ndarray) -> SummabilityReport:
     live = np.flatnonzero(values > floor)
     if (live.size and live[-1] < K and np.all(values[live[-1] + 1 :] <= floor)
             and np.all(bias[live[-1] + 1 :] == 0)):
-        return SummabilityReport(partial_sums=partial, tail_fit="none",
-                                 verdict=SUMMABLE,
-                                 fitted_tail=float(values[live[-1] + 1 :].sum()))
+        return report(tail_fit="none", verdict=SUMMABLE,
+                      fitted_tail=float(values[live[-1] + 1 :].sum()))
     window = live[live.size // 2 :]
     if window.size < 3:
-        return SummabilityReport(partial_sums=partial, tail_fit="none",
-                                 verdict=INCONCLUSIVE, fitted_tail=math.inf)
+        return report(tail_fit="none", verdict=INCONCLUSIVE, fitted_tail=math.inf)
     fit = _fit_tail(window, values[window], K)
     geometric_wins = fit["geo_sse"] <= fit["poly_sse"]
     tail_fit = "geometric" if geometric_wins else "polynomial"
@@ -154,8 +154,7 @@ def _summability(values: np.ndarray, bias: np.ndarray) -> SummabilityReport:
         verdict = DIVERGING
     else:
         verdict = INCONCLUSIVE
-    return SummabilityReport(partial_sums=partial, tail_fit=tail_fit,
-                             verdict=verdict, fitted_tail=float(fitted_tail))
+    return report(tail_fit=tail_fit, verdict=verdict, fitted_tail=float(fitted_tail))
 
 
 def hannan_sum(series: ProjectionSeries) -> SummabilityReport:
@@ -179,21 +178,7 @@ def _conditional_norm_E0(model: Model, n_max: int) -> np.ndarray:
     return out
 
 
-@dataclass
-class MWReport:
-    terms: np.ndarray
-    report: SummabilityReport
-
-    @property
-    def partial_sums(self) -> np.ndarray:
-        return self.report.partial_sums
-
-    @property
-    def verdict(self) -> str:
-        return self.report.verdict
-
-
-def mw_criterion(model: Model, N: int) -> MWReport:
+def mw_criterion(model: Model, N: int) -> SummabilityReport:
     """Partial sums of |E0(f . theta^n)|_2 / sqrt(n) with a verdict."""
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -203,7 +188,7 @@ def mw_criterion(model: Model, N: int) -> MWReport:
         bias = model.tail_bound * model.sigma_eps / np.sqrt(ns)
     else:
         bias = np.zeros(N)
-    return MWReport(terms=terms, report=_summability(terms, bias))
+    return _summability(terms, bias)
 
 
 @dataclass(frozen=True, eq=False)

@@ -75,12 +75,6 @@ class EmpiricalSample:
     def size(self) -> int:
         return self.values.size
 
-    def ecdf(self, t):
-        """Right-continuous empirical CDF evaluated at t."""
-        t = np.asarray(t, dtype=float)
-        out = np.searchsorted(self.values, t, side="right") / self.size
-        return out if out.shape else float(out)
-
 
 def normal_reference(variance: float) -> Callable:
     if variance <= 0:

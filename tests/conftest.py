@@ -7,10 +7,19 @@ import pytest
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from qlab import InnovationDistribution, LinearModel, MarkovFunctionalModel
+from qlab.models import _stationary_distribution
 
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 MODELS_DIR = os.path.join(REPO_ROOT, "models")
 SUITES_DIR = os.path.join(REPO_ROOT, "suites")
+
+
+def centered_chain(transition, raw_observable) -> MarkovFunctionalModel:
+    """The chain ``transition`` observed through ``raw_observable`` minus
+    its stationary mean."""
+    P = np.asarray(transition, dtype=float)
+    g = np.asarray(raw_observable, dtype=float)
+    return MarkovFunctionalModel(P, g - float(_stationary_distribution(P) @ g))
 
 
 @pytest.fixture(scope="session")

@@ -175,7 +175,8 @@ def test_run_all_acceptance_suite_under_ten_minutes(tmp_path):
 _RUN = {"experiment": "sigma2", "model": _model("linear_identity.json")}
 
 
-# a non-string argument is written to a suite file and replaced by its path
+# bytes are written to a file as they are, any other non-string argument
+# to a JSON suite file, and the argument is replaced by the file's path
 @pytest.mark.parametrize("args", [
     ["run-all", "--suite", {"seed": 1, "runs": [{**_RUN, "bogus": 1}]}],
     ["drift", "--model", "linear_identity.json", "--Ns", "1,x"],
@@ -197,13 +198,22 @@ _RUN = {"experiment": "sigma2", "model": _model("linear_identity.json")}
     ["run-all", "--suite", {"seed": 1, "runs": [{**_RUN, "r": 2.5}]}],
     ["run-all", "--suite", [_RUN]],
     ["run-all", "--suite", {"seed": 1, "runs": ["sigma2"]}],
+    ["sigma2", "--model", b"[1, 2]"],
+    ["sigma2", "--model", b'"markov"'],
+    ["sigma2", "--model", b'{"type": "linear", "coeffs": [1.0], "name": "caf\xe9"}'],
+    ["run-all", "--suite", b'{"seed": 1, "runs": [], "name": "caf\xe9"}'],
 ], ids=["unknown-suite-key", "bad-Ns", "negative-K", "negative-r", "tiny-reps",
         "alpha-above-one", "n-not-int", "alpha-not-float", "unknown-functional",
         "unknown-flag", "negative-d-threshold", "suite-seed-string",
         "suite-n-string", "suite-Ns-scalar", "suite-r-fraction", "suite-top-level-list",
-        "suite-run-not-object"])
+        "suite-run-not-object", "model-json-list", "model-json-string",
+        "model-not-utf8", "suite-not-utf8"])
 def test_invalid_input_exits_three_with_one_line(args, tmp_path):
     def resolve(arg):
+        if isinstance(arg, bytes):
+            raw = tmp_path / "raw.json"
+            raw.write_bytes(arg)
+            return str(raw)
         if not isinstance(arg, str):
             suite = tmp_path / "suite.json"
             suite.write_text(json.dumps(arg))

@@ -1,4 +1,5 @@
 import math
+import os
 from functools import partial
 
 import numpy as np
@@ -13,8 +14,12 @@ from qlab import (EmpiricalSample, MarkovFunctionalModel, PastFixture,
                   e0_increment_series, ks_one_sample, normal_cdf,
                   normal_reference, quenched_wip_experiment, sample_fixture,
                   sample_path_functional, sample_quenched_paths, sigma_squared,
-                  strest_experiment, uncentered_drift_check)
+                  strest_experiment, uncentered_drift_check, worker_pool)
+from qlab import experiments
+from qlab.cli import RunConfig, run
 from qlab.experiments import ExperimentReport
+
+from conftest import MODELS_DIR
 
 ENDPOINT = PathFunctional("endpoint")
 
@@ -96,10 +101,9 @@ def test_time_integral_against_brownian_mc(rho_model):
 def test_workers_do_not_change_values(rho_model):
     fx = sample_fixture(rho_model, RandomStream(61, [8]))
     f = PathFunctional("supremum")
-    v1 = sample_path_functional(rho_model, fx, f, 300, 700, RandomStream(61, [9]),
-                                workers=1)
-    v2 = sample_path_functional(rho_model, fx, f, 300, 700, RandomStream(61, [9]),
-                                workers=3)
+    v1 = sample_path_functional(rho_model, fx, f, 300, 700, RandomStream(61, [9]))
+    with worker_pool(3):
+        v2 = sample_path_functional(rho_model, fx, f, 300, 700, RandomStream(61, [9]))
     assert np.array_equal(v1, v2)
 
 
@@ -279,9 +283,10 @@ def test_strest_nonincreasing_in_truncation_order(rho_model):
 def test_strest_workers_deterministic(two_state_chain):
     fx = PastFixture(state=0)
     a = strest_experiment(two_state_chain, fx, math.inf, [64, 256], 600,
-                          RandomStream(63, [5]), workers=1)
-    b = strest_experiment(two_state_chain, fx, math.inf, [64, 256], 600,
-                          RandomStream(63, [5]), workers=2)
+                          RandomStream(63, [5]))
+    with worker_pool(2):
+        b = strest_experiment(two_state_chain, fx, math.inf, [64, 256], 600,
+                              RandomStream(63, [5]))
     assert a.estimates == b.estimates
 
 
@@ -386,3 +391,59 @@ def test_internal_consistency_of_centered_statistics(two_state_chain):
     for i in range(reps):
         centered_sum = float(np.sum(real.values[i] - drift))
         assert values[i] == pytest.approx(centered_sum / math.sqrt(n), abs=1e-12)
+
+
+# --- the worker-pool contract -------------------------------------------------
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Every pool started, each an in-process stand-in counting its maps."""
+    started = []
+
+    class CountingPool:
+        def __init__(self, max_workers):
+            self.maps = 0
+            started.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, groups):
+            self.maps += 1
+            return map(fn, groups)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    return started
+
+
+def _three_experiments(chain):
+    """Three block-replicated experiments of three blocks each."""
+    fx, stream = PastFixture(state=0), RandomStream(67, [1])
+    return (sample_path_functional(chain, fx, ENDPOINT, 32, 600, stream).tolist(),
+            strest_experiment(chain, fx, math.inf, [16, 32], 600, stream).estimates,
+            doob_bound_check(chain, fx, 32, 600, stream).lhs)
+
+
+def test_no_pool_outside_a_worker_pool_block(two_state_chain, pools):
+    _three_experiments(two_state_chain)
+    assert pools == []
+
+
+def test_one_pool_serves_every_experiment_of_a_block(two_state_chain, pools):
+    serial = _three_experiments(two_state_chain)
+    with worker_pool(2):
+        with worker_pool(1):        # runs in-process, then restores the pool
+            inner = _three_experiments(two_state_chain)
+        pooled = _three_experiments(two_state_chain)
+    assert len(pools) == 1 and pools[0].maps == 3
+    assert inner == serial and pooled == serial
+
+
+def test_cli_run_starts_one_pool_for_all_fixtures(tmp_path, pools):
+    run(RunConfig(experiment="quenched-clt", seed=5, n=32, reps=600, fixtures=3,
+                  model_path=os.path.join(MODELS_DIR, "markov_2state.json"),
+                  workers=2, out=str(tmp_path)))
+    assert len(pools) == 1 and pools[0].maps == 3

@@ -6,13 +6,15 @@ from qlab import (MarkovFunctionalModel, PastFixture, RandomStream,
                   hopf_check, maximal_function, poisson_solve,
                   verify_dunford_schwartz, verify_markov_property, weak_l2_tail)
 
+from conftest import centered_chain
+
 
 def _random_chain(n_states: int, seed: int) -> MarkovFunctionalModel:
     raw = RandomStream(seed, [0]).uniform_open(n_states * n_states)
     P = raw.reshape(n_states, n_states) + 0.05
     P /= P.sum(axis=1, keepdims=True)
     g = RandomStream(seed, [1]).normal(n_states)
-    return MarkovFunctionalModel.from_raw_observable(P, g)
+    return centered_chain(P, g)
 
 
 # --- operator construction ---------------------------------------------------

@@ -147,8 +147,8 @@ def test_chain_e0_exactness_up_to_k10(two_state_chain):
     fx = PastFixture(state=1)
     real = sample_quenched_paths(two_state_chain, fx, RandomStream(4, [4]), 10, m)
     exact = e0_increment_series(two_state_chain, fx, 10)
-    mc = real.values.mean(axis=0)
-    se = real.values.std(axis=0, ddof=1) / np.sqrt(m)
+    mc = real.values[:].mean(axis=0)
+    se = real.values[:].std(axis=0, ddof=1) / np.sqrt(m)
     assert np.all(np.abs(mc - exact) < 4 * se)
 
 

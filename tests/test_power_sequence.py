@@ -18,7 +18,9 @@ from qlab import (MarkovFunctionalModel, PastFixture, PathFunctional,
                   e0_increment_series, martingale_increment, maximal_function,
                   mc_projection_norm_sq, mw_criterion, projection_norms,
                   sample_path_functional, sample_quenched_paths,
-                  strest_experiment)
+                  strest_experiment, worker_pool)
+
+from conftest import centered_chain
 
 K = 200
 TOL = 1e-12
@@ -27,7 +29,7 @@ TOL = 1e-12
 def _random_six_state() -> MarkovFunctionalModel:
     raw = RandomStream(7001, [0]).uniform_open(36).reshape(6, 6) + 0.05
     P = raw / raw.sum(axis=1, keepdims=True)
-    return MarkovFunctionalModel.from_raw_observable(P, RandomStream(7001, [1]).normal(6))
+    return centered_chain(P, RandomStream(7001, [1]).normal(6))
 
 
 @pytest.fixture(params=["three", "six"])
@@ -113,7 +115,7 @@ def _sparse_six_state() -> MarkovFunctionalModel:
     # self-loops and the cycle i -> i - 1 keep it irreducible and aperiodic
     raw += 0.1 * (np.eye(6) + np.roll(np.eye(6), -1, axis=1))
     P = raw / raw.sum(axis=1, keepdims=True)
-    return MarkovFunctionalModel.from_raw_observable(P, RandomStream(7005, [1]).normal(6))
+    return centered_chain(P, RandomStream(7005, [1]).normal(6))
 
 
 def test_one_markov_step_kernel(chain):
@@ -143,7 +145,7 @@ def _dyadic_four_state() -> MarkovFunctionalModel:
                   [0.5, 0.25, 0.25, 0.0],
                   [0.0, 0.5, 0.0, 0.5],
                   [0.75, 0.0, 0.0, 0.25]])
-    return MarkovFunctionalModel.from_raw_observable(P, np.array([1.0, -2.0, 0.5, 3.0]))
+    return centered_chain(P, np.array([1.0, -2.0, 0.5, 3.0]))
 
 
 def _crowded_five_state() -> MarkovFunctionalModel:
@@ -154,13 +156,13 @@ def _crowded_five_state() -> MarkovFunctionalModel:
                   [0.2, 0.2, 0.2, 0.2, 0.2],
                   [0.0, 0.0, 0.5, 1e-4, 0.4999],
                   [0.6, 1e-5, 1e-5, 1e-5, 0.39997]])
-    return MarkovFunctionalModel.from_raw_observable(P, np.arange(5.0))
+    return centered_chain(P, np.arange(5.0))
 
 
 def _dense_64_state() -> MarkovFunctionalModel:
     raw = RandomStream(7006, [0]).uniform_open(64 * 64).reshape(64, 64)
     P = raw / raw.sum(axis=1, keepdims=True)
-    return MarkovFunctionalModel.from_raw_observable(P, RandomStream(7006, [1]).normal(64))
+    return centered_chain(P, RandomStream(7006, [1]).normal(64))
 
 
 class _ReplayStream:
@@ -250,13 +252,12 @@ def test_markov_experiments_step_blocks_jointly(three_state_chain):
     lhs = math.sqrt(float(np.max(centered**2, axis=1).mean()))
 
     for workers in (1, 2, 3):
-        for kind in ("supremum", "time-integral"):
-            functional = PathFunctional(kind)
-            got = sample_path_functional(chain, fixture, functional, n, reps,
-                                         stream, workers=workers)
-            assert np.array_equal(got, functional.of_grid(grid))
-        rep = strest_experiment(chain, fixture, math.inf, Ns, reps, stream,
-                                workers=workers)
-        assert rep.estimates == [float(v) for v in scaled.mean(axis=0)]
-        rep = doob_bound_check(chain, fixture, n, reps, stream, workers=workers)
-        assert rep.lhs == lhs
+        with worker_pool(workers):
+            for kind in ("supremum", "time-integral"):
+                functional = PathFunctional(kind)
+                got = sample_path_functional(chain, fixture, functional, n, reps, stream)
+                assert np.array_equal(got, functional.of_grid(grid))
+            rep = strest_experiment(chain, fixture, math.inf, Ns, reps, stream)
+            assert rep.estimates == [float(v) for v in scaled.mean(axis=0)]
+            rep = doob_bound_check(chain, fixture, n, reps, stream)
+            assert rep.lhs == lhs

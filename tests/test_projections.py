@@ -10,6 +10,8 @@ from qlab import (HannanDivergesError, InnovationDistribution, LinearModel,
                   martingale_increment, mc_projection_norm_sq, mw_criterion,
                   projection_norms, sample_quenched_paths, sigma_squared)
 
+from conftest import centered_chain
+
 
 # --- closed-form projection norms -------------------------------------------
 
@@ -228,7 +230,7 @@ def test_sigma_squared_autocovariance_sum(which):
         P, raw = rng.dirichlet(np.ones(6), size=6), rng.normal(size=6)
     else:
         P, raw = _lazy_cycle(16), np.arange(16.0) % 5
-    chain = MarkovFunctionalModel.from_raw_observable(P, raw)
+    chain = centered_chain(P, raw)
     pi, g = chain.stationary, chain.observable
     oracle = float(pi @ g**2) + 2.0 * sum(
         float(pi @ (g * (np.linalg.matrix_power(chain.transition, k) @ g)))

@@ -1,7 +1,8 @@
 """Public API that only the tests call is a bug.
 
 Every name exported by ``qlab`` must be used somewhere in ``src/qlab``
-outside its own definition, or in a demo.  The allowlist names the
+outside its own definition, or in a demo, and so must every public method
+and property of an exported class.  The allowlist names the
 reference implementations that exist so tests can compare against them.
 Likewise every defaulted parameter of an exported function must be passed
 at some call in ``src/qlab`` or a demo; forwarding a caller's own default
@@ -62,6 +63,35 @@ def test_every_export_is_used_outside_the_tests():
                 if not inspect.ismodule(getattr(qlab, name))]
     test_only = sorted(set(exported) - used - set(ALLOWLIST))
     assert not test_only, f"exported but used only by tests: {test_only}"
+
+
+def _attribute_loads(path: str) -> dict:
+    """Attribute names each top-level statement of a file loads, by the
+    statement's name (None for unnamed statements)."""
+    found = {}
+    for stmt in _parse(path).body:
+        found.setdefault(getattr(stmt, "name", None), set()).update(
+            node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute))
+    return found
+
+
+def test_every_public_member_of_an_exported_class_is_used_outside_the_tests():
+    loads = {(os.path.realpath(path), owner): attrs
+             for pattern in (("src", "qlab", "*.py"), ("demos", "*.py"))
+             for path in glob.glob(os.path.join(REPO_ROOT, *pattern))
+             for owner, attrs in _attribute_loads(path).items()}
+    test_only = []
+    for name in qlab.__all__:
+        cls = getattr(qlab, name)
+        if not inspect.isclass(cls):
+            continue
+        home = (os.path.realpath(inspect.getsourcefile(cls)), cls.__name__)
+        used = set().union(*(attrs for key, attrs in loads.items() if key != home))
+        test_only += [f"{name}.{attr}" for attr, member in vars(cls).items()
+                      if not attr.startswith("_") and attr not in used
+                      and (inspect.isfunction(member) or isinstance(
+                          member, (property, classmethod, staticmethod)))]
+    assert not test_only, f"public members used only by tests: {sorted(test_only)}"
 
 
 def test_allowlist_names_real_exports():

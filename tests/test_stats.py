@@ -73,17 +73,6 @@ def test_ks_power_against_wrong_variance():
     assert p < 1e-6
 
 
-def test_ecdf_shape():
-    s = EmpiricalSample(np.array([1.0, 1.0, 2.0, 3.0]))
-    assert s.ecdf(0.5) == 0.0
-    assert s.ecdf(1.0) == 0.5          # right continuity: jump included at t
-    assert s.ecdf(2.5) == 0.75
-    assert s.ecdf(10.0) == 1.0
-    grid = np.linspace(0, 4, 100)
-    vals = s.ecdf(grid)
-    assert np.all(np.diff(vals) >= 0)
-
-
 def _at_distance(m: int, d: float):
     """A sample of size m and a reference CDF at KS distance exactly d.
 
@@ -128,8 +117,6 @@ def test_cdfs_idempotent_under_reevaluation():
     ref_n, ref_b = normal_reference(2.0), brownian_sup_reference(1.5)
     assert np.array_equal(ref_n(z), ref_n(z))
     assert np.array_equal(ref_b(z), ref_b(z))
-    s = EmpiricalSample(z)
-    assert np.array_equal(s.ecdf(z), s.ecdf(z))
 
 
 def test_small_samples_rejected():
