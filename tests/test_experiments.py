@@ -19,7 +19,7 @@ from qlab import experiments
 from qlab.cli import RunConfig, run
 from qlab.experiments import ExperimentReport
 
-from conftest import MODELS_DIR
+from conftest import MODELS_DIR, centered_chain
 
 ENDPOINT = PathFunctional("endpoint")
 
@@ -354,6 +354,96 @@ def test_doob_rejects_linear_models(rho_model):
         doob_bound_check(rho_model, fx, 16, 100, RandomStream(65, [4]))
 
 
+def _doob_rhs_oracle(chain, x: int, N: int) -> tuple[float, float, int]:
+    """(rhs, rhs_strict, terms) of the Doob right side, one term at a time.
+
+    Each term builds its whole (prev, cur) square, averages it over the
+    step out of each prev and pushes that average through P^m with
+    ``matrix_power``.  The iterates P^i g are stepped v <- P v, so the stop
+    test sees the same floats as any other v <- P v loop.
+    """
+    P, g = chain.transition, chain.observable
+    rows = np.array([np.linalg.matrix_power(P, m)[x] for m in range(N)])   # e_x P^m
+    total = np.zeros(g.size)
+    terms = 0
+    v = g
+    for _ in range(20_000):
+        v_next = P @ v
+        pair_sq = (v[None, :] - v_next[:, None]) ** 2                    # [prev, cur]
+        if pair_sq.max() < 1e-26:
+            break
+        u = (P * pair_sq).sum(axis=1)
+        prefix = np.concatenate([[0.0], np.cumsum(rows[:-1] @ u)])
+        cesaro = (pair_sq[:, x][:, None] + prefix[None, :]) / np.arange(1, N + 1)
+        total += np.sqrt(cesaro.max(axis=1))
+        terms += 1
+        v = v_next
+    admissible = P[:, x] > 0
+    return (math.sqrt(N) * total[admissible].max(),
+            math.sqrt(N) * total[admissible].min(), terms)
+
+
+def _lazy_cycle(S: int) -> MarkovFunctionalModel:
+    P = 0.5 * np.eye(S) + 0.25 * (np.roll(np.eye(S), 1, axis=1) + np.roll(np.eye(S), -1, axis=1))
+    return MarkovFunctionalModel(P, np.cos(2 * np.pi * np.arange(S) / S))
+
+
+def _sparse_six_state() -> MarkovFunctionalModel:
+    rng = np.random.default_rng(7008)
+    P = rng.random((6, 6))
+    P[P < 0.5] = 0.0
+    P += 0.2 * np.roll(np.eye(6), 1, axis=1) + 0.1 * np.eye(6)   # irreducible, aperiodic
+    assert (P == 0).any()
+    return centered_chain(P / P.sum(axis=1, keepdims=True), rng.normal(size=6))
+
+
+def _flip(p: float) -> MarkovFunctionalModel:
+    return MarkovFunctionalModel(np.array([[1 - p, p], [p, 1 - p]]), np.array([1.0, -1.0]))
+
+
+def _assert_doob_rhs(chain, x: int, N: int) -> int:
+    rhs, rhs_strict, terms = _doob_rhs_oracle(chain, x, N)
+    rep = doob_bound_check(chain, PastFixture(state=x), N, 2, RandomStream(68, [x]))
+    assert rep.terms == terms
+    assert rep.rhs == pytest.approx(rhs, rel=1e-12, abs=0)
+    assert rep.rhs_strict == pytest.approx(rhs_strict, rel=1e-12, abs=0)
+    return terms
+
+
+@pytest.mark.parametrize("N", [1, 2, 64])
+@pytest.mark.parametrize("name", ["two", "three", "six-sparse", "cycle16", "flip005"])
+def test_doob_rhs_against_per_term_oracle(name, N, two_state_chain, three_state_chain):
+    chain = {"two": two_state_chain, "three": three_state_chain,
+             "six-sparse": _sparse_six_state(), "cycle16": _lazy_cycle(16),
+             "flip005": _flip(0.05)}[name]
+    terms = [_assert_doob_rhs(chain, x, N) for x in range(chain.n_states)]
+    if name == "cycle16" and N == 64:    # 64 terms per chunk: the sum spans several
+        assert min(terms) > 4 * 64
+
+
+def test_doob_rhs_stop_on_a_chunk_edge(two_state_chain):
+    # at S = 2, N = 1900 a chunk holds 2^16 // 3800 = 17 terms, and this
+    # chain stops after exactly two chunks
+    assert _assert_doob_rhs(two_state_chain, 0, 1900) == 34
+
+
+def test_doob_rhs_stop_at_the_threshold():
+    # the only pair gap squares to exactly 1e-26, which is not below the
+    # threshold, so the term counts; the next term is zero and stops the sum
+    chain = MarkovFunctionalModel(np.full((2, 2), 0.5), np.array([1e-13, -1e-13]))
+    assert _assert_doob_rhs(chain, 0, 2) == 1
+
+
+def test_doob_rhs_zero_observable(zero_chain):
+    rep = doob_bound_check(zero_chain, PastFixture(state=1), 2, 2, RandomStream(68, [0]))
+    assert (rep.terms, rep.rhs, rep.rhs_strict) == (0, 0.0, 0.0)
+
+
+def test_doob_rhs_term_cap():
+    # flip 1e-4 contracts by 0.9998 a step, so neither side stops before the cap
+    assert _assert_doob_rhs(_flip(1e-4), 0, 2) == 20_000
+
+
 # --- decomposition identity ------------------------------------------------------------
 
 def test_identity_model_decomposition_exact(identity_model):
@@ -397,12 +487,13 @@ def test_internal_consistency_of_centered_statistics(two_state_chain):
 
 @pytest.fixture
 def pools(monkeypatch):
-    """Every pool started, each an in-process stand-in counting its maps."""
+    """Every pool started, each an in-process stand-in recording its size
+    and the group count of each map."""
     started = []
 
     class CountingPool:
         def __init__(self, max_workers):
-            self.maps = 0
+            self.maps, self.max_workers, self.groups = 0, max_workers, []
             started.append(self)
 
         def __enter__(self):
@@ -413,6 +504,7 @@ def pools(monkeypatch):
 
         def map(self, fn, groups):
             self.maps += 1
+            self.groups.append(len(groups))
             return map(fn, groups)
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
@@ -440,6 +532,16 @@ def test_one_pool_serves_every_experiment_of_a_block(two_state_chain, pools):
         pooled = _three_experiments(two_state_chain)
     assert len(pools) == 1 and pools[0].maps == 3
     assert inner == serial and pooled == serial
+
+
+def test_pool_is_capped_at_the_cpu_count(two_state_chain, pools):
+    serial = _three_experiments(two_state_chain)
+    with worker_pool(10**6):
+        pooled = _three_experiments(two_state_chain)
+    assert pooled == serial
+    assert all(pool.max_workers <= os.cpu_count() for pool in pools)
+    assert all(max(pool.groups) <= os.cpu_count() for pool in pools)
+    assert len(pools) == (1 if os.cpu_count() > 1 else 0)
 
 
 def test_cli_run_starts_one_pool_for_all_fixtures(tmp_path, pools):
