@@ -28,9 +28,8 @@ from .projections import (HannanDivergesError, MartingaleApprox,
                           evaluate_martingale, hannan_sum,
                           martingale_increment, mw_criterion,
                           projection_norms, sigma_squared)
-from .stats import (EmpiricalSample, brownian_inf_cdf, brownian_sup_abs_cdf,
-                    brownian_sup_cdf, brownian_sup_reference, ks_one_sample,
-                    normal_cdf, normal_reference)
+from .stats import (brownian_inf_cdf, brownian_sup_abs_cdf, brownian_sup_cdf,
+                    ks_one_sample, normal_cdf, normal_reference)
 from .streams import InnovationDistribution, RandomStream, sample
 
 __all__ = [name for name in dir() if not name.startswith("_")]

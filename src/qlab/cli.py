@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -89,15 +89,16 @@ class RunConfig:
             raise CLIError("invalid config: r must be a nonnegative integer or 'inf'")
         if not self.Ns or any(type(v) is not int or v < 1 for v in self.Ns):
             raise CLIError("invalid config: Ns must be positive integers")
+        if self.experiment == "quenched-clt" and self.functional != "endpoint":
+            raise CLIError("invalid config: quenched-clt tests the endpoint only; "
+                           f"use quenched-wip for functional {self.functional!r}")
 
     def describe(self) -> dict:
-        return {
-            "experiment": self.experiment, "model": os.path.basename(self.model_path),
-            "seed": self.seed, "n": self.n, "reps": self.reps,
-            "fixtures": self.fixtures, "functional": self.functional,
-            "Ns": list(self.Ns), "r": (self.r if self.r != math.inf else "inf"),
-            "K": self.K, "alpha": self.alpha, "d_threshold": self.d_threshold,
-        }
+        """The fields that decide the results, by name; the model by file name."""
+        described = {f.name: getattr(self, f.name) for f in fields(self)
+                     if f.name not in ("model_path", "workers", "out", "name")}
+        return {**described, "model": os.path.basename(self.model_path),
+                "r": self.r if self.r != math.inf else "inf"}
 
 
 def load_model(path: str):
@@ -168,9 +169,7 @@ def _sampled_fixtures(model, base, count):
 
 
 def _run_wip(config: RunConfig, model, base):
-    experiment = config.experiment
-    functional = PathFunctional(config.functional if experiment == "quenched-wip"
-                                else "endpoint")
+    functional = PathFunctional(config.functional)
     fixtures = _sampled_fixtures(model, base, config.fixtures)
     reports, first_sample = [], None
     for i, fixture in enumerate(fixtures):
@@ -180,8 +179,8 @@ def _run_wip(config: RunConfig, model, base):
                                          alpha=config.alpha,
                                          d_threshold=config.d_threshold,
                                          sample_sink=sink)
-        report.experiment = experiment
-        reports.append(report.to_dict())
+        report.experiment = config.experiment
+        reports.append(asdict(report))
         if sink is not None:
             first_sample = sink
     verdicts = [r["verdict"] for r in reports]
@@ -211,15 +210,11 @@ def _run_drift(config: RunConfig, model, base):
 
 
 def _run_doob(config: RunConfig, model, base):
-    _require_markov(model, "doob")
     fixtures = _sampled_fixtures(model, base, config.fixtures)
-    reports = []
-    for i, fixture in enumerate(fixtures):
-        rep = doob_bound_check(model, fixture, config.n, config.reps, base.child(1, i))
-        reports.append({"fixture": fixture.describe(), "lhs": rep.lhs,
-                        "rhs": rep.rhs, "rhs_strict": rep.rhs_strict,
-                        "relative_se": rep.relative_se, "holds": rep.holds,
-                        "strict_holds": rep.strict_holds, "terms": rep.terms})
+    reports = [{"fixture": fixture.describe(),
+                **asdict(doob_bound_check(model, fixture, config.n, config.reps,
+                                          base.child(1, i)))}
+               for i, fixture in enumerate(fixtures)]
     return {"reports": reports}, all(r["holds"] for r in reports), None
 
 
@@ -277,8 +272,7 @@ def _run_markov_check(config: RunConfig, model, base):
     ces = cesaro_average(model, model.observable, 1000)
     ces_err = float(np.max(np.abs(ces - float(pi @ model.observable))))
     payload = {
-        "dunford_schwartz": {"ok": ds.ok, "checked": ds.checked,
-                             "violations": ds.violations},
+        "dunford_schwartz": asdict(ds),
         "duality_max_error": dual_err,
         "markov_property_max_discrepancy": markov.max_discrepancy,
         "cesaro_error_at_1000": ces_err,
@@ -293,12 +287,9 @@ def _run_hopf(config: RunConfig, model, base):
     rng = base.child(0)
     functions = [np.abs(model.observable)] + [rng.normal(model.n_states)
                                               for _ in range(20)]
-    reports = []
-    for idx, h in enumerate(functions):
-        rep = hopf_check(model, maximal_function(model, h, N))
-        reports.append({"function": idx, "ok": rep.ok, "l1_norm": rep.l1_norm,
-                        "worst_level": rep.worst_level,
-                        "worst_product": rep.worst_product})
+    reports = [{"function": idx,
+                **asdict(hopf_check(model, maximal_function(model, h, N)))}
+               for idx, h in enumerate(functions)]
     return {"reports": reports, "truncation": N}, all(r["ok"] for r in reports), None
 
 

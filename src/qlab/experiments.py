@@ -29,8 +29,8 @@ from .models import (LinearModel, MarkovFunctionalModel, Model, PastFixture,
 from .paths import PathFunctional
 from .projections import (evaluate_martingale, martingale_increment,
                           sigma_squared)
-from .stats import (EmpiricalSample, brownian_inf_cdf, brownian_sup_abs_cdf,
-                    brownian_sup_reference, ks_one_sample, normal_reference)
+from .stats import (brownian_inf_cdf, brownian_sup_abs_cdf, brownian_sup_cdf,
+                    ks_one_sample, normal_reference)
 from .streams import RandomStream
 
 BLOCK_REPS = 256          # replication block size; fixed, never tuned per run
@@ -68,9 +68,6 @@ class ExperimentReport:
             raise ValueError("standard error must be nonnegative")
         if self.p_value is not None and not (0.0 <= self.p_value <= 1.0):
             raise ValueError("p-value must lie in [0, 1]")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _seed_path(stream: RandomStream) -> list:
@@ -198,7 +195,7 @@ def _limit_law(kind: str, sigma2: float, n: int):
     if kind == "time-integral":
         return "trapezoid-normal", normal_reference(sigma2 * (4 * n * n - 1) / (12 * n * n))
     if kind == "supremum":
-        return "brownian-sup", brownian_sup_reference(sigma)
+        return "brownian-sup", partial(brownian_sup_cdf, sigma=sigma)
     if kind == "infimum":
         return "brownian-inf", partial(brownian_inf_cdf, sigma=sigma)
     return "brownian-sup-abs", partial(brownian_sup_abs_cdf, sigma=sigma)
@@ -238,7 +235,7 @@ def quenched_wip_experiment(model: Model, fixture: PastFixture,
                                 details={"sigma2": sigma2,
                                          "max_abs_value": float(np.max(np.abs(values)))})
     ref_kind, ref = _limit_law(functional.kind, sigma2, n)
-    d, p = ks_one_sample(EmpiricalSample(values), ref)
+    d, p = ks_one_sample(values, ref)
     if sample_sink is not None:
         sample_sink["values"] = values
         sample_sink["ref_cdf"] = ref
@@ -277,12 +274,8 @@ class StrestReport:
         return "pass" if (decreasing and halved) else "fail"
 
     def to_dict(self) -> dict:
-        return {"experiment": "strest", "Ns": list(self.Ns),
-                "estimates": self.estimates, "std_errors": self.std_errors,
-                "r": (self.r if self.r != math.inf else "inf"),
-                "reps": self.reps, "model_digest": self.model_digest,
-                "fixture_digest": self.fixture_digest,
-                "seed_path": list(self.seed_path), "verdict": self.verdict}
+        return {**asdict(self), "experiment": "strest", "verdict": self.verdict,
+                "r": self.r if self.r != math.inf else "inf"}
 
 
 def _strest_of(model, fixture, approx, Ns, max_n, grid, real) -> np.ndarray:

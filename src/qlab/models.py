@@ -140,6 +140,8 @@ class MarkovFunctionalModel:
             raise ValueError(f"state space larger than {MAX_STATES}")
         if g.shape != (n,):
             raise ValueError("observable must have one value per state")
+        if not (np.all(np.isfinite(P)) and np.all(np.isfinite(g))):
+            raise ValueError("transition and observable must be finite")
         if np.any(P < 0):
             raise ValueError("transition entries must be nonnegative")
         rows = P.sum(axis=1)

@@ -42,9 +42,7 @@ TAIL_FRACTION = 1e-6
 class HannanDivergesError(ValueError):
     """Raised when an infinite-order quantity is requested without summability."""
 
-    def __init__(self, verdict: str, report):
-        self.verdict = verdict
-        self.report = report
+    def __init__(self, verdict: str):
         super().__init__(
             f"projection norms are not summable (verdict: {verdict}); "
             "the r = infinity martingale approximation is undefined")
@@ -201,7 +199,6 @@ class MartingaleApprox:
     (the solution of the Poisson equation at r = infinity).
     """
 
-    r: float
     kind: str
     c: Optional[float] = None
     g_hat: Optional[np.ndarray] = None
@@ -221,9 +218,9 @@ def martingale_increment(model: Model, r: float = math.inf) -> MartingaleApprox:
             # model needs no gate: construction refuses non-primitive chains
             report = hannan_sum(projection_norms(model, model.horizon + 8))
             if report.verdict != SUMMABLE:
-                raise HannanDivergesError(report.verdict, report)
+                raise HannanDivergesError(report.verdict)
         upto = model.horizon if r == math.inf else min(int(r), model.horizon)
-        return MartingaleApprox(r=r, kind="linear",
+        return MartingaleApprox(kind="linear",
                                 c=float(np.sum(model.coeffs[: upto + 1])))
     P, g = model.transition, model.observable
     if r == math.inf:
@@ -232,7 +229,7 @@ def martingale_increment(model: Model, r: float = math.inf) -> MartingaleApprox:
         g_hat = g.copy()
         for v in islice(_powers(P, g), 1, r + 1):
             g_hat += v
-    return MartingaleApprox(r=r, kind="markov", g_hat=g_hat, p_g_hat=P @ g_hat)
+    return MartingaleApprox(kind="markov", g_hat=g_hat, p_g_hat=P @ g_hat)
 
 
 def evaluate_martingale(model: Model, approx: MartingaleApprox,

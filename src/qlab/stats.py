@@ -1,4 +1,4 @@
-"""Empirical CDFs, Kolmogorov-Smirnov tests and reference laws.
+"""One-sample Kolmogorov-Smirnov tests and reference laws.
 
 p-values use the asymptotic Kolmogorov distribution
 (``scipy.special.kolmogorov``).  That is accurate for the sample sizes the
@@ -7,7 +7,6 @@ experiments use (M >= 1000) and a documented bias source below M = 100.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -59,23 +58,6 @@ def brownian_sup_abs_cdf(a, sigma: float):
     return out if out.shape else float(out)
 
 
-@dataclass(frozen=True, eq=False)
-class EmpiricalSample:
-    """A sorted sample with its empirical CDF."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.sort(np.asarray(self.values, dtype=float))
-        if v.size < 1:
-            raise ValueError("sample must be nonempty")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def size(self) -> int:
-        return self.values.size
-
-
 def normal_reference(variance: float) -> Callable:
     if variance <= 0:
         raise ValueError("variance must be positive")
@@ -83,16 +65,13 @@ def normal_reference(variance: float) -> Callable:
     return lambda t: normal_cdf(np.asarray(t) / sd)
 
 
-def brownian_sup_reference(sigma: float) -> Callable:
-    return lambda t: brownian_sup_cdf(t, sigma)
-
-
-def ks_one_sample(sample: EmpiricalSample, ref: Callable) -> tuple[float, float]:
-    """KS distance to a reference CDF with its asymptotic p-value."""
-    if sample.size < 10:
+def ks_one_sample(values, ref: Callable) -> tuple[float, float]:
+    """KS distance of a sample to a reference CDF with its asymptotic p-value."""
+    x = np.sort(np.asarray(values, dtype=float))
+    m = x.size
+    if m < 10:
         raise ValueError("one-sample KS requires M >= 10")
-    m = sample.size
-    f = np.asarray(ref(sample.values), dtype=float)
+    f = np.asarray(ref(x), dtype=float)
     upper = np.arange(1, m + 1) / m - f
     lower = f - np.arange(0, m) / m
     d = float(max(upper.max(), lower.max()))

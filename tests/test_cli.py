@@ -202,12 +202,19 @@ _RUN = {"experiment": "sigma2", "model": _model("linear_identity.json")}
     ["sigma2", "--model", b'"markov"'],
     ["sigma2", "--model", b'{"type": "linear", "coeffs": [1.0], "name": "caf\xe9"}'],
     ["run-all", "--suite", b'{"seed": 1, "runs": [], "name": "caf\xe9"}'],
+    ["sigma2", "--model", b'{"type": "markov", "P": [[0.7, 0.3], [0.3, 0.7]], '
+                          b'"g": [NaN, -1.0]}'],
+    ["sigma2", "--model", b'{"type": "markov", "P": [[NaN, 0.3], [0.3, 0.7]], '
+                          b'"g": [1.0, -1.0]}'],
+    ["quenched-clt", "--model", "linear_rho05.json", "--functional", "supremum",
+     "--n", "16", "--reps", "20", "--fixtures", "1"],
 ], ids=["unknown-suite-key", "bad-Ns", "negative-K", "negative-r", "tiny-reps",
         "alpha-above-one", "n-not-int", "alpha-not-float", "unknown-functional",
         "unknown-flag", "negative-d-threshold", "suite-seed-string",
         "suite-n-string", "suite-Ns-scalar", "suite-r-fraction", "suite-top-level-list",
         "suite-run-not-object", "model-json-list", "model-json-string",
-        "model-not-utf8", "suite-not-utf8"])
+        "model-not-utf8", "suite-not-utf8", "model-g-nan", "model-P-nan",
+        "clt-non-endpoint-functional"])
 def test_invalid_input_exits_three_with_one_line(args, tmp_path):
     def resolve(arg):
         if isinstance(arg, bytes):
@@ -229,3 +236,42 @@ def test_invalid_input_exits_three_with_one_line(args, tmp_path):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("qlab: "), proc.stderr
+
+
+_TOP = {"config", "config_digest", "model_digest", "reports", "seed", "seed_path",
+        "verdict"}
+_CONFIG = {"K", "Ns", "alpha", "d_threshold", "experiment", "fixtures", "functional",
+           "model", "n", "r", "reps", "seed"}
+
+
+@pytest.mark.parametrize("args, top, first", [
+    (["doob", "--model", "markov_2state.json", "--n", "8", "--reps", "8",
+      "--fixtures", "1"], _TOP,
+     {"fixture", "holds", "lhs", "relative_se", "rhs", "rhs_strict", "strict_holds",
+      "terms"}),
+    (["hopf", "--model", "markov_2state.json"], _TOP | {"truncation"},
+     {"function", "l1_norm", "ok", "worst_level", "worst_product"}),
+    (["markov-check", "--model", "markov_2state.json"], _TOP,
+     {"cesaro_error_at_1000", "duality_max_error", "dunford_schwartz",
+      "markov_property_max_discrepancy"}),
+    (["strest", "--model", "linear_identity.json", "--reps", "8", "--fixtures", "1",
+      "--Ns", "4,8"], _TOP,
+     {"Ns", "estimates", "experiment", "fixture_digest", "model_digest", "r", "reps",
+      "seed_path", "std_errors", "verdict"}),
+    (["quenched-clt", "--model", "linear_rho05.json", "--n", "16", "--reps", "20",
+      "--fixtures", "1"], _TOP | {"pass_fraction", "required_fraction"},
+     {"details", "estimate", "experiment", "fixture_digest", "model_digest", "n",
+      "p_value", "reps", "seed_path", "statistic", "std_error", "test_statistic",
+      "verdict"}),
+], ids=["doob", "hopf", "markov-check", "strest", "quenched-clt"])
+def test_report_schema(args, top, first, tmp_path):
+    out = tmp_path / "o"
+    args = [_model(a) if a.endswith(".json") else a for a in args]
+    assert main([*args, "--seed", "1", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert set(report) == top
+    assert set(report["config"]) == _CONFIG
+    assert set(report["reports"][0]) == first
+    if "dunford_schwartz" in first:
+        assert set(report["reports"][0]["dunford_schwartz"]) == {"checked", "ok",
+                                                                 "violations"}

@@ -7,10 +7,9 @@ import pytest
 from scipy.special import ndtr, ndtri
 from scipy.stats import ks_2samp
 
-from qlab import (EmpiricalSample, MarkovFunctionalModel, PastFixture,
-                  PathFunctional, RandomStream, brownian_inf_cdf,
-                  brownian_sup_abs_cdf, brownian_sup_cdf, brownian_sup_reference,
-                  decomposition_identity_check, doob_bound_check,
+from qlab import (MarkovFunctionalModel, PastFixture, PathFunctional,
+                  RandomStream, brownian_inf_cdf, brownian_sup_abs_cdf,
+                  brownian_sup_cdf, decomposition_identity_check, doob_bound_check,
                   e0_increment_series, ks_one_sample, normal_cdf,
                   normal_reference, quenched_wip_experiment, sample_fixture,
                   sample_path_functional, sample_quenched_paths, sigma_squared,
@@ -57,8 +56,7 @@ def test_endpoint_wip_reproduces_clt(rho_model):
     fx = sample_fixture(rho_model, RandomStream(61, [1]))
     values = sample_path_functional(rho_model, fx, ENDPOINT, 128, 500,
                                     RandomStream(61, [2]))
-    d, p = ks_one_sample(EmpiricalSample(values),
-                         normal_reference(sigma_squared(rho_model)))
+    d, p = ks_one_sample(values, normal_reference(sigma_squared(rho_model)))
     wip = quenched_wip_experiment(rho_model, fx, ENDPOINT, 128, 500,
                                   RandomStream(61, [2]))
     assert wip.test_statistic == d
@@ -95,7 +93,7 @@ def test_time_integral_against_brownian_mc(rho_model):
     sim = _polygonal_brownian(_trapezoid, math.sqrt(sigma_squared(rho_model)), 512,
                               100_000, RandomStream(61, [7, 1]))
     assert ks_2samp(sink["values"], sim).pvalue > 0.01
-    assert ks_one_sample(EmpiricalSample(sim), sink["ref_cdf"])[1] > 0.01
+    assert ks_one_sample(sim, sink["ref_cdf"])[1] > 0.01
 
 
 def test_workers_do_not_change_values(rho_model):
@@ -133,7 +131,7 @@ def test_brownian_endpoint_variance():
     vals = _polygonal_brownian(lambda g: g[:, -1], 1.5, 256, 10_000,
                                RandomStream(62, [0]))
     assert abs(vals.var() - 1.5**2) < 0.05 * 1.5**2
-    assert ks_one_sample(EmpiricalSample(vals), normal_reference(1.5**2))[1] > 0.01
+    assert ks_one_sample(vals, normal_reference(1.5**2))[1] > 0.01
 
 
 def test_brownian_grid_floor_enforced(identity_model):
@@ -216,7 +214,7 @@ def test_sup_abs_cdf_against_dual_series_and_simulation():
     # KS distance, which carries the 0.58 sigma / sqrt(n) grid bias
     sim = _polygonal_brownian(lambda g: np.abs(g).max(axis=1), 1.0, 4096, 10_000,
                               RandomStream(2024, [2]))
-    d, _ = ks_one_sample(EmpiricalSample(sim), partial(brownian_sup_abs_cdf, sigma=1.0))
+    d, _ = ks_one_sample(sim, partial(brownian_sup_abs_cdf, sigma=1.0))
     assert d <= 0.03
 
 
@@ -246,8 +244,7 @@ def test_reflection_cdf_against_simulation():
     # the polygonal supremum is biased low by about 0.58 sigma / sqrt(grid)
     bias = float(np.mean(exact) - np.mean(sim))
     assert 0.0 < bias < 2.5 * 0.5826 / math.sqrt(4096)
-    d_small, p_small = ks_one_sample(EmpiricalSample(sim[:10_000]),
-                                     brownian_sup_reference(1.0))
+    d_small, p_small = ks_one_sample(sim[:10_000], partial(brownian_sup_cdf, sigma=1.0))
     assert p_small > 0.01
 
 

@@ -154,7 +154,8 @@ def test_increment_refuses_divergent_norms():
                        tail_bound=0.1)
     with pytest.raises(HannanDivergesError) as err:
         martingale_increment(slow, math.inf)
-    assert err.value.verdict in ("diverging", "inconclusive")
+    assert ("verdict: diverging" in str(err.value)
+            or "verdict: inconclusive" in str(err.value))
     # finite orders stay available
     assert martingale_increment(slow, 1).c == pytest.approx(1.5)
 

@@ -1,12 +1,12 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from qlab import (EmpiricalSample, RandomStream, brownian_inf_cdf,
-                  brownian_sup_cdf, brownian_sup_reference, ks_one_sample,
-                  normal_cdf, normal_reference)
+from qlab import (RandomStream, brownian_inf_cdf, brownian_sup_cdf,
+                  ks_one_sample, normal_cdf, normal_reference)
 
 
 def _erf_series(x: float) -> float:
@@ -50,7 +50,7 @@ def test_ks_quantile_construction():
     ref = normal_reference(1.0)
     # sample placed at the exact (i - 1/2)/m quantiles of the reference
     values = ndtri((np.arange(1, m + 1) - 0.5) / m)
-    d, _ = ks_one_sample(EmpiricalSample(values), ref)
+    d, _ = ks_one_sample(values, ref)
     assert d == pytest.approx(1.0 / (2 * m), abs=1e-12)
 
 
@@ -62,14 +62,14 @@ def test_ks_null_rejection_rate():
     passes = 0
     for i in range(20):
         x = base.child(i).normal(5000)
-        d, p = ks_one_sample(EmpiricalSample(x), ref)
+        d, p = ks_one_sample(x, ref)
         passes += d < 1.63 / math.sqrt(5000)
     assert passes >= 18
 
 
 def test_ks_power_against_wrong_variance():
     x = RandomStream(42, [8]).normal(5000)      # N(0,1) sample
-    d, p = ks_one_sample(EmpiricalSample(x), normal_reference(4.0))
+    d, p = ks_one_sample(x, normal_reference(4.0))
     assert p < 1e-6
 
 
@@ -82,7 +82,7 @@ def _at_distance(m: int, d: float):
     values = (np.arange(1, m + 1) - 0.5) / m
     s = d - 0.5 / m
     assert 0.0 <= s <= 1.0 - 0.5 / m
-    return EmpiricalSample(values), lambda t: np.clip(np.asarray(t) - s, 0.0, 1.0)
+    return values, lambda t: np.clip(np.asarray(t) - s, 0.0, 1.0)
 
 
 def test_p_value_monotone_in_d():
@@ -114,13 +114,13 @@ def test_inf_cdf_mirrors_sup_cdf():
 
 def test_cdfs_idempotent_under_reevaluation():
     z = RandomStream(41, [1]).normal(50)
-    ref_n, ref_b = normal_reference(2.0), brownian_sup_reference(1.5)
+    ref_n, ref_b = normal_reference(2.0), partial(brownian_sup_cdf, sigma=1.5)
     assert np.array_equal(ref_n(z), ref_n(z))
     assert np.array_equal(ref_b(z), ref_b(z))
 
 
 def test_small_samples_rejected():
-    tiny = EmpiricalSample(np.arange(5.0))
+    tiny = np.arange(5.0)
     with pytest.raises(ValueError):
         ks_one_sample(tiny, normal_reference(1.0))
-    ks_one_sample(EmpiricalSample(np.arange(10.0)), normal_reference(1.0))
+    ks_one_sample(np.arange(10.0), normal_reference(1.0))
