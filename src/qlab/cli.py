@@ -38,9 +38,7 @@ _FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "list": (li
 
 
 class CLIError(Exception):
-    def __init__(self, message: str, code: int = 3):
-        super().__init__(message)
-        self.code = code
+    """An invalid input or a refused experiment; ``main`` exits 3."""
 
 
 @dataclass
@@ -463,7 +461,7 @@ def main(argv=None) -> int:
         return run(RunConfig(**{"model_path": "", "seed": None, **args}))
     except CLIError as exc:
         print(f"qlab: {exc}", file=sys.stderr)
-        return exc.code
+        return 3
 
 
 if __name__ == "__main__":

@@ -278,9 +278,9 @@ class StrestReport:
                 "r": self.r if self.r != math.inf else "inf"}
 
 
-def _strest_of(model, fixture, approx, Ns, max_n, grid, real) -> np.ndarray:
+def _strest_of(approx, Ns, grid, real) -> np.ndarray:
     sbar = grid[:, 1:]
-    mart = evaluate_martingale(model, approx, fixture, real, max_n)
+    mart = evaluate_martingale(approx, real)
     running = np.maximum.accumulate((sbar - mart) ** 2, axis=1)
     return running[:, [N - 1 for N in Ns]]
 
@@ -299,9 +299,8 @@ def strest_experiment(model: Model, fixture: PastFixture, r: float,
     if reps < 2:
         raise ValueError("reps must be >= 2")
     approx = martingale_increment(model, r)
-    max_n = Ns[-1]
-    mat = _replicate(model, fixture, max_n, reps, stream,
-                     partial(_strest_of, model, fixture, approx, Ns, max_n))
+    mat = _replicate(model, fixture, Ns[-1], reps, stream,
+                     partial(_strest_of, approx, Ns))
     scaled = mat / np.asarray(Ns, dtype=float)[None, :]
     return StrestReport(
         Ns=Ns,
@@ -447,7 +446,6 @@ class IdentityReport:
     residual: float
     allowance: float
     reps: int
-    n: int
 
     @property
     def verdict(self) -> str:
@@ -487,7 +485,7 @@ def decomposition_identity_check(model: Model, fixture: PastFixture, n: int,
             rhs[:, i:] += np.cumsum(inc, axis=1)[:, : n - i]
         allowance = 1e-9
     residual = float(np.max(np.abs(lhs - rhs)))
-    return IdentityReport(residual=residual, allowance=allowance, reps=reps, n=n)
+    return IdentityReport(residual=residual, allowance=allowance, reps=reps)
 
 
 # --- Monte Carlo estimator of the projection norms ------------------------

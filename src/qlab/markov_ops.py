@@ -14,9 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import MarkovFunctionalModel, _powers, _stationary_distribution
-
-_ATOL = 1e-12
+from .models import _ATOL, MarkovFunctionalModel, _powers
 
 
 def _l1_norm(model: MarkovFunctionalModel, h: np.ndarray) -> float:
@@ -72,18 +70,18 @@ class MaximalFunction:
     base: np.ndarray
 
 
-def maximal_function(model: MarkovFunctionalModel, h, N: int) -> MaximalFunction:
-    """Compute max_{1<=n<=N} (1/n) sum_{i<n} Q^i |h| by iterated application."""
+def _cesaro_means(model: MarkovFunctionalModel, h: np.ndarray, N: int) -> np.ndarray:
+    """Rows n = 1..N of (1/n) sum_{i<n} Q^i h, by iterated application."""
     if N < 1:
         raise ValueError("N must be >= 1")
+    sums = np.cumsum(list(itertools.islice(_powers(model.transition, h), N)), axis=0)
+    return sums / np.arange(1, N + 1)[:, None]
+
+
+def maximal_function(model: MarkovFunctionalModel, h, N: int) -> MaximalFunction:
+    """Compute max_{1<=n<=N} (1/n) sum_{i<n} Q^i |h|."""
     h = np.asarray(h, dtype=float)
-    powers = _powers(model.transition, np.abs(h))
-    running = next(powers).copy()
-    best = running.copy()
-    for n, power in zip(range(2, N + 1), powers):
-        running += power
-        np.maximum(best, running / n, out=best)
-    return MaximalFunction(values=best, base=h)
+    return MaximalFunction(values=_cesaro_means(model, np.abs(h), N).max(axis=0), base=h)
 
 
 @dataclass
@@ -168,22 +166,16 @@ def verify_markov_property(model: MarkovFunctionalModel, n_max: int) -> MarkovPr
                                 per_n=per_n)
 
 
-def poisson_solve(transition, g) -> np.ndarray:
+def poisson_solve(model: MarkovFunctionalModel) -> np.ndarray:
     """Solve (I - P) g_hat = g with the normalization pi(g_hat) = 0.
 
-    Requires pi(g) = 0 (solvability) and the kernel of I - P to be the
-    constants only; anything else raises.
+    Construction proved the chain primitive, so the kernel of I - P is the
+    constants, and g centered against pi, so the system is solvable; a
+    residual above 1e-10 still raises.
     """
 
-    P = np.asarray(transition, dtype=float)
-    g = np.asarray(g, dtype=float)
-    n = P.shape[0]
-    A = np.eye(n) - P
-    if np.linalg.matrix_rank(A, tol=1e-9) != n - 1:
-        raise ValueError("singular system beyond the one-dimensional kernel")
-    pi = _stationary_distribution(P)
-    if abs(float(pi @ g)) > 1e-9:
-        raise ValueError("g must be centered against pi")
+    g, pi = model.observable, model.stationary
+    A = np.eye(model.n_states) - model.transition
     stacked = np.vstack([A, pi[None, :]])
     rhs = np.concatenate([g, [0.0]])
     g_hat, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
@@ -194,9 +186,5 @@ def poisson_solve(transition, g) -> np.ndarray:
 
 
 def cesaro_average(model: MarkovFunctionalModel, h, n: int) -> np.ndarray:
-    """(1/n) sum_{i<n} Q^i h, by iterated application."""
-    h = np.asarray(h, dtype=float)
-    acc = h.copy()
-    for power in itertools.islice(_powers(model.transition, h), 1, n):
-        acc += power
-    return acc / n
+    """(1/n) sum_{i<n} Q^i h."""
+    return _cesaro_means(model, np.asarray(h, dtype=float), n)[-1]

@@ -51,8 +51,8 @@ class LinearModel:
             raise ValueError("coeffs must be a nonempty 1-d sequence")
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("coeffs must be finite")
-        if not (self.tail_bound >= 0):
-            raise ValueError("tail_bound must be nonnegative")
+        if not (0 <= self.tail_bound < np.inf):
+            raise ValueError("tail_bound must be nonnegative and finite")
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
@@ -358,9 +358,6 @@ class _StateValues:
     def __getitem__(self, key) -> np.ndarray:
         return self.observable[self.states[:, 1:][key]]
 
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        return self[:] if dtype is None else self[:].astype(dtype)
-
 
 @dataclass(frozen=True, eq=False)
 class Realization:
@@ -377,10 +374,6 @@ class Realization:
     values: np.ndarray | _StateValues
     fresh: Optional[np.ndarray] = None
     states: Optional[np.ndarray] = None
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[1]
 
 
 def _linear_observables(model: LinearModel, fixture: PastFixture,

@@ -27,8 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .markov_ops import poisson_solve
-from .models import (LinearModel, Model, PastFixture, Realization,
-                     _check_fixture, _powers)
+from .models import LinearModel, Model, Realization, _powers
 
 SUMMABLE = "summable"
 DIVERGING = "diverging"
@@ -224,7 +223,7 @@ def martingale_increment(model: Model, r: float = math.inf) -> MartingaleApprox:
                                 c=float(np.sum(model.coeffs[: upto + 1])))
     P, g = model.transition, model.observable
     if r == math.inf:
-        g_hat = poisson_solve(P, g)
+        g_hat = poisson_solve(model)
     else:
         g_hat = g.copy()
         for v in islice(_powers(P, g), 1, r + 1):
@@ -232,9 +231,7 @@ def martingale_increment(model: Model, r: float = math.inf) -> MartingaleApprox:
     return MartingaleApprox(kind="markov", g_hat=g_hat, p_g_hat=P @ g_hat)
 
 
-def evaluate_martingale(model: Model, approx: MartingaleApprox,
-                        fixture: PastFixture, realization: Realization,
-                        n: int) -> np.ndarray:
+def evaluate_martingale(approx: MartingaleApprox, realization: Realization) -> np.ndarray:
     """Partial sums M_1..M_n of the approximating martingale, per path.
 
     The realization must be the one behind the conditional paths being
@@ -242,18 +239,14 @@ def evaluate_martingale(model: Model, approx: MartingaleApprox,
     quantity and not a fresh simulation.
     """
 
-    _check_fixture(model, fixture)
-    if n < 0 or n > realization.n:
-        raise ValueError(f"need 0 <= n <= path length {realization.n}, got {n}")
-    if isinstance(model, LinearModel):
-        if approx.kind != "linear" or realization.fresh is None:
-            raise ValueError("model, approximation and realization kinds differ")
-        return approx.c * np.cumsum(realization.fresh[:, :n], axis=1)
-    if approx.kind != "markov" or realization.states is None:
-        raise ValueError("model, approximation and realization kinds differ")
+    if approx.kind == "linear":
+        if realization.fresh is None:
+            raise ValueError("approximation and realization kinds differ")
+        return approx.c * np.cumsum(realization.fresh, axis=1)
     states = realization.states
-    increments = approx.g_hat[states[:, 1 : n + 1]] - approx.p_g_hat[states[:, :n]]
-    return np.cumsum(increments, axis=1)
+    if states is None:
+        raise ValueError("approximation and realization kinds differ")
+    return np.cumsum(approx.g_hat[states[:, 1:]] - approx.p_g_hat[states[:, :-1]], axis=1)
 
 
 def _pair_variance(P: np.ndarray, pi: np.ndarray, u: np.ndarray) -> float:

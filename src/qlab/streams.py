@@ -100,8 +100,6 @@ def sample(stream: RandomStream, dist: InnovationDistribution, count: int) -> np
     """Draw ``count`` iid innovations from ``dist``, advancing ``stream``."""
     if count < 0:
         raise ValueError("count must be >= 0")
-    if count == 0:
-        return np.empty(0)
     if dist.kind == "gaussian":
         return dist.sigma * stream.normal(count)
     if dist.kind == "rademacher":

@@ -50,7 +50,7 @@ def test_criterion_01_exact_martingale_identity(identity_model):
                                          10_000, 100)
             sbar = np.cumsum(real.values, axis=1) - np.cumsum(
                 e0_increment_series(identity_model, fx, 10_000))[None, :]
-            mart = evaluate_martingale(identity_model, approx, fx, real, 10_000)
+            mart = evaluate_martingale(approx, real)
             worst = max(worst, float(np.max(np.abs(sbar - mart))))
         assert worst <= 1e-9
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -173,6 +174,8 @@ def test_run_all_acceptance_suite_under_ten_minutes(tmp_path):
 
 
 _RUN = {"experiment": "sigma2", "model": _model("linear_identity.json")}
+with open(_model("linear_rho05.json")) as _fh:
+    _RHO05 = json.load(_fh)
 
 
 # bytes are written to a file as they are, any other non-string argument
@@ -208,13 +211,14 @@ _RUN = {"experiment": "sigma2", "model": _model("linear_identity.json")}
                           b'"g": [1.0, -1.0]}'],
     ["quenched-clt", "--model", "linear_rho05.json", "--functional", "supremum",
      "--n", "16", "--reps", "20", "--fixtures", "1"],
+    ["sigma2", "--model", json.dumps({**_RHO05, "tail_bound": math.inf}).encode()],
 ], ids=["unknown-suite-key", "bad-Ns", "negative-K", "negative-r", "tiny-reps",
         "alpha-above-one", "n-not-int", "alpha-not-float", "unknown-functional",
         "unknown-flag", "negative-d-threshold", "suite-seed-string",
         "suite-n-string", "suite-Ns-scalar", "suite-r-fraction", "suite-top-level-list",
         "suite-run-not-object", "model-json-list", "model-json-string",
         "model-not-utf8", "suite-not-utf8", "model-g-nan", "model-P-nan",
-        "clt-non-endpoint-functional"])
+        "clt-non-endpoint-functional", "model-tail-inf"])
 def test_invalid_input_exits_three_with_one_line(args, tmp_path):
     def resolve(arg):
         if isinstance(arg, bytes):
@@ -263,7 +267,11 @@ _CONFIG = {"K", "Ns", "alpha", "d_threshold", "experiment", "fixtures", "functio
      {"details", "estimate", "experiment", "fixture_digest", "model_digest", "n",
       "p_value", "reps", "seed_path", "statistic", "std_error", "test_statistic",
       "verdict"}),
-], ids=["doob", "hopf", "markov-check", "strest", "quenched-clt"])
+    (["identity", "--model", "markov_2state.json", "--n", "8", "--fixtures", "1"], _TOP,
+     {"allowance", "fixture", "residual", "verdict"}),
+    (["sigma2", "--model", "linear_rho05.json"], _TOP, {"sigma2", "verdict"}),
+], ids=["doob", "hopf", "markov-check", "strest", "quenched-clt", "identity",
+        "sigma2"])
 def test_report_schema(args, top, first, tmp_path):
     out = tmp_path / "o"
     args = [_model(a) if a.endswith(".json") else a for a in args]
@@ -275,3 +283,22 @@ def test_report_schema(args, top, first, tmp_path):
     if "dunford_schwartz" in first:
         assert set(report["reports"][0]["dunford_schwartz"]) == {"checked", "ok",
                                                                  "violations"}
+
+
+def test_degenerate_quenched_run(tmp_path):
+    # f = eps_0 - eps_{-1} is a coboundary, so sigma^2 = 0 and the limit law
+    # is the point mass at 0
+    model = tmp_path / "coboundary.json"
+    model.write_text(json.dumps({"type": "linear", "coeffs": [1.0, -1.0]}))
+    out = tmp_path / "o"
+    code = main(["quenched-clt", "--model", str(model), "--n", "64", "--reps", "200",
+                 "--fixtures", "2", "--seed", "4", "--out", str(out)])
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    assert [(r["verdict"], r["p_value"]) for r in report["reports"]] == [
+        ("degenerate", None)] * 2
+    rows = [[float(v) for v in line.split(",")]
+            for line in (out / "cdf.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 200
+    assert all(ref == (1.0 if x >= 0 else 0.0) for x, _, ref in rows)
+    assert {ref for _, _, ref in rows} == {0.0, 1.0}

@@ -39,6 +39,12 @@ def test_q_preserves_constants(two_state_chain):
     assert np.allclose(cesaro_average(two_state_chain, ones, 7), ones, atol=1e-14)
 
 
+def test_cesaro_refuses_empty_average(two_state_chain):
+    for average in (cesaro_average, maximal_function):
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            average(two_state_chain, np.ones(2), 0)
+
+
 # --- contraction --------------------------------------------------------------
 
 def test_contraction_equality_for_constants(two_state_chain):
@@ -173,33 +179,22 @@ def test_markov_property_caps_path_length(two_state_chain):
 # --- Poisson equation -----------------------------------------------------------------
 
 def test_poisson_zero_rhs(two_state_chain):
-    g_hat = poisson_solve(two_state_chain.transition, np.zeros(2))
+    g_hat = poisson_solve(MarkovFunctionalModel(two_state_chain.transition, np.zeros(2)))
     assert np.allclose(g_hat, 0.0, atol=1e-12)
 
 
 def test_poisson_two_state_eigen_oracle(two_state_chain):
     g = two_state_chain.observable
-    g_hat = poisson_solve(two_state_chain.transition, g)
+    g_hat = poisson_solve(two_state_chain)
     assert np.allclose(g_hat, g / 0.6, atol=1e-12)
 
 
 def test_poisson_residual_on_random_chain():
     chain = _random_chain(8, 57)
-    g_hat = poisson_solve(chain.transition, chain.observable)
+    g_hat = poisson_solve(chain)
     residual = (np.eye(8) - chain.transition) @ g_hat - chain.observable
     assert np.max(np.abs(residual)) <= 1e-10
     assert abs(chain.stationary @ g_hat) <= 1e-10
-
-
-def test_poisson_rejects_reducible_transition():
-    P = np.eye(3)
-    with pytest.raises(ValueError):
-        poisson_solve(P, np.array([1.0, -1.0, 0.0]))
-
-
-def test_poisson_rejects_uncentered_rhs(two_state_chain):
-    with pytest.raises(ValueError):
-        poisson_solve(two_state_chain.transition, np.array([1.0, 1.0]))
 
 
 # --- duality and convergence ------------------------------------------------------------

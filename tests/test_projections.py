@@ -87,6 +87,28 @@ def test_hannan_all_zero_is_summable():
     assert rep.verdict == "summable"
 
 
+_K = np.arange(1001)
+
+
+@pytest.mark.parametrize("norms, verdict, tail_fit", [
+    (0.99 ** _K, "inconclusive", "geometric"),
+    ((_K + 1.0) ** -1.1, "inconclusive", "polynomial"),
+    ((_K + 1.0) ** -1.5, "inconclusive", "polynomial"),
+    ((_K + 1.0) ** -2.0, "inconclusive", "polynomial"),
+    ((_K + 1.0) ** -2.5, "inconclusive", "polynomial"),
+    ((_K + 1.0) ** -3.0, "summable", "polynomial"),
+    ((_K + 1.0) ** -0.5, "diverging", "polynomial"),
+    ((_K + 1.0) ** -1.0, "diverging", "polynomial"),
+    (np.array([1.0, 0.5, 0.25]), "inconclusive", "none"),
+], ids=["geometric-0.99", "p1.1", "p1.5", "p2", "p2.5", "p3", "p0.5", "p1",
+        "three-terms"])
+def test_hannan_verdicts_on_bias_free_series(norms, verdict, tail_fit):
+    rep = hannan_sum(ProjectionSeries(norms=norms, bias=np.zeros(norms.size)))
+    assert (rep.verdict, rep.tail_fit) == (verdict, tail_fit)
+    if verdict == "inconclusive":
+        assert rep.fitted_tail > 0
+
+
 def test_hannan_constant_norms_diverge():
     rep = hannan_sum(ProjectionSeries(norms=np.ones(64),
                                       bias=np.full(64, 1e-9)))
@@ -174,18 +196,25 @@ def test_evaluate_martingale_identity_model(identity_model):
     fx = PastFixture(innovations=np.array([0.3]))
     real = sample_quenched_paths(identity_model, fx, RandomStream(21, [0]), 30, 5)
     approx = martingale_increment(identity_model)
-    mart = evaluate_martingale(identity_model, approx, fx, real, 30)
+    mart = evaluate_martingale(approx, real)
     sums = np.cumsum(real.values, axis=1)
     assert np.array_equal(mart, sums)
 
 
-def test_evaluate_martingale_contracts(two_state_chain):
-    fx = PastFixture(state=0)
-    real = sample_quenched_paths(two_state_chain, fx, RandomStream(21, [1]), 10, 3)
-    approx = martingale_increment(two_state_chain)
-    assert evaluate_martingale(two_state_chain, approx, fx, real, 0).shape == (3, 0)
-    with pytest.raises(ValueError):
-        evaluate_martingale(two_state_chain, approx, fx, real, 11)
+def test_evaluate_martingale_contracts(identity_model, two_state_chain):
+    real_markov = sample_quenched_paths(two_state_chain, PastFixture(state=0),
+                                        RandomStream(21, [1]), 10, 3)
+    real_linear = sample_quenched_paths(identity_model,
+                                        PastFixture(innovations=np.array([0.3])),
+                                        RandomStream(21, [2]), 10, 3)
+    approx_markov = martingale_increment(two_state_chain)
+    approx_linear = martingale_increment(identity_model)
+    assert evaluate_martingale(approx_markov, real_markov).shape == (3, 10)
+    assert evaluate_martingale(approx_linear, real_linear).shape == (3, 10)
+    with pytest.raises(ValueError, match="kinds differ"):
+        evaluate_martingale(approx_markov, real_linear)
+    with pytest.raises(ValueError, match="kinds differ"):
+        evaluate_martingale(approx_linear, real_markov)
 
 
 # --- long-run variance ----------------------------------------------------------
@@ -268,7 +297,7 @@ def test_martingale_property_under_conditional_law(rho_model, two_state_chain):
     fx = PastFixture(state=0)
     real = sample_quenched_paths(two_state_chain, fx, RandomStream(22, [0]), 6, m)
     approx = martingale_increment(two_state_chain)
-    mart = evaluate_martingale(two_state_chain, approx, fx, real, 6)
+    mart = evaluate_martingale(approx, real)
     increments = np.diff(np.concatenate([np.zeros((m, 1)), mart], axis=1), axis=1)
     for l in range(1, 6):
         for prev in range(2):
@@ -280,7 +309,7 @@ def test_martingale_property_under_conditional_law(rho_model, two_state_chain):
     fx_lin = PastFixture(innovations=RandomStream(22, [1]).normal(41))
     real = sample_quenched_paths(rho_model, fx_lin, RandomStream(22, [2]), 4, m)
     approx = martingale_increment(rho_model)
-    mart = evaluate_martingale(rho_model, approx, fx_lin, real, 4)
+    mart = evaluate_martingale(approx, real)
     increments = np.diff(np.concatenate([np.zeros((m, 1)), mart], axis=1), axis=1)
     se = increments.std(ddof=1) / np.sqrt(increments.size)
     assert abs(increments.mean()) < 4 * se
