@@ -5,6 +5,15 @@ its own derived stream and the blocks being reduced in index order, so
 results are bit-identical no matter how many workers execute them.  The
 blocks are split into one contiguous group per worker, and a group of
 Markov blocks is stepped in one loop.
+
+The statistic is the conditionally centered sum S_k - E0(S_k).  A Markov
+block subtracts the exact drift E0(S_k) from the sums along its paths.  A
+linear block builds it from its fresh innovations alone, because the
+frozen past cancels: the endpoint as one sum per path weighted by the
+partial sums B_t of the coefficients, a path grid as the cumsum of a
+zero-state FIR.  The frozen past enters a linear experiment only through
+``sample_quenched_paths(...).values`` and the decomposition identity
+check, which compares that uncentered route against the decomposition.
 """
 
 from __future__ import annotations
@@ -21,10 +30,11 @@ from itertools import islice, pairwise
 from typing import Optional
 
 import numpy as np
+from scipy.signal import lfilter
 
 from .models import (LinearModel, MarkovFunctionalModel, Model, PastFixture,
-                     Realization, _e0_series, _markov_paths, _powers,
-                     _stationary_states, e0_increment_series, sample,
+                     Realization, _check_fixture, _e0_series, _markov_paths,
+                     _powers, _stationary_states, e0_increment_series, sample,
                      sample_quenched_paths)
 from .paths import PathFunctional
 from .projections import (evaluate_martingale, martingale_increment,
@@ -122,6 +132,30 @@ def _centered_sums(values: np.ndarray, e0cum: np.ndarray) -> np.ndarray:
     return grid
 
 
+def _linear_centered_sums(model: LinearModel, fresh: np.ndarray,
+                          endpoint: bool) -> np.ndarray:
+    """Grid of S_k - E0(S_k) from a block's fresh innovations eps_1..eps_n.
+
+    S_k - E0(S_k) = sum_{m<=k} B_{k-m} eps_m with B_t = a_0 + ... + a_min(t, J):
+    the frozen past cancels exactly.  The full (count, n + 1) grid is 0, then
+    the cumsum of the zero-state FIR.  With ``endpoint`` the grid holds only
+    times 0 and n: S_n - E0(S_n) is the product of each row with the
+    weights B_min(n-m, J), summed left to right as the grid's cumsum is,
+    so the bytes do not depend on a BLAS kernel's summation order and
+    J = 0 gives exactly the grid's last column.
+    """
+    count, n = fresh.shape
+    if endpoint:
+        B = np.cumsum(model.coeffs)
+        terms = fresh * B[np.minimum(np.arange(n - 1, -1, -1), model.horizon)]
+        grid = np.zeros((count, 2))
+        grid[:, 1] = np.cumsum(terms, axis=1, out=terms)[:, -1]
+        return grid
+    grid = np.zeros((count, n + 1))
+    np.cumsum(lfilter(model.coeffs, [1.0], fresh, axis=1), axis=1, out=grid[:, 1:])
+    return grid
+
+
 def _reduce_block(reduce, e0cum, real: Realization) -> np.ndarray:
     return reduce(_centered_sums(real.values, e0cum), real)
 
@@ -131,33 +165,51 @@ def _block_of(observable: np.ndarray, states: np.ndarray) -> Realization:
     return Realization(observable[block[:, 1:]], states=block)
 
 
-def _reduce_blocks(model: Model, fixture: PastFixture, n: int, seed: int,
-                   e0cum: np.ndarray, reduce, blocks) -> np.ndarray:
-    """Concatenate ``reduce(grid, realization)`` over the blocks, in order,
-    ``grid`` being the block's centered sums.
+def _reduce_linear_blocks(model: LinearModel, n: int, seed: int, endpoint: bool,
+                          reduce, blocks) -> np.ndarray:
+    """Concatenate ``reduce(grid, realization)`` over linear blocks, in order.
+    A block draws ``count * n`` fresh innovations as ``sample_quenched_paths``
+    does, and its grid and realization are built from them alone."""
+    reduced = []
+    for path, count in blocks:
+        fresh = sample(RandomStream(seed, path), model.innovation, count * n).reshape(count, n)
+        reduced.append(reduce(_linear_centered_sums(model, fresh, endpoint),
+                              Realization(None, fresh=fresh)))
+    return np.concatenate(reduced)
 
-    A group of Markov blocks is sampled in one call that steps all its
-    chains together, then split into one contiguous state array per block;
-    a linear model is sampled block by block.  Each block's realization is
-    a temporary argument, freed before the next block is built.
+
+def _reduce_markov_blocks(model: MarkovFunctionalModel, fixture: PastFixture,
+                          n: int, seed: int, e0cum: np.ndarray, reduce,
+                          blocks) -> np.ndarray:
+    """Concatenate ``reduce(grid, realization)`` over Markov blocks, in order,
+    ``grid`` being the cumsum of g along the block's paths minus ``e0cum``.
+
+    The group is sampled in one call that steps all its chains together,
+    then split into one contiguous state array per block.  Each block's
+    realization is a temporary argument, freed before the next block is
+    built.
     """
     streams = [RandomStream(seed, path) for path, _ in blocks]
     counts = [count for _, count in blocks]
-    if isinstance(model, LinearModel):
-        return np.concatenate([_reduce_block(reduce, e0cum, sample_quenched_paths(
-            model, fixture, stream, n, count)) for stream, count in zip(streams, counts)])
     states = sample_quenched_paths(model, fixture, streams, n, counts).states
     return np.concatenate([_reduce_block(reduce, e0cum, _block_of(model.observable, states[lo:hi]))
                            for lo, hi in pairwise(np.cumsum([0, *counts]))])
 
 
-
 def _replicate(model: Model, fixture: PastFixture, n: int, reps: int,
-               stream: RandomStream, reduce) -> np.ndarray:
+               stream: RandomStream, reduce, endpoint: bool = False) -> np.ndarray:
     """``reduce(grid, realization)`` of every replication block of
-    conditional paths, in block order, on the grid of its centered sums."""
-    e0cum = np.cumsum(e0_increment_series(model, fixture, n))
-    fn = partial(_reduce_blocks, model, fixture, n, stream.master_seed, e0cum, reduce)
+    conditional paths, in block order, on the grid of its centered sums
+    (times 0 and n only for a linear block with ``endpoint``).  Only Markov
+    paths need the drift E0(S_k); a linear fixture is validated all the same.
+    """
+    _check_fixture(model, fixture)
+    if isinstance(model, LinearModel):
+        fn = partial(_reduce_linear_blocks, model, n, stream.master_seed, endpoint, reduce)
+    else:
+        e0cum = np.cumsum(e0_increment_series(model, fixture, n))
+        fn = partial(_reduce_markov_blocks, model, fixture, n, stream.master_seed,
+                     e0cum, reduce)
     return np.concatenate(_map_ordered(fn, _block_tasks(stream.path + (0,), reps)))
 
 
@@ -171,13 +223,19 @@ def _functional_of(functional, n, grid, real) -> np.ndarray:
 def sample_path_functional(model: Model, fixture: PastFixture,
                            functional: PathFunctional, n: int, reps: int,
                            stream: RandomStream) -> np.ndarray:
-    """Replicated values of the functional of the centered path / sqrt(n)."""
+    """Replicated values of the functional of the centered path / sqrt(n).
+
+    The centered path is S_k - E0(S_k), k = 0..n.  For a linear model and
+    the endpoint functional only S_n - E0(S_n) is computed (see
+    ``_linear_centered_sums``); every other case builds the whole grid.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if reps < 1:
         raise ValueError("empty sample: reps must be >= 1")
     return _replicate(model, fixture, n, reps, stream,
-                      partial(_functional_of, functional, n))
+                      partial(_functional_of, functional, n),
+                      endpoint=functional.kind == "endpoint")
 
 
 # --- CLT / WIP experiments ----------------------------------------------

@@ -364,14 +364,16 @@ class Realization:
     """The raw randomness behind a batch of conditional paths.
 
     For a linear model ``fresh`` holds the post-past innovations
-    eps_1..eps_n per replication and ``values`` the observables
-    f . theta^k, k = 1..n.  For a Markov model ``states`` (uint8) holds
-    W_0..W_n per replication (column 0 is the frozen state) and
-    ``values[key]`` evaluates g on the entries asked for.  Keeping the raw
-    randomness lets the martingale be evaluated on the same paths.
+    eps_1..eps_n per replication and ``values`` the uncentered observables
+    f . theta^k, k = 1..n, which mix in the frozen past; the experiments'
+    blocks center from ``fresh`` alone and leave ``values`` as None.  For a
+    Markov model ``states`` (uint8) holds W_0..W_n per replication (column
+    0 is the frozen state) and ``values[key]`` evaluates g on the entries
+    asked for.  Keeping the raw randomness lets the martingale be
+    evaluated on the same paths.
     """
 
-    values: np.ndarray | _StateValues
+    values: np.ndarray | _StateValues | None
     fresh: Optional[np.ndarray] = None
     states: Optional[np.ndarray] = None
 

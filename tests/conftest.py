@@ -3,11 +3,16 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from qlab import InnovationDistribution, LinearModel, MarkovFunctionalModel
 from qlab.models import _stationary_distribution
+
+# fixed examples and no per-example deadline: property tests cannot flake
+settings.register_profile("qlab", derandomize=True, deadline=None)
+settings.load_profile("qlab")
 
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 MODELS_DIR = os.path.join(REPO_ROOT, "models")

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from qlab import (MarkovFunctionalModel, PastFixture, RandomStream,
                   cesaro_average, dual_operator, e0_increment_series,
                   hopf_check, maximal_function, poisson_solve,
-                  verify_dunford_schwartz, verify_markov_property, weak_l2_tail)
+                  sample_quenched_paths, verify_dunford_schwartz,
+                  verify_markov_property, weak_l2_tail)
 
 from conftest import centered_chain
 
@@ -174,6 +176,23 @@ def test_markov_property_total_mass():
 def test_markov_property_caps_path_length(two_state_chain):
     with pytest.raises(ValueError):
         verify_markov_property(two_state_chain, 5)
+
+
+@pytest.mark.parametrize("chain", ["two", "three"])
+def test_sampled_transition_counts_match_P(chain, two_state_chain, three_state_chain):
+    # an oracle that shares no products of P with the sampler: count the
+    # transitions of sampled conditional paths, from every frozen state,
+    # and compare each row of counts with P by one pooled chi-square test
+    model = {"two": two_state_chain, "three": three_state_chain}[chain]
+    S = model.n_states
+    counts = np.zeros((S, S))
+    for start in range(S):
+        states = sample_quenched_paths(model, PastFixture(state=start),
+                                       RandomStream(81, [start]), 200, 300).states
+        np.add.at(counts, (states[:, :-1].ravel(), states[:, 1:].ravel()), 1)
+    expected = counts.sum(axis=1, keepdims=True) * model.transition
+    statistic = float(np.sum((counts - expected) ** 2 / expected))
+    assert chi2.sf(statistic, S * (S - 1)) > 0.01
 
 
 # --- Poisson equation -----------------------------------------------------------------
