@@ -99,6 +99,16 @@ class RunConfig:
                 "r": self.r if self.r != math.inf else "inf"}
 
 
+def _numbers(value):
+    """``value`` itself, once it and every entry in it, however nested,
+    is checked: a bool or a string is refused, not read as a number."""
+    if isinstance(value, (bool, str)):
+        raise TypeError(f"expected a JSON number, got {value!r}")
+    for entry in value if isinstance(value, list) else ():
+        _numbers(entry)
+    return value
+
+
 def load_model(path: str):
     """Parse and validate a model definition file."""
     try:
@@ -115,13 +125,13 @@ def load_model(path: str):
         if kind == "linear":
             innovation = raw.get("innovation", {"kind": "gaussian", "variance": 1.0})
             return LinearModel(
-                coeffs=np.asarray(raw["coeffs"], dtype=float),
-                innovation=InnovationDistribution(innovation["kind"],
-                                                  innovation.get("variance", 1.0)),
-                tail_bound=float(raw.get("tail_bound", 0.0)))
+                coeffs=np.asarray(_numbers(raw["coeffs"]), dtype=float),
+                innovation=InnovationDistribution(
+                    innovation["kind"], _numbers(innovation.get("variance", 1.0))),
+                tail_bound=float(_numbers(raw.get("tail_bound", 0.0))))
         if kind == "markov":
-            return MarkovFunctionalModel(np.asarray(raw["P"], dtype=float),
-                                         np.asarray(raw["g"], dtype=float))
+            return MarkovFunctionalModel(np.asarray(_numbers(raw["P"]), dtype=float),
+                                         np.asarray(_numbers(raw["g"]), dtype=float))
         raise CLIError(f"model file {path!r}: unknown type {kind!r}")
     except CLIError:
         raise

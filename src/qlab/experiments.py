@@ -30,12 +30,11 @@ from itertools import islice, pairwise
 from typing import Optional
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .models import (LinearModel, MarkovFunctionalModel, Model, PastFixture,
-                     Realization, _check_fixture, _e0_series, _markov_paths,
-                     _powers, _stationary_states, e0_increment_series, sample,
-                     sample_quenched_paths)
+                     Realization, _check_fixture, _e0_series, _fir,
+                     _markov_paths, _powers, _stationary_states,
+                     e0_increment_series, sample, sample_quenched_paths)
 from .paths import PathFunctional
 from .projections import (evaluate_martingale, martingale_increment,
                           sigma_squared)
@@ -152,17 +151,8 @@ def _linear_centered_sums(model: LinearModel, fresh: np.ndarray,
         grid[:, 1] = np.cumsum(terms, axis=1, out=terms)[:, -1]
         return grid
     grid = np.zeros((count, n + 1))
-    np.cumsum(lfilter(model.coeffs, [1.0], fresh, axis=1), axis=1, out=grid[:, 1:])
+    np.cumsum(_fir(model.coeffs, fresh), axis=1, out=grid[:, 1:])
     return grid
-
-
-def _reduce_block(reduce, e0cum, real: Realization) -> np.ndarray:
-    return reduce(_centered_sums(real.values, e0cum), real)
-
-
-def _block_of(observable: np.ndarray, states: np.ndarray) -> Realization:
-    block = np.ascontiguousarray(states)
-    return Realization(observable[block[:, 1:]], states=block)
 
 
 def _reduce_linear_blocks(model: LinearModel, n: int, seed: int, endpoint: bool,
@@ -185,15 +175,18 @@ def _reduce_markov_blocks(model: MarkovFunctionalModel, fixture: PastFixture,
     ``grid`` being the cumsum of g along the block's paths minus ``e0cum``.
 
     The group is sampled in one call that steps all its chains together,
-    then split into one contiguous state array per block.  Each block's
-    realization is a temporary argument, freed before the next block is
-    built.
+    then split into one contiguous state array per block.  A block's
+    realization carries its raw states only, as a linear block's carries
+    its fresh innovations.
     """
     streams = [RandomStream(seed, path) for path, _ in blocks]
     counts = [count for _, count in blocks]
     states = sample_quenched_paths(model, fixture, streams, n, counts).states
-    return np.concatenate([_reduce_block(reduce, e0cum, _block_of(model.observable, states[lo:hi]))
-                           for lo, hi in pairwise(np.cumsum([0, *counts]))])
+    return np.concatenate([
+        reduce(_centered_sums(model.observable[block[:, 1:]], e0cum),
+               Realization(None, states=block))
+        for block in map(np.ascontiguousarray,
+                         np.split(states, np.cumsum(counts)[:-1]))])
 
 
 def _replicate(model: Model, fixture: PastFixture, n: int, reps: int,

@@ -27,7 +27,6 @@ from itertools import islice
 from typing import Optional
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .streams import InnovationDistribution, RandomStream, sample
 
@@ -365,11 +364,11 @@ class Realization:
 
     For a linear model ``fresh`` holds the post-past innovations
     eps_1..eps_n per replication and ``values`` the uncentered observables
-    f . theta^k, k = 1..n, which mix in the frozen past; the experiments'
-    blocks center from ``fresh`` alone and leave ``values`` as None.  For a
-    Markov model ``states`` (uint8) holds W_0..W_n per replication (column
-    0 is the frozen state) and ``values[key]`` evaluates g on the entries
-    asked for.  Keeping the raw randomness lets the martingale be
+    f . theta^k, k = 1..n, which mix in the frozen past.  For a Markov
+    model ``states`` (uint8) holds W_0..W_n per replication (column 0 is
+    the frozen state) and ``values[key]`` evaluates g on the entries asked
+    for.  The experiments' blocks carry the raw randomness alone and leave
+    ``values`` as None.  Keeping the raw randomness lets the martingale be
     evaluated on the same paths.
     """
 
@@ -378,20 +377,22 @@ class Realization:
     states: Optional[np.ndarray] = None
 
 
+def _fir(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Zero-state FIR of each row of ``x``, y_k = sum_j coeffs[j] x_{k-j}:
+    one np.convolve per row, as lfilter(coeffs, [1.0], x, axis=1) does it."""
+    y = np.empty(x.shape)
+    for row, out in zip(x, y) if x.size else ():    # convolve refuses empty rows
+        out[:] = np.convolve(coeffs, row)[: x.shape[1]]
+    return y
+
+
 def _linear_observables(model: LinearModel, fixture: PastFixture,
                         fresh: np.ndarray) -> np.ndarray:
     """f . theta^k = sum_j a_j eps_{k-j} mixing frozen and fresh draws."""
-    reps, n = fresh.shape
     J = model.horizon
-    if J == 0:
-        return model.coeffs[0] * fresh
     # columns: eps_{1-J} .. eps_0 (frozen, reversed), then eps_1 .. eps_n
-    prefix = fixture.innovations[J - 1 :: -1]
-    full = np.empty((reps, J + n))
-    full[:, :J] = prefix
-    full[:, J:] = fresh
-    y = lfilter(model.coeffs, [1.0], full, axis=1)
-    return y[:, J : J + n]
+    prefix = np.broadcast_to(fixture.innovations[:J][::-1], (len(fresh), J))
+    return _fir(model.coeffs, np.hstack([prefix, fresh]))[:, J:]
 
 
 def sample_quenched_paths(model: Model, fixture: PastFixture,

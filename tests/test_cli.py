@@ -212,13 +212,24 @@ with open(_model("linear_rho05.json")) as _fh:
     ["quenched-clt", "--model", "linear_rho05.json", "--functional", "supremum",
      "--n", "16", "--reps", "20", "--fixtures", "1"],
     ["sigma2", "--model", json.dumps({**_RHO05, "tail_bound": math.inf}).encode()],
+    ["sigma2", "--model", b'{"type": "linear", "coeffs": [1.0, true]}'],
+    ["sigma2", "--model", b'{"type": "linear", "coeffs": ["1", 0.5]}'],
+    ["sigma2", "--model", b'{"type": "markov", "P": [["0.7", 0.3], [0.3, 0.7]], '
+                          b'"g": [1.0, -1.0]}'],
+    ["sigma2", "--model", b'{"type": "markov", "P": [[0.7, 0.3], [0.3, 0.7]], '
+                          b'"g": [true, -1]}'],
+    ["sigma2", "--model", b'{"type": "linear", "coeffs": [1.0], "tail_bound": "0"}'],
+    ["sigma2", "--model", b'{"type": "linear", "coeffs": [1.0], '
+                          b'"innovation": {"kind": "gaussian", "variance": true}}'],
 ], ids=["unknown-suite-key", "bad-Ns", "negative-K", "negative-r", "tiny-reps",
         "alpha-above-one", "n-not-int", "alpha-not-float", "unknown-functional",
         "unknown-flag", "negative-d-threshold", "suite-seed-string",
         "suite-n-string", "suite-Ns-scalar", "suite-r-fraction", "suite-top-level-list",
         "suite-run-not-object", "model-json-list", "model-json-string",
         "model-not-utf8", "suite-not-utf8", "model-g-nan", "model-P-nan",
-        "clt-non-endpoint-functional", "model-tail-inf"])
+        "clt-non-endpoint-functional", "model-tail-inf", "model-coeff-bool",
+        "model-coeff-string", "model-P-string", "model-g-bool", "model-tail-string",
+        "model-variance-bool"])
 def test_invalid_input_exits_three_with_one_line(args, tmp_path):
     def resolve(arg):
         if isinstance(arg, bytes):

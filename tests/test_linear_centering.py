@@ -13,6 +13,7 @@ import os
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.signal import lfilter
 from scipy.stats import kstest, norm
 
 from qlab import (InnovationDistribution, LinearModel, PastFixture,
@@ -22,7 +23,7 @@ from qlab import (InnovationDistribution, LinearModel, PastFixture,
                   strest_experiment)
 from qlab.cli import load_model
 from qlab.experiments import BLOCK_REPS, _linear_centered_sums
-from qlab.models import _linear_observables
+from qlab.models import _fir, _linear_observables
 
 from conftest import REPO_ROOT
 
@@ -143,3 +144,12 @@ def test_gaussian_endpoint_exact_finite_n_law(rho_model, n):
     values = sample_path_functional(rho_model, fixture, ENDPOINT, n, 5000,
                                     RandomStream(75, [1]))
     assert kstest(values, norm(scale=scale).cdf).pvalue > 0.01
+
+
+@pytest.mark.parametrize("J, n", [(0, 500), (3, 500), (40, 500), (300, 500), (60, 20)])
+def test_fir_equals_lfilter_bit_for_bit(J, n):
+    # lfilter with a one-tap denominator convolves each row with numpy too,
+    # so the library's FIR keeps every byte; J >= n included
+    coeffs = RandomStream(76, [J]).normal(J + 1)
+    x = RandomStream(76, [J, n]).normal(7 * n).reshape(7, n)
+    assert _fir(coeffs, x).tobytes() == lfilter(coeffs, [1.0], x, axis=1).tobytes()

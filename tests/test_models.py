@@ -169,6 +169,20 @@ def test_stationary_empty_path(rho_model):
     assert _stationary_path(rho_model, RandomStream(13, [2]), 0).size == 0
 
 
+def test_quenched_paths_with_zero_reps(identity_model, two_state_chain):
+    model = LinearModel(np.array([1.0, 0.5]), InnovationDistribution("gaussian", 1.0))
+    fixture = sample_fixture(model, RandomStream(7, [0]))
+    linear = sample_quenched_paths(model, fixture, RandomStream(7, [1]), 5, 0)
+    assert linear.values.shape == linear.fresh.shape == (0, 5)
+    # a one-tap model at n = 0 filters rows of length 0
+    fixture = sample_fixture(identity_model, RandomStream(7, [3]))
+    assert sample_quenched_paths(identity_model, fixture, RandomStream(7, [4]),
+                                 0, 3).values.shape == (3, 0)
+    markov = sample_quenched_paths(two_state_chain, PastFixture(state=0),
+                                   RandomStream(7, [2]), 5, 0)
+    assert markov.states.shape == (0, 6) and markov.values[:].shape == (0, 5)
+
+
 def test_quenched_and_stationary_consistency(two_state_chain):
     # averaging conditional means over sampled pasts recovers the global mean 0
     base = RandomStream(14, [])

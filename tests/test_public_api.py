@@ -6,13 +6,16 @@ and property of an exported class.  The allowlist names the
 reference implementations that exist so tests can compare against them.
 Likewise every defaulted parameter of an exported function must be passed
 at some call in ``src/qlab`` or a demo; forwarding a caller's own default
-counts only if that caller's parameter is passed in turn.
+counts only if that caller's parameter is passed in turn.  And the CLI
+imports no ``scipy.signal``: the library's filters are numpy's.
 """
 
 import ast
 import glob
 import inspect
 import os
+import subprocess
+import sys
 from itertools import takewhile
 
 import qlab
@@ -147,3 +150,12 @@ def test_every_defaulted_parameter_has_a_caller():
         if param.default is not param.empty and (name, param.name) not in passed)
     unused = sorted(set(unpassed) - set(PARAMETER_ALLOWLIST))
     assert not unused, f"defaulted parameters no caller passes: {unused}"
+
+
+def test_cli_import_loads_no_scipy_signal():
+    probe = ("import sys, qlab.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))")
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]", proc.stdout
