@@ -87,6 +87,9 @@ class RunConfig:
             raise CLIError("invalid config: r must be a nonnegative integer or 'inf'")
         if not self.Ns or any(type(v) is not int or v < 1 for v in self.Ns):
             raise CLIError("invalid config: Ns must be positive integers")
+        if self.experiment == "drift" and max(self.Ns) < 16 * min(self.Ns):
+            raise CLIError("invalid config: drift needs Ns spanning at least "
+                           "16-fold (largest >= 16 x smallest)")
         if self.experiment == "quenched-clt" and self.functional != "endpoint":
             raise CLIError("invalid config: quenched-clt tests the endpoint only; "
                            f"use quenched-wip for functional {self.functional!r}")

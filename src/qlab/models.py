@@ -309,29 +309,49 @@ def conditional_expectation_E0(model: Model, fixture: PastFixture, k: int) -> fl
 
 
 def e0_increment_series(model: Model, fixture: PastFixture, n: int) -> np.ndarray:
-    """The vector (E0(f . theta^k))_{k=1..n}, computed exactly."""
-    return _e0_series(model, [fixture], n)[0]
-
-
-def _e0_series(model: Model, fixtures, n: int) -> np.ndarray:
-    """One row of e0_increment_series per fixture; for a Markov model every
-    row is read off a single pass of the power sequence P^k g."""
+    """The vector (E0(f . theta^k))_{k=1..n}, computed exactly; a Markov
+    model reads it off the power sequence P^k g."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    for fixture in fixtures:
-        _check_fixture(model, fixture)
-    out = np.zeros((len(fixtures), n))
+    _check_fixture(model, fixture)
+    out = np.zeros(n)
     if isinstance(model, LinearModel):
         J = model.horizon
-        for row, fixture in zip(out, fixtures):
-            for k in range(1, min(n, J) + 1):
-                row[k - 1] = model.coeffs[k:] @ fixture.innovations[: J - k + 1]
+        for k in range(1, min(n, J) + 1):
+            out[k - 1] = model.coeffs[k:] @ fixture.innovations[: J - k + 1]
         return out
-    states = np.array([fixture.state for fixture in fixtures], dtype=np.intp)
     powers = islice(_powers(model.transition, model.observable), 1, n + 1)
     for k, v in enumerate(powers):
-        out[:, k] = v[states]
+        out[k] = v[fixture.state]
     return out
+
+
+def _e0_sums(model: Model, fixtures, Ns) -> np.ndarray:
+    """E0(S_N) = sum_{k=1..N} E0(f . theta^k), one row per fixture and one
+    column per N, without the series up to max(Ns).
+
+    A linear model sums its first min(N, J) terms left to right; the rest
+    are exact zeros.  A Markov model sums P^k g by binary doubling: with
+    A = P^(2^j) and T = sum_{k=1..2^j} P^k g, each set bit 2^j of N folds
+    s <- T + A s, so s = sum_{k=1..N} P^k g costs O(S^3 log N).  As in
+    the stepped sum, rounding along the constant vector, which P never
+    damps, grows like N eps.
+    """
+    if isinstance(model, LinearModel):
+        last = np.minimum(Ns, model.horizon)
+        drifts = [np.cumsum(np.r_[0.0, e0_increment_series(model, fx, last.max())])
+                  for fx in fixtures]
+        return np.array([drift[last] for drift in drifts]).reshape(len(fixtures), len(Ns))
+    for fixture in fixtures:
+        _check_fixture(model, fixture)
+    A, T = model.transition, model.transition @ model.observable
+    sums = np.zeros((len(Ns), model.n_states))
+    for j in range(max(Ns).bit_length()):
+        for s, N in zip(sums, Ns):
+            if N >> j & 1:
+                s[:] = T + A @ s
+        T, A = T + A @ T, A @ A
+    return sums[:, [fixture.state for fixture in fixtures]].T
 
 
 class _StateValues:

@@ -221,6 +221,8 @@ with open(_model("linear_rho05.json")) as _fh:
     ["sigma2", "--model", b'{"type": "linear", "coeffs": [1.0], "tail_bound": "0"}'],
     ["sigma2", "--model", b'{"type": "linear", "coeffs": [1.0], '
                           b'"innovation": {"kind": "gaussian", "variance": true}}'],
+    ["drift", "--model", "markov_2state.json", "--fixtures", "2", "--Ns", "256,1024"],
+    ["drift", "--model", "markov_2state.json", "--fixtures", "2", "--Ns", "256"],
 ], ids=["unknown-suite-key", "bad-Ns", "negative-K", "negative-r", "tiny-reps",
         "alpha-above-one", "n-not-int", "alpha-not-float", "unknown-functional",
         "unknown-flag", "negative-d-threshold", "suite-seed-string",
@@ -229,7 +231,7 @@ with open(_model("linear_rho05.json")) as _fh:
         "model-not-utf8", "suite-not-utf8", "model-g-nan", "model-P-nan",
         "clt-non-endpoint-functional", "model-tail-inf", "model-coeff-bool",
         "model-coeff-string", "model-P-string", "model-g-bool", "model-tail-string",
-        "model-variance-bool"])
+        "model-variance-bool", "drift-Ns-4-fold", "drift-single-N"])
 def test_invalid_input_exits_three_with_one_line(args, tmp_path):
     def resolve(arg):
         if isinstance(arg, bytes):
