@@ -7,7 +7,9 @@ blocks are split into one contiguous group per worker, and a group of
 Markov blocks is stepped in one loop.
 
 The statistic is the conditionally centered sum S_k - E0(S_k).  A Markov
-block subtracts the exact drift E0(S_k) from the sums along its paths.  A
+block subtracts the exact drift E0(S_k) from the sums of g along its
+chains: the endpoint as one running sum per chain kept by the step loop,
+with no path array, a path grid as the cumsum along stored paths.  A
 linear block builds it from its fresh innovations alone, because the
 frozen past cancels: the endpoint as one sum per path weighted by the
 partial sums B_t of the coefficients, a path grid as the cumsum of a
@@ -33,7 +35,7 @@ import numpy as np
 
 from .models import (LinearModel, MarkovFunctionalModel, Model, PastFixture,
                      Realization, _check_fixture, _e0_sums, _fir,
-                     _markov_paths, _powers, _stationary_states,
+                     _markov_steps, _powers, _stationary_states,
                      e0_increment_series, sample, sample_quenched_paths)
 from .paths import PathFunctional
 from .projections import (evaluate_martingale, martingale_increment,
@@ -169,31 +171,48 @@ def _reduce_linear_blocks(model: LinearModel, n: int, seed: int, endpoint: bool,
 
 
 def _reduce_markov_blocks(model: MarkovFunctionalModel, fixture: PastFixture,
-                          n: int, seed: int, e0cum: np.ndarray, reduce,
-                          blocks) -> np.ndarray:
+                          n: int, seed: int, e0cum: np.ndarray, endpoint: bool,
+                          reduce, blocks) -> np.ndarray:
     """Concatenate ``reduce(grid, realization)`` over Markov blocks, in order,
     ``grid`` being the cumsum of g along the block's paths minus ``e0cum``.
 
-    The group is sampled in one call that steps all its chains together,
-    then split into one contiguous state array per block.  A block's
-    realization carries its raw states only, as a linear block's carries
-    its fresh innovations.
+    The group's chains are stepped together in one loop.  With ``endpoint``
+    the loop keeps one running sum of g per chain, added left to right as
+    the grid's cumsum is, and the grid holds times 0 and n only; no path
+    is stored and the realization is empty.  Otherwise the group is
+    sampled in one call, then split into one contiguous state array per
+    block, and a block's realization carries its raw states only, as a
+    linear block's carries its fresh innovations.
     """
     streams = [RandomStream(seed, path) for path, _ in blocks]
     counts = [count for _, count in blocks]
+    splits = np.cumsum(counts)[:-1]
+    if endpoint:
+        g = model.observable
+        # the group's paths at n = 0 are its start lanes and draw nothing;
+        # the chain-clt trace in bench/run.py reads this call's span
+        start = sample_quenched_paths(model, fixture, streams, 0, counts).states[:, 0]
+        # -0.0 is the additive identity, so the first add yields g exactly
+        total = np.full(start.size, -0.0)
+        term = np.empty_like(total)
+        for state in _markov_steps(model, start, n, list(zip(streams, counts))):
+            total += np.take(g, state, out=term)
+        grid = np.zeros((total.size, 2))
+        np.subtract(total, e0cum[-1], out=grid[:, 1])
+        return np.concatenate([reduce(block, Realization(None))
+                               for block in np.split(grid, splits)])
     states = sample_quenched_paths(model, fixture, streams, n, counts).states
     return np.concatenate([
         reduce(_centered_sums(model.observable[block[:, 1:]], e0cum),
                Realization(None, states=block))
-        for block in map(np.ascontiguousarray,
-                         np.split(states, np.cumsum(counts)[:-1]))])
+        for block in map(np.ascontiguousarray, np.split(states, splits))])
 
 
 def _replicate(model: Model, fixture: PastFixture, n: int, reps: int,
                stream: RandomStream, reduce, endpoint: bool = False) -> np.ndarray:
     """``reduce(grid, realization)`` of every replication block of
     conditional paths, in block order, on the grid of its centered sums
-    (times 0 and n only for a linear block with ``endpoint``).  Only Markov
+    (times 0 and n only with ``endpoint``, in either family).  Only Markov
     paths need the drift E0(S_k); a linear fixture is validated all the same.
     """
     _check_fixture(model, fixture)
@@ -202,7 +221,7 @@ def _replicate(model: Model, fixture: PastFixture, n: int, reps: int,
     else:
         e0cum = np.cumsum(e0_increment_series(model, fixture, n))
         fn = partial(_reduce_markov_blocks, model, fixture, n, stream.master_seed,
-                     e0cum, reduce)
+                     e0cum, endpoint, reduce)
     return np.concatenate(_map_ordered(fn, _block_tasks(stream.path + (0,), reps)))
 
 
@@ -218,9 +237,10 @@ def sample_path_functional(model: Model, fixture: PastFixture,
                            stream: RandomStream) -> np.ndarray:
     """Replicated values of the functional of the centered path / sqrt(n).
 
-    The centered path is S_k - E0(S_k), k = 0..n.  For a linear model and
-    the endpoint functional only S_n - E0(S_n) is computed (see
-    ``_linear_centered_sums``); every other case builds the whole grid.
+    The centered path is S_k - E0(S_k), k = 0..n.  For the endpoint
+    functional only S_n - E0(S_n) is computed, as one sum per path (see
+    ``_linear_centered_sums`` and ``_reduce_markov_blocks``); every other
+    functional builds the whole grid.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -546,6 +566,15 @@ def decomposition_identity_check(model: Model, fixture: PastFixture, n: int,
 
 # --- Monte Carlo estimator of the projection norms ------------------------
 
+def _last_states(model: MarkovFunctionalModel, start: np.ndarray, steps: int,
+                 blocks) -> np.ndarray:
+    """W_steps of each chain stepped from ``start`` (``start`` at 0 steps)."""
+    state = start
+    for state in _markov_steps(model, start, steps, blocks):
+        pass
+    return state
+
+
 def mc_projection_norm_sq(model: Model, k: int, reps: int,
                           stream: RandomStream) -> tuple[float, float]:
     """Nested conditional Monte Carlo estimate of |P_0(f . theta^k)|_2^2.
@@ -582,11 +611,11 @@ def mc_projection_norm_sq(model: Model, k: int, reps: int,
         g = model.observable
         w_prev = _stationary_states(model, stream, reps)
         block = [(stream, reps)]
-        w_curr = _markov_paths(model, w_prev, 1, block)[:, -1]
+        w_curr = _last_states(model, w_prev, 1, block)
         gaps = []
         for _ in range(2):
-            a_end = _markov_paths(model, w_curr, k, block)[:, -1]
-            b_end = _markov_paths(model, w_prev, k + 1, block)[:, -1]
+            a_end = _last_states(model, w_curr, k, block)
+            b_end = _last_states(model, w_prev, k + 1, block)
             gaps.append(g[a_end] - g[b_end])
     products = gaps[0] * gaps[1]
     return (float(products.mean()),

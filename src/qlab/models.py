@@ -234,22 +234,23 @@ def _stationary_states(model: MarkovFunctionalModel, stream: RandomStream,
     return np.minimum(np.searchsorted(cum_pi, u, side="right"), model.n_states - 1)
 
 
-def _markov_paths(model: MarkovFunctionalModel, start: np.ndarray, steps: int,
-                  blocks: Sequence[tuple[RandomStream, int]]) -> np.ndarray:
-    """Rows W_0..W_steps (uint8), one per entry of ``start``, stepped together.
+def _markov_steps(model: MarkovFunctionalModel, start: np.ndarray, steps: int,
+                  blocks: Sequence[tuple[RandomStream, int]]):
+    """Yield the states W_1..W_steps (int32), one lane per entry of ``start``,
+    all lanes stepped together.
 
     ``blocks`` holds (stream, count) pairs whose counts sum to
-    ``start.size``; block b owns the next ``count`` rows and draws their
+    ``start.size``; block b owns the next ``count`` lanes and draws their
     uniforms from its own stream as sample_quenched_paths documents, in
-    chunks of _STEP_CHUNK steps.  A step looks up the guide table and
-    compares the row's thresholds only in the lanes whose bucket holds one.
-    The result is the transposed view of a time-major array.
+    chunks of _STEP_CHUNK steps fetched when the chunk's first step is
+    asked for.  A step looks up the guide table and compares the current
+    row's thresholds only in the lanes whose bucket holds one.  Every step
+    yields the same lane array, overwritten by the next step.
     """
     thresholds, guide = model._thresholds, model._guide
     total = start.size
-    states = np.empty((steps + 1, total), dtype=np.uint8)    # time-major
-    states[0] = start
-    offset = states[0].astype(np.int32) << GUIDE_BITS
+    state = start.astype(np.int32)
+    offset = state << GUIDE_BITS
     index = np.empty(total, dtype=np.int32)
     for k0 in range(0, steps, _STEP_CHUNK):
         width = min(_STEP_CHUNK, steps - k0)
@@ -265,11 +266,10 @@ def _markov_paths(model: MarkovFunctionalModel, start: np.ndarray, steps: int,
             np.take(guide, index, out=offset)
             lanes = np.flatnonzero(offset < 0)
             if lanes.size:
-                rows = thresholds[states[k0 + k, lanes]]
+                rows = thresholds[state[lanes]]
                 offset[lanes] = (rows <= u[k, lanes, None]).sum(axis=1) << GUIDE_BITS
-            np.right_shift(offset, GUIDE_BITS, out=index)
-            states[k0 + k + 1] = index
-    return states.T
+            np.right_shift(offset, GUIDE_BITS, out=state)
+            yield state
 
 
 def _powers(P: np.ndarray, v: np.ndarray, pi: Optional[np.ndarray] = None):
@@ -427,7 +427,9 @@ def sample_quenched_paths(model: Model, fixture: PastFixture,
     time-major, and uniform ``k * count + i`` moves its chain ``i`` from
     step ``k`` to ``k + 1`` by inverse CDF on the cumulative sums of the
     current row.  How many calls fetch them does not change the numbers.
-    A linear model is sampled one block at a time.
+    The Markov states are the transposed view of a time-major array that
+    stores each row ``_markov_steps`` yields.  A linear model is sampled
+    one block at a time.
     """
     blocks = (list(zip(stream, reps, strict=True))
               if isinstance(stream, Sequence) else [(stream, reps)])
@@ -442,5 +444,8 @@ def sample_quenched_paths(model: Model, fixture: PastFixture,
         return Realization(values=_linear_observables(model, fixture, fresh),
                            fresh=fresh)
     total = sum(count for _, count in blocks)
-    states = _markov_paths(model, np.full(total, fixture.state), n, blocks)
-    return Realization(values=_StateValues(model.observable, states), states=states)
+    states = np.empty((n + 1, total), dtype=np.uint8)    # time-major
+    states[0] = fixture.state
+    for k, state in enumerate(_markov_steps(model, states[0], n, blocks), 1):
+        states[k] = state
+    return Realization(values=_StateValues(model.observable, states.T), states=states.T)

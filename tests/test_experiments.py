@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -479,6 +480,19 @@ def test_internal_consistency_of_centered_statistics(two_state_chain):
         centered_sum = float(np.sum(real.values[i] - drift))
         assert values[i] == pytest.approx(centered_sum / math.sqrt(n), abs=1e-12)
 
+
+def test_markov_endpoint_stores_no_paths(two_state_chain):
+    # the endpoint is one running sum per chain: the peak stays below the
+    # (n + 1) x reps uint8 state array that a path grid would hold
+    fx, n, reps = PastFixture(state=0), 4096, 1024
+    sample_path_functional(two_state_chain, fx, ENDPOINT, 64, 256, RandomStream(68, [0]))
+    tracemalloc.start()
+    try:
+        sample_path_functional(two_state_chain, fx, ENDPOINT, n, reps, RandomStream(68, [1]))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (n + 1) * reps
 
 # --- the worker-pool contract -------------------------------------------------
 

@@ -236,28 +236,29 @@ def _oracle_centered(chain, x, states):
 
 def test_markov_experiments_step_blocks_jointly(three_state_chain):
     # five blocks, the last one partial: every worker count groups them
-    # differently, and every grouping must give the per-block oracle's arrays
+    # differently, and every grouping must give the per-block oracle's arrays;
+    # n = 300 runs the endpoint's running sums across the kernel's chunks
     chain, x, reps = three_state_chain, 2, 4 * 256 + 37
     fixture, stream = PastFixture(state=x), RandomStream(7009, [3])
-    n, Ns = 60, [15, 60]
-    blocks = _oracle_blocks(chain, x, n, reps, stream)
-    centered = np.concatenate([_oracle_centered(chain, x, st) for st in blocks])
+    for n, Ns in ((60, [15, 60]), (300, [15, 300])):
+        blocks = _oracle_blocks(chain, x, n, reps, stream)
+        centered = np.concatenate([_oracle_centered(chain, x, st) for st in blocks])
 
-    grid = np.concatenate([np.zeros((reps, 1)), centered], axis=1) / math.sqrt(n)
-    approx = martingale_increment(chain, math.inf)
-    mart = np.concatenate([np.cumsum(approx.g_hat[st[:, 1:]] - approx.p_g_hat[st[:, :-1]],
-                                     axis=1) for st in blocks])
-    running = np.maximum.accumulate((centered - mart) ** 2, axis=1)
-    scaled = running[:, [N - 1 for N in Ns]] / np.asarray(Ns, dtype=float)[None, :]
-    lhs = math.sqrt(float(np.max(centered**2, axis=1).mean()))
+        grid = np.concatenate([np.zeros((reps, 1)), centered], axis=1) / math.sqrt(n)
+        approx = martingale_increment(chain, math.inf)
+        mart = np.concatenate([np.cumsum(approx.g_hat[st[:, 1:]] - approx.p_g_hat[st[:, :-1]],
+                                         axis=1) for st in blocks])
+        running = np.maximum.accumulate((centered - mart) ** 2, axis=1)
+        scaled = running[:, [N - 1 for N in Ns]] / np.asarray(Ns, dtype=float)[None, :]
+        lhs = math.sqrt(float(np.max(centered**2, axis=1).mean()))
 
-    for workers in (1, 2, 3):
-        with worker_pool(workers):
-            for kind in ("supremum", "time-integral"):
-                functional = PathFunctional(kind)
-                got = sample_path_functional(chain, fixture, functional, n, reps, stream)
-                assert np.array_equal(got, functional.of_grid(grid))
-            rep = strest_experiment(chain, fixture, math.inf, Ns, reps, stream)
-            assert rep.estimates == [float(v) for v in scaled.mean(axis=0)]
-            rep = doob_bound_check(chain, fixture, n, reps, stream)
-            assert rep.lhs == lhs
+        for workers in (1, 2, 3):
+            with worker_pool(workers):
+                for kind in ("endpoint", "supremum", "time-integral"):
+                    functional = PathFunctional(kind)
+                    got = sample_path_functional(chain, fixture, functional, n, reps, stream)
+                    assert got.tobytes() == functional.of_grid(grid).tobytes()
+                rep = strest_experiment(chain, fixture, math.inf, Ns, reps, stream)
+                assert rep.estimates == [float(v) for v in scaled.mean(axis=0)]
+                rep = doob_bound_check(chain, fixture, n, reps, stream)
+                assert rep.lhs == lhs
