@@ -87,6 +87,8 @@ class RunConfig:
             raise CLIError("invalid config: r must be a nonnegative integer or 'inf'")
         if not self.Ns or any(type(v) is not int or v < 1 for v in self.Ns):
             raise CLIError("invalid config: Ns must be positive integers")
+        if len(set(self.Ns)) < len(self.Ns):
+            raise CLIError("invalid config: Ns must not repeat a horizon")
         if self.experiment == "drift" and max(self.Ns) < 16 * min(self.Ns):
             raise CLIError("invalid config: drift needs Ns spanning at least "
                            "16-fold (largest >= 16 x smallest)")
@@ -182,18 +184,12 @@ def _sampled_fixtures(model, base, count):
 def _run_wip(config: RunConfig, model, base):
     functional = PathFunctional(config.functional)
     fixtures = _sampled_fixtures(model, base, config.fixtures)
-    reports, first_sample = [], None
-    for i, fixture in enumerate(fixtures):
-        sink = {} if i == 0 else None
-        report = quenched_wip_experiment(model, fixture, functional, config.n,
-                                         config.reps, base.child(1, i),
-                                         alpha=config.alpha,
-                                         d_threshold=config.d_threshold,
-                                         sample_sink=sink)
-        report.experiment = config.experiment
-        reports.append(asdict(report))
-        if sink is not None:
-            first_sample = sink
+    first_sample = {}
+    reports = quenched_wip_experiment(model, fixtures, functional, config.n, config.reps,
+                                      [base.child(1, i) for i in range(len(fixtures))],
+                                      alpha=config.alpha, d_threshold=config.d_threshold,
+                                      sample_sink=first_sample)
+    reports = [{**asdict(report), "experiment": config.experiment} for report in reports]
     verdicts = [r["verdict"] for r in reports]
     frac = sum(v in ("pass", "degenerate") for v in verdicts) / len(verdicts)
     passed = frac >= PASS_FRACTION

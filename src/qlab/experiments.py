@@ -2,9 +2,11 @@
 
 Replications are generated in fixed-size blocks, each block drawing from
 its own derived stream and the blocks being reduced in index order, so
-results are bit-identical no matter how many workers execute them.  The
-blocks are split into one contiguous group per worker, and a group of
-Markov blocks is stepped in one loop.
+results are bit-identical no matter how many workers execute them.  A
+sampling run hands the blocks of all its fixtures, fixture by fixture, to
+one replication pass, which splits them into one contiguous group per
+worker; a group's Markov endpoint blocks are stepped in loops of about
+2^14 chains, and a loop may span fixtures.
 
 The statistic is the conditionally centered sum S_k - E0(S_k).  A Markov
 block subtracts the exact drift E0(S_k) from the sums of g along its
@@ -24,11 +26,13 @@ import hashlib
 import json
 import math
 import os
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from itertools import islice, pairwise
+from itertools import groupby, islice, pairwise
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -45,6 +49,10 @@ from .stats import (brownian_inf_cdf, brownian_sup_abs_cdf, brownian_sup_cdf,
 from .streams import RandomStream
 
 BLOCK_REPS = 256          # replication block size; fixed, never tuned per run
+# about this many chains share one Markov endpoint loop: on a 2-vCPU host,
+# ten fixtures of 5,000 chains ran about 1.5x slower in one loop than one
+# fixture at a time, and two loops of 12,288 chains beat one of 24,576
+_LOOP_LANES = 1 << 14
 DEGENERATE_VARIANCE = 1e-18
 
 
@@ -112,16 +120,24 @@ def _map_ordered(fn, tasks) -> list:
     parts = min(_pool[1], len(tasks)) if _pool else 1
     if parts <= 1:
         return [fn(tasks)]
-    bounds = [len(tasks) * j // parts for j in range(parts + 1)]
-    return list(_pool[0].map(fn, [tasks[lo:hi] for lo, hi in pairwise(bounds)]))
+    return list(_pool[0].map(fn, _split(tasks, parts)))
 
 
-def _block_tasks(prefix: tuple, reps: int) -> list:
-    """(stream path, count) of each replication block under ``prefix``."""
+def _split(items: list, parts: int) -> list:
+    """``items`` in ``parts`` contiguous slices of near-equal length."""
+    bounds = [len(items) * j // parts for j in range(parts + 1)]
+    return [items[lo:hi] for lo, hi in pairwise(bounds)]
+
+
+def _block_tasks(runs, reps: int) -> list:
+    """(fixture index, seed, stream path, count) of every replication block
+    of a run, in (fixture, block) order: block b of fixture i draws from
+    its stream's path + (0, b)."""
     sizes = [BLOCK_REPS] * (reps // BLOCK_REPS)
     if reps % BLOCK_REPS:
         sizes.append(reps % BLOCK_REPS)
-    return [(prefix + (b,), count) for b, count in enumerate(sizes)]
+    return [(i, stream.master_seed, stream.path + (0, b), count)
+            for i, (_, stream) in enumerate(runs) for b, count in enumerate(sizes)]
 
 
 def _centered_sums(values: np.ndarray, e0cum: np.ndarray) -> np.ndarray:
@@ -157,72 +173,130 @@ def _linear_centered_sums(model: LinearModel, fresh: np.ndarray,
     return grid
 
 
-def _reduce_linear_blocks(model: LinearModel, n: int, seed: int, endpoint: bool,
-                          reduce, blocks) -> np.ndarray:
+def _reduce_linear_blocks(model: LinearModel, n: int, endpoint: bool, reduce,
+                          blocks) -> np.ndarray:
     """Concatenate ``reduce(grid, realization)`` over linear blocks, in order.
     A block draws ``count * n`` fresh innovations as ``sample_quenched_paths``
-    does, and its grid and realization are built from them alone."""
+    does, and its grid and realization are built from them alone, so the
+    block's fixture does not enter."""
     reduced = []
-    for path, count in blocks:
+    for _, seed, path, count in blocks:
         fresh = sample(RandomStream(seed, path), model.innovation, count * n).reshape(count, n)
         reduced.append(reduce(_linear_centered_sums(model, fresh, endpoint),
                               Realization(None, fresh=fresh)))
     return np.concatenate(reduced)
 
 
-def _reduce_markov_blocks(model: MarkovFunctionalModel, fixture: PastFixture,
-                          n: int, seed: int, e0cum: np.ndarray, endpoint: bool,
-                          reduce, blocks) -> np.ndarray:
-    """Concatenate ``reduce(grid, realization)`` over Markov blocks, in order,
-    ``grid`` being the cumsum of g along the block's paths minus ``e0cum``.
+def _segments(blocks) -> list:
+    """A group's blocks as (fixture index, streams, counts), one entry per
+    run of consecutive blocks of one fixture."""
+    segments = []
+    for i, run in groupby(blocks, itemgetter(0)):
+        run = list(run)
+        segments.append((i, [RandomStream(seed, path) for _, seed, path, _ in run],
+                         [count for *_, count in run]))
+    return segments
 
-    The group's chains are stepped together in one loop.  With ``endpoint``
-    the loop keeps one running sum of g per chain, added left to right as
-    the grid's cumsum is, and the grid holds times 0 and n only; no path
-    is stored and the realization is empty.  Otherwise the group is
-    sampled in one call, then split into one contiguous state array per
-    block, and a block's realization carries its raw states only, as a
-    linear block's carries its fresh innovations.
-    """
-    streams = [RandomStream(seed, path) for path, _ in blocks]
-    counts = [count for _, count in blocks]
-    splits = np.cumsum(counts)[:-1]
-    if endpoint:
-        g = model.observable
-        # the group's paths at n = 0 are its start lanes and draw nothing;
-        # the chain-clt trace in bench/run.py reads this call's span
-        start = sample_quenched_paths(model, fixture, streams, 0, counts).states[:, 0]
-        # -0.0 is the additive identity, so the first add yields g exactly
-        total = np.full(start.size, -0.0)
-        term = np.empty_like(total)
-        for state in _markov_steps(model, start, n, list(zip(streams, counts))):
-            total += np.take(g, state, out=term)
-        grid = np.zeros((total.size, 2))
-        np.subtract(total, e0cum[-1], out=grid[:, 1])
-        return np.concatenate([reduce(block, Realization(None))
-                               for block in np.split(grid, splits)])
+
+def _reduce_fixture_paths(model: MarkovFunctionalModel, fixture: PastFixture,
+                          n: int, reduce, streams, counts) -> np.ndarray:
+    """The grid route of ``_reduce_markov_blocks`` for one fixture's blocks
+    of a group: its own state array, freed on return."""
+    e0cum = np.cumsum(e0_increment_series(model, fixture, n))
     states = sample_quenched_paths(model, fixture, streams, n, counts).states
     return np.concatenate([
         reduce(_centered_sums(model.observable[block[:, 1:]], e0cum),
                Realization(None, states=block))
-        for block in map(np.ascontiguousarray, np.split(states, splits))])
+        for block in map(np.ascontiguousarray,
+                         np.split(states, np.cumsum(counts)[:-1]))])
 
 
-def _replicate(model: Model, fixture: PastFixture, n: int, reps: int,
-               stream: RandomStream, reduce, endpoint: bool = False) -> np.ndarray:
-    """``reduce(grid, realization)`` of every replication block of
-    conditional paths, in block order, on the grid of its centered sums
-    (times 0 and n only with ``endpoint``, in either family).  Only Markov
-    paths need the drift E0(S_k); a linear fixture is validated all the same.
+def _reduce_markov_endpoints(model: MarkovFunctionalModel, fixtures, n: int,
+                             reduce, blocks) -> np.ndarray:
+    """The endpoint route of ``_reduce_markov_blocks``: the blocks' chains,
+    whatever their fixture, stepped together in one loop."""
+    segments = _segments(blocks)
+    g = model.observable
+    # a fixture's paths at n = 0 are its start lanes and draw nothing;
+    # the chain-clt trace in bench/run.py reads this call's span
+    start = np.concatenate([
+        sample_quenched_paths(model, fixtures[i], streams, 0, counts).states[:, 0]
+        for i, streams, counts in segments])
+    ends = np.repeat([np.cumsum(e0_increment_series(model, fixtures[i], n))[-1]
+                      for i, *_ in segments],
+                     [sum(counts) for *_, counts in segments])
+    # -0.0 is the additive identity, so the first add yields g exactly
+    total = np.full(start.size, -0.0)
+    term = np.empty_like(total)
+    lanes = [lane for _, streams, counts in segments for lane in zip(streams, counts)]
+    for state in _markov_steps(model, start, n, lanes):
+        total += np.take(g, state, out=term)
+    grid = np.zeros((total.size, 2))
+    np.subtract(total, ends, out=grid[:, 1])
+    splits = np.cumsum([count for *_, count in blocks])[:-1]
+    return np.concatenate([reduce(block, Realization(None))
+                           for block in np.split(grid, splits)])
+
+
+def _reduce_markov_blocks(model: MarkovFunctionalModel, fixtures, n: int,
+                          endpoint: bool, reduce, blocks) -> np.ndarray:
+    """Concatenate ``reduce(grid, realization)`` over Markov blocks, in order,
+    ``grid`` being the cumsum of g along the block's paths minus the exact
+    drift E0(S_k) of the block's fixture.
+
+    With ``endpoint`` the group's chains, whatever their fixture, are
+    stepped in loops of about _LOOP_LANES chains, each chain from its
+    fixture's state.  A loop keeps one running sum of g per chain, added
+    left to right as the grid's cumsum is; each chain then subtracts its
+    own fixture's E0(S_n), and the grid holds times 0 and n only.  No path
+    is stored and the realization is empty.  Otherwise each fixture's
+    blocks are sampled in one call, then split into one contiguous state
+    array per block, and a block's realization carries its raw states
+    only, as a linear block's carries its fresh innovations.  One
+    fixture's state array is held at a time, so the peak does not grow
+    with the group's fixture count.
     """
-    _check_fixture(model, fixture)
+    if endpoint:
+        loops = math.ceil(sum(count for *_, count in blocks) / _LOOP_LANES)
+        return np.concatenate([_reduce_markov_endpoints(model, fixtures, n, reduce, part)
+                               for part in _split(blocks, loops)])
+    return np.concatenate([_reduce_fixture_paths(model, fixtures[i], n, reduce, streams,
+                                                 counts)
+                           for i, streams, counts in _segments(blocks)])
+
+
+def _replicate(model: Model, runs, n: int, reps: int, reduce,
+               endpoint: bool = False) -> list:
+    """``reduce(grid, realization)`` of every replication block of
+    conditional paths, one array per (fixture, stream) pair of ``runs``,
+    on the grid of its centered sums (times 0 and n only with
+    ``endpoint``, in either family).
+
+    The blocks of all the pairs form one task list in (fixture, block)
+    order, which ``_map_ordered`` splits into one contiguous group per
+    worker, so a run makes one pool map whatever its fixture count.
+    Only Markov paths need the drift E0(S_k); a linear fixture is
+    validated all the same.
+    """
+    fixtures = [fixture for fixture, _ in runs]
+    for fixture in fixtures:
+        _check_fixture(model, fixture)
     if isinstance(model, LinearModel):
-        fn = partial(_reduce_linear_blocks, model, n, stream.master_seed, endpoint, reduce)
+        fn = partial(_reduce_linear_blocks, model, n, endpoint, reduce)
     else:
-        e0cum = np.cumsum(e0_increment_series(model, fixture, n))
-        fn = partial(_reduce_markov_blocks, model, fixture, n, stream.master_seed,
-                     e0cum, endpoint, reduce)
-    return np.concatenate(_map_ordered(fn, _block_tasks(stream.path + (0,), reps)))
+        fn = partial(_reduce_markov_blocks, model, fixtures, n, endpoint, reduce)
+    return np.split(np.concatenate(_map_ordered(fn, _block_tasks(runs, reps))), len(runs))
+
+
+def _runs(fixture, stream) -> tuple[list, bool]:
+    """The (fixture, stream) pairs of a call, and whether it gave a single
+    fixture rather than sequences paired in order."""
+    if isinstance(fixture, PastFixture):
+        return [(fixture, stream)], True
+    runs = list(zip(fixture, stream, strict=True))
+    if not runs:
+        raise ValueError("need at least one fixture")
+    return runs, False
 
 
 # --- replicated functional sampling -------------------------------------
@@ -232,23 +306,28 @@ def _functional_of(functional, n, grid, real) -> np.ndarray:
     return functional.of_grid(grid)
 
 
-def sample_path_functional(model: Model, fixture: PastFixture,
+def sample_path_functional(model: Model,
+                           fixture: PastFixture | Sequence[PastFixture],
                            functional: PathFunctional, n: int, reps: int,
-                           stream: RandomStream) -> np.ndarray:
+                           stream: RandomStream | Sequence[RandomStream]):
     """Replicated values of the functional of the centered path / sqrt(n).
 
     The centered path is S_k - E0(S_k), k = 0..n.  For the endpoint
     functional only S_n - E0(S_n) is computed, as one sum per path (see
     ``_linear_centered_sums`` and ``_reduce_markov_blocks``); every other
-    functional builds the whole grid.
+    functional builds the whole grid.  A fixture and its stream give one
+    array.  Sequences of fixtures and streams, paired in order, give one
+    array per fixture from one replication pass over all their blocks;
+    each array is the one its pair would give alone.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if reps < 1:
         raise ValueError("empty sample: reps must be >= 1")
-    return _replicate(model, fixture, n, reps, stream,
-                      partial(_functional_of, functional, n),
-                      endpoint=functional.kind == "endpoint")
+    runs, single = _runs(fixture, stream)
+    values = _replicate(model, runs, n, reps, partial(_functional_of, functional, n),
+                        endpoint=functional.kind == "endpoint")
+    return values[0] if single else values
 
 
 # --- CLT / WIP experiments ----------------------------------------------
@@ -272,11 +351,12 @@ def _limit_law(kind: str, sigma2: float, n: int):
     return "brownian-sup-abs", partial(brownian_sup_abs_cdf, sigma=sigma)
 
 
-def quenched_wip_experiment(model: Model, fixture: PastFixture,
+def quenched_wip_experiment(model: Model,
+                            fixture: PastFixture | Sequence[PastFixture],
                             functional: PathFunctional, n: int, reps: int,
-                            stream: RandomStream, alpha: float = 0.01,
-                            d_threshold: float = 0.03,
-                            sample_sink: Optional[dict] = None) -> ExperimentReport:
+                            stream: RandomStream | Sequence[RandomStream],
+                            alpha: float = 0.01, d_threshold: float = 0.03,
+                            sample_sink: Optional[dict] = None):
     """Compare the law of a path functional with its Brownian limit.
 
     Every functional is tested one-sample against a closed-form CDF (see
@@ -287,11 +367,26 @@ def quenched_wip_experiment(model: Model, fixture: PastFixture,
     references ignore the polygonal-grid bias by design) are judged by
     the distance threshold ``d_threshold``.  Passing a dict as
     ``sample_sink`` collects the raw sample and the reference CDF for
-    plotting dumps.
+    plotting dumps.  Sequences of fixtures and streams, paired in order,
+    are sampled in one pass (see ``sample_path_functional``) and give one
+    report per fixture; the sink then collects the first fixture's sample.
     """
 
     sigma2 = sigma_squared(model)
-    values = sample_path_functional(model, fixture, functional, n, reps, stream)
+    runs, single = _runs(fixture, stream)
+    fixtures, streams = map(list, zip(*runs))
+    samples = sample_path_functional(model, fixtures, functional, n, reps, streams)
+    reports = [_wip_report(model, fx, functional, n, reps, st, values, sigma2,
+                           alpha, d_threshold, sample_sink if i == 0 else None)
+               for i, (fx, st, values) in enumerate(zip(fixtures, streams, samples))]
+    return reports[0] if single else reports
+
+
+def _wip_report(model: Model, fixture: PastFixture, functional: PathFunctional,
+                n: int, reps: int, stream: RandomStream, values: np.ndarray,
+                sigma2: float, alpha: float, d_threshold: float,
+                sample_sink: Optional[dict]) -> ExperimentReport:
+    """One fixture's report of ``quenched_wip_experiment``."""
     base = dict(experiment="quenched-wip", statistic=functional.kind,
                 model_digest=digest_of(model), fixture_digest=digest_of(fixture),
                 n=n, reps=reps, seed_path=_seed_path(stream),
@@ -349,6 +444,17 @@ class StrestReport:
                 "r": self.r if self.r != math.inf else "inf"}
 
 
+def _horizons(Ns) -> list:
+    """``Ns`` sorted, once each is checked positive and none repeats: a
+    tie would fail the strictly decreasing estimates of a valid model."""
+    Ns = sorted(int(N) for N in Ns)
+    if not Ns or Ns[0] < 1:
+        raise ValueError("Ns must be positive integers")
+    if len(set(Ns)) < len(Ns):
+        raise ValueError("Ns must not repeat a horizon")
+    return Ns
+
+
 def _strest_of(approx, Ns, grid, real) -> np.ndarray:
     sbar = grid[:, 1:]
     mart = evaluate_martingale(approx, real)
@@ -364,14 +470,12 @@ def strest_experiment(model: Model, fixture: PastFixture, r: float,
     randomness; the deviation is pathwise by construction.
     """
 
-    Ns = sorted(int(N) for N in Ns)
-    if not Ns or Ns[0] < 1:
-        raise ValueError("Ns must be positive integers")
+    Ns = _horizons(Ns)
     if reps < 2:
         raise ValueError("reps must be >= 2")
     approx = martingale_increment(model, r)
-    mat = _replicate(model, fixture, Ns[-1], reps, stream,
-                     partial(_strest_of, approx, Ns))
+    [mat] = _replicate(model, [(fixture, stream)], Ns[-1], reps,
+                       partial(_strest_of, approx, Ns))
     scaled = mat / np.asarray(Ns, dtype=float)[None, :]
     return StrestReport(
         Ns=Ns,
@@ -409,9 +513,7 @@ def uncentered_drift_check(model: Model, fixtures, Ns) -> DriftReport:
     the comparison carries a relative slack of 1e-9.
     """
 
-    Ns = sorted(int(N) for N in Ns)
-    if not Ns or Ns[0] < 1:
-        raise ValueError("Ns must be positive integers")
+    Ns = _horizons(Ns)
     if Ns[-1] < 16 * Ns[0]:
         raise ValueError("drift needs Ns spanning at least 16-fold "
                          "(largest >= 16 x smallest)")
@@ -472,7 +574,7 @@ def doob_bound_check(model: Model, fixture: PastFixture, N: int, reps: int,
                          "linear model lacks exact maximal functions")
     if N < 1 or reps < 2:
         raise ValueError("need N >= 1 and reps >= 2")
-    maxima = _replicate(model, fixture, N, reps, stream, _max_square_of)
+    [maxima] = _replicate(model, [(fixture, stream)], N, reps, _max_square_of)
     mean = float(maxima.mean())
     se = float(maxima.std(ddof=1) / math.sqrt(reps))
     lhs = math.sqrt(mean)

@@ -33,7 +33,8 @@ from .streams import InnovationDistribution, RandomStream, sample
 MAX_STATES = 64            # states fit in uint8
 _ATOL = 1e-12
 GUIDE_BITS = 12           # the Markov step's guide table has 2^12 buckets of u
-_STEP_CHUNK = 128         # time steps of uniforms drawn per call
+_STEP_DRAWS = 1 << 18     # uniforms drawn per chunk of steps, over all lanes
+_STEP_CHUNK = 128         # at most this many time steps per chunk
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,25 +243,31 @@ def _markov_steps(model: MarkovFunctionalModel, start: np.ndarray, steps: int,
     ``blocks`` holds (stream, count) pairs whose counts sum to
     ``start.size``; block b owns the next ``count`` lanes and draws their
     uniforms from its own stream as sample_quenched_paths documents, in
-    chunks of _STEP_CHUNK steps fetched when the chunk's first step is
-    asked for.  A step looks up the guide table and compares the current
-    row's thresholds only in the lanes whose bucket holds one.  Every step
-    yields the same lane array, overwritten by the next step.
+    chunks of steps fetched when the chunk's first step is asked for.  A
+    chunk is _STEP_DRAWS // lanes steps wide, clipped to [1, _STEP_CHUNK],
+    so its buffers stop growing with the lane count.  A step looks up the
+    guide table and compares the current row's thresholds only in the
+    lanes whose bucket holds one.  Every step yields the same lane array,
+    overwritten by the next step.
     """
     thresholds, guide = model._thresholds, model._guide
     total = start.size
+    chunk = min(max(_STEP_DRAWS // max(total, 1), 1), _STEP_CHUNK)
     state = start.astype(np.int32)
     offset = state << GUIDE_BITS
     index = np.empty(total, dtype=np.int32)
-    for k0 in range(0, steps, _STEP_CHUNK):
-        width = min(_STEP_CHUNK, steps - k0)
-        u = np.empty((width, total))
+    # one pair of chunk buffers serves every chunk; the last may use a prefix
+    u_chunk = np.empty((min(chunk, steps), total))
+    bucket_chunk = np.empty(u_chunk.shape, dtype=np.int32)
+    for k0 in range(0, steps, chunk):
+        width = min(chunk, steps - k0)
+        u, buckets = u_chunk[:width], bucket_chunk[:width]
         lo = 0
         for stream, count in blocks:
             u[:, lo : lo + count] = stream.uniform_open(width * count).reshape(width, count)
             lo += count
         # u * 2^GUIDE_BITS is exact, so truncation gives u's bucket
-        buckets = (u * (1 << GUIDE_BITS)).astype(np.int32)
+        np.multiply(u, 1 << GUIDE_BITS, out=buckets, casting="unsafe")
         for k in range(width):
             np.add(offset, buckets[k], out=index)
             np.take(guide, index, out=offset)
@@ -426,10 +433,11 @@ def sample_quenched_paths(model: Model, fixture: PastFixture,
     of ``count`` chains draws ``n * count`` uniforms from its own stream,
     time-major, and uniform ``k * count + i`` moves its chain ``i`` from
     step ``k`` to ``k + 1`` by inverse CDF on the cumulative sums of the
-    current row.  How many calls fetch them does not change the numbers.
-    The Markov states are the transposed view of a time-major array that
-    stores each row ``_markov_steps`` yields.  A linear model is sampled
-    one block at a time.
+    current row.  How many calls fetch them does not change the numbers:
+    ``_markov_steps`` sets its chunk width from a fixed draw budget and the
+    lane count.  The Markov states are the transposed view of a time-major
+    array that stores each row ``_markov_steps`` yields.  A linear model is
+    sampled one block at a time.
     """
     blocks = (list(zip(stream, reps, strict=True))
               if isinstance(stream, Sequence) else [(stream, reps)])

@@ -223,6 +223,9 @@ with open(_model("linear_rho05.json")) as _fh:
                           b'"innovation": {"kind": "gaussian", "variance": true}}'],
     ["drift", "--model", "markov_2state.json", "--fixtures", "2", "--Ns", "256,1024"],
     ["drift", "--model", "markov_2state.json", "--fixtures", "2", "--Ns", "256"],
+    ["strest", "--model", "linear_rho05.json", "--fixtures", "1", "--reps", "200",
+     "--Ns", "256,256,1024"],
+    ["drift", "--model", "markov_2state.json", "--fixtures", "2", "--Ns", "256,256,4096"],
 ], ids=["unknown-suite-key", "bad-Ns", "negative-K", "negative-r", "tiny-reps",
         "alpha-above-one", "n-not-int", "alpha-not-float", "unknown-functional",
         "unknown-flag", "negative-d-threshold", "suite-seed-string",
@@ -231,7 +234,8 @@ with open(_model("linear_rho05.json")) as _fh:
         "model-not-utf8", "suite-not-utf8", "model-g-nan", "model-P-nan",
         "clt-non-endpoint-functional", "model-tail-inf", "model-coeff-bool",
         "model-coeff-string", "model-P-string", "model-g-bool", "model-tail-string",
-        "model-variance-bool", "drift-Ns-4-fold", "drift-single-N"])
+        "model-variance-bool", "drift-Ns-4-fold", "drift-single-N",
+        "strest-Ns-repeated", "drift-Ns-repeated"])
 def test_invalid_input_exits_three_with_one_line(args, tmp_path):
     def resolve(arg):
         if isinstance(arg, bytes):

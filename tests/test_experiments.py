@@ -1,6 +1,7 @@
 import math
 import os
 import tracemalloc
+from dataclasses import asdict
 from functools import partial
 
 import numpy as np
@@ -40,6 +41,32 @@ def test_report_field_invariants():
 
 
 # --- CLT and WIP --------------------------------------------------------------
+
+@pytest.mark.parametrize("functional", ["endpoint", "supremum"])
+def test_a_run_of_fixtures_reports_as_its_fixtures_alone(functional, rho_model,
+                                                        three_state_chain):
+    # one replication pass over every fixture's blocks, an odd reps so the
+    # later fixtures' samples start off any alignment, and two workers
+    # splitting the run inside a fixture
+    f = PathFunctional(functional)
+    for model in (rho_model, three_state_chain):
+        fxs = [sample_fixture(model, RandomStream(62, [i])) for i in range(3)]
+        streams = [RandomStream(62, [1, i]) for i in range(3)]
+        alone = [asdict(quenched_wip_experiment(model, fx, f, 40, 301, st))
+                 for fx, st in zip(fxs, streams)]
+        for workers in (1, 2):
+            with worker_pool(workers):
+                sink = {}
+                batch = quenched_wip_experiment(model, fxs, f, 40, 301, streams,
+                                              sample_sink=sink)
+            assert [asdict(rep) for rep in batch] == alone
+            first = sample_path_functional(model, fxs[0], f, 40, 301, streams[0])
+            assert sink["values"].tobytes() == first.tobytes()
+        with pytest.raises(ValueError, match="at least one fixture"):
+            sample_path_functional(model, [], f, 40, 301, [])
+        with pytest.raises(ValueError):
+            sample_path_functional(model, fxs, f, 40, 301, streams[:2])
+
 
 def test_clt_exact_normal_identity_model(identity_model):
     # with gaussian innovations the centered endpoint is exactly normal at
@@ -288,6 +315,17 @@ def test_strest_workers_deterministic(two_state_chain):
     assert a.estimates == b.estimates
 
 
+def test_strest_and_drift_refuse_a_repeated_horizon(rho_model, two_state_chain):
+    # two equal horizons tie, and a tie fails strest's strictly decreasing
+    # rule on a valid model
+    fx = sample_fixture(rho_model, RandomStream(63, [6]))
+    with pytest.raises(ValueError, match="repeat"):
+        strest_experiment(rho_model, fx, math.inf, [256, 256, 1024], 200,
+                          RandomStream(63, [7]))
+    with pytest.raises(ValueError, match="repeat"):
+        uncentered_drift_check(two_state_chain, [PastFixture(state=0)], [256, 256, 4096])
+
+
 # --- drift -------------------------------------------------------------------------
 
 def test_drift_identity_model_identically_zero(identity_model):
@@ -494,6 +532,28 @@ def test_markov_endpoint_stores_no_paths(two_state_chain):
         tracemalloc.stop()
     assert peak < (n + 1) * reps
 
+
+def _endpoint_peak(chain, fixtures: int, n: int, reps: int) -> int:
+    fxs = [PastFixture(state=i % 2) for i in range(fixtures)]
+    streams = [RandomStream(68, [2, i]) for i in range(fixtures)]
+    tracemalloc.start()
+    try:
+        sample_path_functional(chain, fxs, ENDPOINT, n, reps, streams)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_markov_endpoint_peak_does_not_grow_with_fixtures(two_state_chain):
+    # eight fixtures step 8 x 2048 lanes in one loop; the draw budget keeps
+    # the chunk buffers at the one-fixture size, so only the lanes' own
+    # arrays grow
+    sample_path_functional(two_state_chain, PastFixture(state=0), ENDPOINT, 64, 256,
+                           RandomStream(68, [0]))
+    one = _endpoint_peak(two_state_chain, 1, 256, 2048)
+    eight = _endpoint_peak(two_state_chain, 8, 256, 2048)
+    assert eight < 2 * one
+
 # --- the worker-pool contract -------------------------------------------------
 
 @pytest.fixture
@@ -559,4 +619,4 @@ def test_cli_run_starts_one_pool_for_all_fixtures(tmp_path, pools):
     run(RunConfig(experiment="quenched-clt", seed=5, n=32, reps=600, fixtures=3,
                   model_path=os.path.join(MODELS_DIR, "markov_2state.json"),
                   workers=2, out=str(tmp_path)))
-    assert len(pools) == 1 and pools[0].maps == 3
+    assert len(pools) == 1 and pools[0].maps == 1

@@ -20,6 +20,8 @@ from qlab import (MarkovFunctionalModel, PastFixture, PathFunctional,
                   sample_path_functional, sample_quenched_paths,
                   strest_experiment, worker_pool)
 
+from qlab import experiments, models
+
 from conftest import centered_chain
 
 K = 200
@@ -262,3 +264,45 @@ def test_markov_experiments_step_blocks_jointly(three_state_chain):
                 assert rep.estimates == [float(v) for v in scaled.mean(axis=0)]
                 rep = doob_bound_check(chain, fixture, n, reps, stream)
                 assert rep.lhs == lhs
+
+
+@pytest.mark.parametrize("loop_lanes", [None, 500])
+def test_markov_run_steps_fixtures_jointly(three_state_chain, loop_lanes, monkeypatch):
+    # three fixtures in different states, each of two full blocks and a
+    # partial one: two workers split the run inside fixture 1, so one loop
+    # steps lanes of two fixtures; n = 300 crosses the kernel's chunks, and
+    # 500 lanes a loop splits each group into loops inside fixtures too
+    if loop_lanes is not None:
+        monkeypatch.setattr(experiments, "_LOOP_LANES", loop_lanes)
+    chain, n, reps = three_state_chain, 300, 2 * 256 + 37
+    states = (2, 0, 1)
+    fixtures = [PastFixture(state=x) for x in states]
+    streams = [RandomStream(7010, [1, i]) for i in range(len(states))]
+    grids = []
+    for x, stream in zip(states, streams):
+        centered = np.concatenate([_oracle_centered(chain, x, st)
+                                   for st in _oracle_blocks(chain, x, n, reps, stream)])
+        grids.append(np.concatenate([np.zeros((reps, 1)), centered], axis=1) / math.sqrt(n))
+    for workers in (1, 2, 3):
+        with worker_pool(workers):
+            for kind in ("endpoint", "supremum"):
+                functional = PathFunctional(kind)
+                got = sample_path_functional(chain, fixtures, functional, n, reps, streams)
+                assert [v.tobytes() for v in got] == [functional.of_grid(grid).tobytes()
+                                                      for grid in grids]
+
+
+def test_chunk_width_leaves_the_numbers_alone(three_state_chain, monkeypatch):
+    # 600 lanes: the draw budget gives chunks of 1, 7 and 128 steps, and
+    # 7 does not divide n = 150
+    chain, n, lanes = three_state_chain, 150, 600
+    fixtures = [PastFixture(state=2), PastFixture(state=0)]
+    results = set()
+    for width in (1, 7, 128):
+        monkeypatch.setattr(models, "_STEP_DRAWS", width * lanes)
+        streams = [RandomStream(7011, [i]) for i in range(2)]
+        real = sample_quenched_paths(chain, fixtures[0], streams, n, [lanes // 2] * 2)
+        values = sample_path_functional(chain, fixtures, PathFunctional("endpoint"), n,
+                                        lanes // 2, streams)
+        results.add((real.states.tobytes(), *(v.tobytes() for v in values)))
+    assert len(results) == 1
