@@ -5,17 +5,18 @@ its own derived stream and the blocks being reduced in index order, so
 results are bit-identical no matter how many workers execute them.  A
 sampling run hands the blocks of all its fixtures, fixture by fixture, to
 one replication pass, which splits them into one contiguous group per
-worker; a group's Markov endpoint blocks are stepped in loops of about
-2^14 chains, and a loop may span fixtures.
+worker; a group's Markov blocks are stepped in loops of about 2^14
+chains, and a loop may span fixtures.
 
-The statistic is the conditionally centered sum S_k - E0(S_k).  A Markov
-block subtracts the exact drift E0(S_k) from the sums of g along its
-chains: the endpoint as one running sum per chain kept by the step loop,
-with no path array, a path grid as the cumsum along stored paths.  A
-linear block builds it from its fresh innovations alone, because the
-frozen past cancels: the endpoint as one sum per path weighted by the
-partial sums B_t of the coefficients, a path grid as the cumsum of a
-zero-state FIR.  The frozen past enters a linear experiment only through
+The statistic is the conditionally centered sum S_k - E0(S_k); every
+reduction of it folds chunks of the path left to right.  A Markov loop
+subtracts each chain's own fixture's exact drift from its running sum of
+g, kept by the step loop with no path array: the endpoint once at the
+end, otherwise chunk by chunk of steps.  A linear block is one chunk,
+built from its fresh innovations alone because the frozen past cancels:
+the endpoint as one sum per path weighted by the partial sums B_t of the
+coefficients, a path grid as the cumsum of a zero-state FIR.  The frozen
+past enters a linear experiment only through
 ``sample_quenched_paths(...).values`` and the decomposition identity
 check, which compares that uncentered route against the decomposition.
 """
@@ -49,10 +50,11 @@ from .stats import (brownian_inf_cdf, brownian_sup_abs_cdf, brownian_sup_cdf,
 from .streams import RandomStream
 
 BLOCK_REPS = 256          # replication block size; fixed, never tuned per run
-# about this many chains share one Markov endpoint loop: on a 2-vCPU host,
+# about this many chains share one Markov loop: on a 2-vCPU host,
 # ten fixtures of 5,000 chains ran about 1.5x slower in one loop than one
 # fixture at a time, and two loops of 12,288 chains beat one of 24,576
 _LOOP_LANES = 1 << 14
+_FOLD_VALUES = 1 << 15    # at most this many values per chunk of a Markov fold
 DEGENERATE_VARIANCE = 1e-18
 
 
@@ -140,15 +142,6 @@ def _block_tasks(runs, reps: int) -> list:
             for i, (_, stream) in enumerate(runs) for b, count in enumerate(sizes)]
 
 
-def _centered_sums(values: np.ndarray, e0cum: np.ndarray) -> np.ndarray:
-    """(count, n + 1) grid: 0, then S_k - E0(S_k) for k = 1..n."""
-    grid = np.empty((values.shape[0], values.shape[1] + 1))
-    grid[:, 0] = 0.0
-    np.cumsum(values, axis=1, out=grid[:, 1:])
-    grid[:, 1:] -= e0cum
-    return grid
-
-
 def _linear_centered_sums(model: LinearModel, fresh: np.ndarray,
                           endpoint: bool) -> np.ndarray:
     """Grid of S_k - E0(S_k) from a block's fresh innovations eps_1..eps_n.
@@ -175,15 +168,14 @@ def _linear_centered_sums(model: LinearModel, fresh: np.ndarray,
 
 def _reduce_linear_blocks(model: LinearModel, n: int, endpoint: bool, reduce,
                           blocks) -> np.ndarray:
-    """Concatenate ``reduce(grid, realization)`` over linear blocks, in order.
-    A block draws ``count * n`` fresh innovations as ``sample_quenched_paths``
-    does, and its grid and realization are built from them alone, so the
-    block's fixture does not enter."""
+    """Concatenate ``reduce(chunks)`` over linear blocks, in order, a block's
+    one chunk being its grid and the ``count * n`` fresh innovations it
+    draws as ``sample_quenched_paths`` does, so its fixture does not enter."""
     reduced = []
     for _, seed, path, count in blocks:
         fresh = sample(RandomStream(seed, path), model.innovation, count * n).reshape(count, n)
-        reduced.append(reduce(_linear_centered_sums(model, fresh, endpoint),
-                              Realization(None, fresh=fresh)))
+        reduced.append(reduce([(_linear_centered_sums(model, fresh, endpoint),
+                                Realization(None, fresh=fresh))]))
     return np.concatenate(reduced)
 
 
@@ -198,23 +190,20 @@ def _segments(blocks) -> list:
     return segments
 
 
-def _reduce_fixture_paths(model: MarkovFunctionalModel, fixture: PastFixture,
-                          n: int, reduce, streams, counts) -> np.ndarray:
-    """The grid route of ``_reduce_markov_blocks`` for one fixture's blocks
-    of a group: its own state array, freed on return."""
-    e0cum = np.cumsum(e0_increment_series(model, fixture, n))
-    states = sample_quenched_paths(model, fixture, streams, n, counts).states
-    return np.concatenate([
-        reduce(_centered_sums(model.observable[block[:, 1:]], e0cum),
-               Realization(None, states=block))
-        for block in map(np.ascontiguousarray,
-                         np.split(states, np.cumsum(counts)[:-1]))])
+def _drifts(model: MarkovFunctionalModel, fixtures, n: int) -> np.ndarray:
+    """E0(S_k), k = 1..n, summed stepwise: one column per fixture."""
+    return np.column_stack([np.cumsum(e0_increment_series(model, fixture, n))
+                            for fixture in fixtures])
 
 
-def _reduce_markov_endpoints(model: MarkovFunctionalModel, fixtures, n: int,
-                             reduce, blocks) -> np.ndarray:
-    """The endpoint route of ``_reduce_markov_blocks``: the blocks' chains,
-    whatever their fixture, stepped together in one loop."""
+def _markov_chunks(model: MarkovFunctionalModel, fixtures, n: int, endpoint: bool,
+                   blocks):
+    """The (grid, realization) chunks of one loop over the blocks' chains,
+    each stepped from its fixture's state, adding g left to right as a
+    cumsum along the path would and subtracting its own fixture's E0(S_k).
+    With ``endpoint`` the single grid holds times 0 and n; otherwise a chunk
+    of at most _FOLD_VALUES values covers times k0..k1 and the states
+    W_k0..W_k1, as views of buffers that the next chunk overwrites."""
     segments = _segments(blocks)
     g = model.observable
     # a fixture's paths at n = 0 are its start lanes and draw nothing;
@@ -222,55 +211,62 @@ def _reduce_markov_endpoints(model: MarkovFunctionalModel, fixtures, n: int,
     start = np.concatenate([
         sample_quenched_paths(model, fixtures[i], streams, 0, counts).states[:, 0]
         for i, streams, counts in segments])
-    ends = np.repeat([np.cumsum(e0_increment_series(model, fixtures[i], n))[-1]
-                      for i, *_ in segments],
-                     [sum(counts) for *_, counts in segments])
+    drifts = _drifts(model, [fixtures[i] for i, *_ in segments], n)
+    owner = np.repeat(np.arange(len(segments)), [sum(counts) for *_, counts in segments])
+    lanes = [lane for _, streams, counts in segments for lane in zip(streams, counts)]
+    steps = _markov_steps(model, start, n, lanes)
     # -0.0 is the additive identity, so the first add yields g exactly
     total = np.full(start.size, -0.0)
-    term = np.empty_like(total)
-    lanes = [lane for _, streams, counts in segments for lane in zip(streams, counts)]
-    for state in _markov_steps(model, start, n, lanes):
-        total += np.take(g, state, out=term)
-    grid = np.zeros((total.size, 2))
-    np.subtract(total, ends, out=grid[:, 1])
-    splits = np.cumsum([count for *_, count in blocks])[:-1]
-    return np.concatenate([reduce(block, Realization(None))
-                           for block in np.split(grid, splits)])
+    if endpoint:
+        term = np.empty_like(total)
+        for state in steps:
+            total += np.take(g, state, out=term)
+        grid = np.zeros((total.size, 2))
+        np.subtract(total, drifts[-1, owner], out=grid[:, 1])
+        yield grid, None
+        return
+    width = min(max(_FOLD_VALUES // start.size, 1), n)
+    states = np.empty((width + 1, start.size), dtype=np.uint8)     # time-major
+    sums, last = np.empty(states.shape), np.zeros(start.size)
+    states[0] = start
+    for k0 in range(0, n, width):
+        rows, chunk = sums[: min(width, n - k0) + 1], states[: min(width, n - k0) + 1]
+        for row, state in zip(chunk[1:], steps):
+            row[:] = state
+        rows[0] = total
+        # every state is in range; mode "raise" would buffer ``out``
+        np.take(g, chunk[1:], out=rows[1:], mode="clip")
+        total = np.cumsum(rows, axis=0, out=rows)[-1].copy()
+        rows[1:] -= drifts[k0 : k0 + len(rows) - 1, owner]
+        rows[0], last = last, rows[-1].copy()
+        yield rows.T, Realization(None, states=chunk.T)
+        states[0] = chunk[-1]
 
 
 def _reduce_markov_blocks(model: MarkovFunctionalModel, fixtures, n: int,
                           endpoint: bool, reduce, blocks) -> np.ndarray:
-    """Concatenate ``reduce(grid, realization)`` over Markov blocks, in order,
-    ``grid`` being the cumsum of g along the block's paths minus the exact
-    drift E0(S_k) of the block's fixture.
-
-    With ``endpoint`` the group's chains, whatever their fixture, are
-    stepped in loops of about _LOOP_LANES chains, each chain from its
-    fixture's state.  A loop keeps one running sum of g per chain, added
-    left to right as the grid's cumsum is; each chain then subtracts its
-    own fixture's E0(S_n), and the grid holds times 0 and n only.  No path
-    is stored and the realization is empty.  Otherwise each fixture's
-    blocks are sampled in one call, then split into one contiguous state
-    array per block, and a block's realization carries its raw states
-    only, as a linear block's carries its fresh innovations.  One
-    fixture's state array is held at a time, so the peak does not grow
-    with the group's fixture count.
-    """
-    if endpoint:
-        loops = math.ceil(sum(count for *_, count in blocks) / _LOOP_LANES)
-        return np.concatenate([_reduce_markov_endpoints(model, fixtures, n, reduce, part)
-                               for part in _split(blocks, loops)])
-    return np.concatenate([_reduce_fixture_paths(model, fixtures[i], n, reduce, streams,
-                                                 counts)
-                           for i, streams, counts in _segments(blocks)])
+    """Concatenate ``reduce(chunks)`` over loops of about _LOOP_LANES of the
+    group's chains, whatever their fixture, each loop's chunks folded as
+    they are produced: the peak grows with neither n nor the fixtures."""
+    loops = math.ceil(sum(count for *_, count in blocks) / _LOOP_LANES)
+    # the endpoint loop runs before its reduction, so a trace times it as the route's
+    return np.concatenate([reduce(list(chunks) if endpoint else chunks) for chunks in
+                           map(partial(_markov_chunks, model, fixtures, n, endpoint),
+                               _split(blocks, loops))])
 
 
 def _replicate(model: Model, runs, n: int, reps: int, reduce,
                endpoint: bool = False) -> list:
-    """``reduce(grid, realization)`` of every replication block of
-    conditional paths, one array per (fixture, stream) pair of ``runs``,
-    on the grid of its centered sums (times 0 and n only with
-    ``endpoint``, in either family).
+    """``reduce(chunks)`` of every replication block of conditional paths,
+    one array per (fixture, stream) pair of ``runs``.
+
+    ``chunks`` yields (grid, realization) pairs that cut paths in time, in
+    order: ``grid`` holds S_k - E0(S_k), one row per path, from the last
+    time of the chunk before (0 at time 0), and the realization the raw
+    randomness behind it alone: the fresh innovations, or the states from
+    the one before the chunk.  A whole grid comes as a list of one pair;
+    with ``endpoint`` it holds times 0 and n only.  A reduction keeps one
+    carry per path and may overwrite grids.
 
     The blocks of all the pairs form one task list in (fixture, block)
     order, which ``_map_ordered`` splits into one contiguous group per
@@ -301,9 +297,10 @@ def _runs(fixture, stream) -> tuple[list, bool]:
 
 # --- replicated functional sampling -------------------------------------
 
-def _functional_of(functional, n, grid, real) -> np.ndarray:
-    grid /= math.sqrt(n)
-    return functional.of_grid(grid)
+def _functional_of(functional, n, chunks) -> np.ndarray:
+    grids = (np.divide(grid, math.sqrt(n), out=grid) for grid, _ in chunks)
+    # a list holds one whole grid, whose array the trace counts
+    return functional.of_grid(next(grids) if isinstance(chunks, list) else grids)
 
 
 def sample_path_functional(model: Model,
@@ -314,8 +311,9 @@ def sample_path_functional(model: Model,
 
     The centered path is S_k - E0(S_k), k = 0..n.  For the endpoint
     functional only S_n - E0(S_n) is computed, as one sum per path (see
-    ``_linear_centered_sums`` and ``_reduce_markov_blocks``); every other
-    functional builds the whole grid.  A fixture and its stream give one
+    ``_linear_centered_sums`` and ``_markov_chunks``); for every other
+    functional a linear block builds its whole grid, and a Markov loop
+    folds its chunks of steps as they come.  A fixture and its stream give one
     array.  Sequences of fixtures and streams, paired in order, give one
     array per fixture from one replication pass over all their blocks;
     each array is the one its pair would give alone.
@@ -455,11 +453,20 @@ def _horizons(Ns) -> list:
     return Ns
 
 
-def _strest_of(approx, Ns, grid, real) -> np.ndarray:
-    sbar = grid[:, 1:]
-    mart = evaluate_martingale(approx, real)
-    running = np.maximum.accumulate((sbar - mart) ** 2, axis=1)
-    return running[:, [N - 1 for N in Ns]]
+def _strest_of(approx, Ns, chunks) -> np.ndarray:
+    reads, k, mart, top = [], 0, -0.0, 0.0
+    for grid, real in chunks:
+        sums = evaluate_martingale(approx, real, mart)
+        mart = sums[:, -1].copy()
+        gaps = grid[:, 1:]
+        gaps -= sums
+        gaps **= 2
+        np.maximum(gaps[:, 0], top, out=gaps[:, 0])
+        top = np.maximum.accumulate(gaps, axis=1, out=gaps)[:, -1].copy()
+        reads += [gaps[:, N - 1 - k].copy() for N in Ns if k < N <= k + gaps.shape[1]]
+        k += gaps.shape[1]
+    # one contiguous column per N, so that a mean over the paths sums it pairwise
+    return np.array(reads).T
 
 
 def strest_experiment(model: Model, fixture: PastFixture, r: float,
@@ -539,8 +546,11 @@ class DoobReport:
     terms: int
 
 
-def _max_square_of(grid, real) -> np.ndarray:
-    return np.max(grid[:, 1:] ** 2, axis=1)
+def _max_square_of(chunks) -> np.ndarray:
+    top = 0.0
+    for grid, _ in chunks:
+        top = np.maximum(top, np.max(grid[:, 1:] ** 2, axis=1))
+    return top
 
 
 def doob_bound_check(model: Model, fixture: PastFixture, N: int, reps: int,
@@ -645,7 +655,7 @@ def decomposition_identity_check(model: Model, fixture: PastFixture, n: int,
     reps = 64
     real = sample_quenched_paths(model, fixture, stream, n, reps)
     e0cum = np.cumsum(e0_increment_series(model, fixture, n))
-    lhs = _centered_sums(real.values[:], e0cum)[:, 1:]
+    lhs = np.cumsum(real.values, axis=1) - e0cum
     rhs = np.zeros_like(lhs)
     if isinstance(model, LinearModel):
         E = np.cumsum(real.fresh, axis=1)

@@ -361,45 +361,20 @@ def _e0_sums(model: Model, fixtures, Ns) -> np.ndarray:
     return sums[:, [fixture.state for fixture in fixtures]].T
 
 
-class _StateValues:
-    """g(W_1..W_n) of each row of a Markov state array, built on demand.
-
-    ``values[key]`` evaluates g only on the entries ``key`` selects, so a
-    realization of many blocks never holds its whole float array.
-    """
-
-    __slots__ = ("observable", "states")
-
-    def __init__(self, observable: np.ndarray, states: np.ndarray):
-        self.observable, self.states = observable, states
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.states.shape[0], self.states.shape[1] - 1
-
-    @property
-    def size(self) -> int:
-        return self.shape[0] * self.shape[1]
-
-    def __getitem__(self, key) -> np.ndarray:
-        return self.observable[self.states[:, 1:][key]]
-
-
 @dataclass(frozen=True, eq=False)
 class Realization:
     """The raw randomness behind a batch of conditional paths.
 
-    For a linear model ``fresh`` holds the post-past innovations
-    eps_1..eps_n per replication and ``values`` the uncentered observables
-    f . theta^k, k = 1..n, which mix in the frozen past.  For a Markov
-    model ``states`` (uint8) holds W_0..W_n per replication (column 0 is
-    the frozen state) and ``values[key]`` evaluates g on the entries asked
-    for.  The experiments' blocks carry the raw randomness alone and leave
-    ``values`` as None.  Keeping the raw randomness lets the martingale be
-    evaluated on the same paths.
+    ``values`` holds the uncentered observables f . theta^k, k = 1..n, one
+    row per replication: for a linear model they mix the frozen past into
+    the post-past innovations ``fresh`` (eps_1..eps_n); for a Markov model
+    they are g(W_1..W_n), ``states`` (uint8) holding W_0..W_n with column 0
+    the frozen state.  The raw randomness lets the martingale be evaluated
+    on the same paths; the experiments' chunks of paths carry it alone and
+    leave ``values`` as None.
     """
 
-    values: np.ndarray | _StateValues | None
+    values: np.ndarray | None
     fresh: Optional[np.ndarray] = None
     states: Optional[np.ndarray] = None
 
@@ -456,4 +431,4 @@ def sample_quenched_paths(model: Model, fixture: PastFixture,
     states[0] = fixture.state
     for k, state in enumerate(_markov_steps(model, states[0], n, blocks), 1):
         states[k] = state
-    return Realization(values=_StateValues(model.observable, states.T), states=states.T)
+    return Realization(values=model.observable[states[1:].T], states=states.T)

@@ -231,8 +231,10 @@ def martingale_increment(model: Model, r: float = math.inf) -> MartingaleApprox:
     return MartingaleApprox(kind="markov", g_hat=g_hat, p_g_hat=P @ g_hat)
 
 
-def evaluate_martingale(approx: MartingaleApprox, realization: Realization) -> np.ndarray:
-    """Partial sums M_1..M_n of the approximating martingale, per path.
+def evaluate_martingale(approx: MartingaleApprox, realization: Realization,
+                        start=-0.0) -> np.ndarray:
+    """Partial sums M_1..M_n of the approximating martingale, per path,
+    added left to right to M_0 = ``start`` (-0.0 adds exactly).
 
     The realization must be the one behind the conditional paths being
     compared, so that the difference to the centered sums is a pathwise
@@ -242,11 +244,14 @@ def evaluate_martingale(approx: MartingaleApprox, realization: Realization) -> n
     if approx.kind == "linear":
         if realization.fresh is None:
             raise ValueError("approximation and realization kinds differ")
-        return approx.c * np.cumsum(realization.fresh, axis=1)
+        return approx.c * np.cumsum(realization.fresh, axis=1) + np.reshape(start, (-1, 1))
     states = realization.states
     if states is None:
         raise ValueError("approximation and realization kinds differ")
-    return np.cumsum(approx.g_hat[states[:, 1:]] - approx.p_g_hat[states[:, :-1]], axis=1)
+    sums = np.empty(states.shape)
+    sums[:, 0] = start
+    np.subtract(approx.g_hat[states[:, 1:]], approx.p_g_hat[states[:, :-1]], out=sums[:, 1:])
+    return np.cumsum(sums, axis=1, out=sums)[:, 1:]
 
 
 def _pair_variance(P: np.ndarray, pi: np.ndarray, u: np.ndarray) -> float:

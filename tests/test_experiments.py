@@ -23,6 +23,7 @@ from qlab.experiments import ExperimentReport
 from conftest import MODELS_DIR, centered_chain
 
 ENDPOINT = PathFunctional("endpoint")
+SUPREMUM = PathFunctional("supremum")
 
 
 @pytest.fixture(scope="module")
@@ -519,29 +520,53 @@ def test_internal_consistency_of_centered_statistics(two_state_chain):
         assert values[i] == pytest.approx(centered_sum / math.sqrt(n), abs=1e-12)
 
 
-def test_markov_endpoint_stores_no_paths(two_state_chain):
-    # the endpoint is one running sum per chain: the peak stays below the
-    # (n + 1) x reps uint8 state array that a path grid would hold
-    fx, n, reps = PastFixture(state=0), 4096, 1024
-    sample_path_functional(two_state_chain, fx, ENDPOINT, 64, 256, RandomStream(68, [0]))
+def _traced_peak(experiment, *args) -> int:
+    """tracemalloc peak of one call of ``experiment``."""
     tracemalloc.start()
     try:
-        sample_path_functional(two_state_chain, fx, ENDPOINT, n, reps, RandomStream(68, [1]))
-        _, peak = tracemalloc.get_traced_memory()
+        experiment(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", ["endpoint", "supremum", "time-integral"])
+def test_markov_endpoint_stores_no_paths(two_state_chain, kind):
+    # every functional folds one running sum per chain as it is stepped: the
+    # peak stays below the (n + 1) x reps uint8 state array of a path grid
+    fx, n, reps = PastFixture(state=0), 4096, 1024
+    functional = PathFunctional(kind)
+    sample_path_functional(two_state_chain, fx, functional, 64, 256, RandomStream(68, [0]))
+    peak = _traced_peak(sample_path_functional, two_state_chain, fx, functional, n, reps,
+                        RandomStream(68, [1]))
     assert peak < (n + 1) * reps
+
+
+def test_markov_supremum_at_long_horizon_stores_no_paths(two_state_chain):
+    # n = 2^16: the peak is the lanes' carries and one chunk of steps
+    fx, n, reps = PastFixture(state=1), 1 << 16, 256
+    sample_path_functional(two_state_chain, fx, SUPREMUM, 64, 256, RandomStream(68, [0]))
+    peak = _traced_peak(sample_path_functional, two_state_chain, fx, SUPREMUM, n, reps,
+                        RandomStream(68, [4]))
+    assert peak < (n + 1) * reps
+
+
+def test_markov_strest_and_doob_store_no_paths(two_state_chain):
+    # strest folds the martingale and the squared gap, doob the squared sum,
+    # chunk by chunk of steps
+    fx, n, reps = PastFixture(state=0), 4096, 1024
+    strest_experiment(two_state_chain, fx, math.inf, [16, 64], 256, RandomStream(68, [0]))
+    doob_bound_check(two_state_chain, fx, 64, 256, RandomStream(68, [0]))
+    strest = _traced_peak(strest_experiment, two_state_chain, fx, math.inf, [512, n], reps,
+                          RandomStream(68, [5]))
+    doob = _traced_peak(doob_bound_check, two_state_chain, fx, n, reps, RandomStream(68, [6]))
+    assert strest < (n + 1) * reps and doob < (n + 1) * reps
 
 
 def _endpoint_peak(chain, fixtures: int, n: int, reps: int) -> int:
     fxs = [PastFixture(state=i % 2) for i in range(fixtures)]
     streams = [RandomStream(68, [2, i]) for i in range(fixtures)]
-    tracemalloc.start()
-    try:
-        sample_path_functional(chain, fxs, ENDPOINT, n, reps, streams)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return _traced_peak(sample_path_functional, chain, fxs, ENDPOINT, n, reps, streams)
 
 
 def test_markov_endpoint_peak_does_not_grow_with_fixtures(two_state_chain):

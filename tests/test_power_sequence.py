@@ -21,6 +21,7 @@ from qlab import (MarkovFunctionalModel, PastFixture, PathFunctional,
                   strest_experiment, worker_pool)
 
 from qlab import experiments, models
+from qlab.paths import FUNCTIONAL_KINDS
 
 from conftest import centered_chain
 
@@ -236,45 +237,46 @@ def _oracle_centered(chain, x, states):
     return np.cumsum(chain.observable[states[:, 1:]], axis=1) - np.cumsum(e0)
 
 
+def check_blocks_jointly(chain, x, reps, stream, n, Ns, kinds=FUNCTIONAL_KINDS,
+                         workers=(1, 2, 3)):
+    """Byte oracle of one fixture's experiments: every functional in
+    ``kinds``, strest and doob against the per-block oracle's arrays."""
+    fixture = PastFixture(state=x)
+    blocks = _oracle_blocks(chain, x, n, reps, stream)
+    centered = np.concatenate([_oracle_centered(chain, x, st) for st in blocks])
+
+    grid = np.concatenate([np.zeros((reps, 1)), centered], axis=1) / math.sqrt(n)
+    approx = martingale_increment(chain, math.inf)
+    mart = np.concatenate([np.cumsum(approx.g_hat[st[:, 1:]] - approx.p_g_hat[st[:, :-1]],
+                                     axis=1) for st in blocks])
+    running = np.maximum.accumulate((centered - mart) ** 2, axis=1)
+    scaled = running[:, [N - 1 for N in Ns]] / np.asarray(Ns, dtype=float)[None, :]
+    lhs = math.sqrt(float(np.max(centered**2, axis=1).mean()))
+
+    for count in workers:
+        with worker_pool(count):
+            for kind in kinds:
+                functional = PathFunctional(kind)
+                got = sample_path_functional(chain, fixture, functional, n, reps, stream)
+                assert got.tobytes() == functional.of_grid(grid).tobytes()
+            rep = strest_experiment(chain, fixture, math.inf, Ns, reps, stream)
+            assert rep.estimates == [float(v) for v in scaled.mean(axis=0)]
+            rep = doob_bound_check(chain, fixture, n, reps, stream)
+            assert rep.lhs == lhs
+
+
 def test_markov_experiments_step_blocks_jointly(three_state_chain):
     # five blocks, the last one partial: every worker count groups them
     # differently, and every grouping must give the per-block oracle's arrays;
-    # n = 300 runs the endpoint's running sums across the kernel's chunks
-    chain, x, reps = three_state_chain, 2, 4 * 256 + 37
-    fixture, stream = PastFixture(state=x), RandomStream(7009, [3])
+    # n = 300 runs the running sums across the kernel's chunks
     for n, Ns in ((60, [15, 60]), (300, [15, 300])):
-        blocks = _oracle_blocks(chain, x, n, reps, stream)
-        centered = np.concatenate([_oracle_centered(chain, x, st) for st in blocks])
-
-        grid = np.concatenate([np.zeros((reps, 1)), centered], axis=1) / math.sqrt(n)
-        approx = martingale_increment(chain, math.inf)
-        mart = np.concatenate([np.cumsum(approx.g_hat[st[:, 1:]] - approx.p_g_hat[st[:, :-1]],
-                                         axis=1) for st in blocks])
-        running = np.maximum.accumulate((centered - mart) ** 2, axis=1)
-        scaled = running[:, [N - 1 for N in Ns]] / np.asarray(Ns, dtype=float)[None, :]
-        lhs = math.sqrt(float(np.max(centered**2, axis=1).mean()))
-
-        for workers in (1, 2, 3):
-            with worker_pool(workers):
-                for kind in ("endpoint", "supremum", "time-integral"):
-                    functional = PathFunctional(kind)
-                    got = sample_path_functional(chain, fixture, functional, n, reps, stream)
-                    assert got.tobytes() == functional.of_grid(grid).tobytes()
-                rep = strest_experiment(chain, fixture, math.inf, Ns, reps, stream)
-                assert rep.estimates == [float(v) for v in scaled.mean(axis=0)]
-                rep = doob_bound_check(chain, fixture, n, reps, stream)
-                assert rep.lhs == lhs
+        check_blocks_jointly(three_state_chain, 2, 4 * 256 + 37, RandomStream(7009, [3]),
+                             n, Ns)
 
 
-@pytest.mark.parametrize("loop_lanes", [None, 500])
-def test_markov_run_steps_fixtures_jointly(three_state_chain, loop_lanes, monkeypatch):
-    # three fixtures in different states, each of two full blocks and a
-    # partial one: two workers split the run inside fixture 1, so one loop
-    # steps lanes of two fixtures; n = 300 crosses the kernel's chunks, and
-    # 500 lanes a loop splits each group into loops inside fixtures too
-    if loop_lanes is not None:
-        monkeypatch.setattr(experiments, "_LOOP_LANES", loop_lanes)
-    chain, n, reps = three_state_chain, 300, 2 * 256 + 37
+def check_fixtures_jointly(chain, n, reps, kinds=FUNCTIONAL_KINDS, workers=(1, 2, 3)):
+    """Byte oracle of a run of three fixtures in different states: every
+    functional in ``kinds`` against each fixture's per-block oracle grid."""
     states = (2, 0, 1)
     fixtures = [PastFixture(state=x) for x in states]
     streams = [RandomStream(7010, [1, i]) for i in range(len(states))]
@@ -283,13 +285,25 @@ def test_markov_run_steps_fixtures_jointly(three_state_chain, loop_lanes, monkey
         centered = np.concatenate([_oracle_centered(chain, x, st)
                                    for st in _oracle_blocks(chain, x, n, reps, stream)])
         grids.append(np.concatenate([np.zeros((reps, 1)), centered], axis=1) / math.sqrt(n))
-    for workers in (1, 2, 3):
-        with worker_pool(workers):
-            for kind in ("endpoint", "supremum"):
+    for count in workers:
+        with worker_pool(count):
+            for kind in kinds:
                 functional = PathFunctional(kind)
                 got = sample_path_functional(chain, fixtures, functional, n, reps, streams)
                 assert [v.tobytes() for v in got] == [functional.of_grid(grid).tobytes()
                                                       for grid in grids]
+
+
+@pytest.mark.parametrize("loop_lanes", [None, 500])
+def test_markov_run_steps_fixtures_jointly(three_state_chain, loop_lanes, monkeypatch):
+    # three fixtures in different states, each of two full blocks and a
+    # partial one: two workers split the run inside fixture 1, so one loop
+    # steps lanes of two fixtures, for the endpoint and every path
+    # functional alike; n = 300 crosses the kernel's chunks, and 500 lanes
+    # a loop splits each group into loops inside fixtures too
+    if loop_lanes is not None:
+        monkeypatch.setattr(experiments, "_LOOP_LANES", loop_lanes)
+    check_fixtures_jointly(three_state_chain, 300, 2 * 256 + 37)
 
 
 def test_chunk_width_leaves_the_numbers_alone(three_state_chain, monkeypatch):
