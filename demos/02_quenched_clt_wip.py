@@ -25,10 +25,11 @@ def main():
 
     print(f"model: geometric linear, n = {n}, replications = {reps}")
     print("\nconditionally centered CLT under five frozen pasts:")
-    for i in range(5):
-        fixture = sample_fixture(model, base.child(0, i))
-        rep = quenched_wip_experiment(model, fixture, PathFunctional("endpoint"),
-                                      n, reps, base.child(1, i))
+    # one run over the five pasts, each with its own stream, as `qlab run` makes
+    fixtures = [sample_fixture(model, base.child(0, i)) for i in range(5)]
+    reports = quenched_wip_experiment(model, fixtures, PathFunctional("endpoint"),
+                                      n, reps, [base.child(1, i) for i in range(5)])
+    for i, rep in enumerate(reports):
         print(f"  past {i}: KS D = {rep.test_statistic:.4f}, "
               f"p = {rep.p_value:.3f} -> {rep.verdict}")
 
@@ -36,10 +37,9 @@ def main():
     n, reps = 4096, 5000
     print(f"\npath functionals under one frozen past, n = {n}, "
           f"replications = {reps}:")
-    fixture = sample_fixture(model, base.child(0, 0))
     for kind in ("supremum", "infimum", "sup-abs", "time-integral"):
-        rep = quenched_wip_experiment(model, fixture, PathFunctional(kind),
-                                      n, reps, base.child(2))
+        [rep] = quenched_wip_experiment(model, fixtures[:1], PathFunctional(kind),
+                                        n, reps, [base.child(2)])
         print(f"  {kind:13s}: D = {rep.test_statistic:.4f}, "
               f"p = {rep.p_value:.3f}, rule {rep.details['verdict_rule']} "
               f"-> {rep.verdict}, reference = {rep.details['reference']}")

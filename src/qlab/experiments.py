@@ -3,10 +3,11 @@
 Replications are generated in fixed-size blocks, each block drawing from
 its own derived stream and the blocks being reduced in index order, so
 results are bit-identical no matter how many workers execute them.  A
-sampling run hands the blocks of all its fixtures, fixture by fixture, to
-one replication pass, which splits them into one contiguous group per
-worker; a group's Markov blocks are stepped in loops of about 2^14
-chains, and a loop may span fixtures.
+sampling run is a sequence of fixtures, each with its own stream, even
+when it holds one; it hands the blocks of all its fixtures, fixture by
+fixture, to one replication pass, which splits them into one contiguous
+group per worker; a group's Markov blocks are stepped in loops of about
+2^14 chains, and a loop may span fixtures.
 
 The statistic is the conditionally centered sum S_k - E0(S_k); every
 reduction of it folds chunks of the path left to right.  A Markov loop
@@ -131,7 +132,7 @@ def _split(items: list, parts: int) -> list:
     return [items[lo:hi] for lo, hi in pairwise(bounds)]
 
 
-def _block_tasks(runs, reps: int) -> list:
+def _block_tasks(streams, reps: int) -> list:
     """(fixture index, seed, stream path, count) of every replication block
     of a run, in (fixture, block) order: block b of fixture i draws from
     its stream's path + (0, b)."""
@@ -139,7 +140,7 @@ def _block_tasks(runs, reps: int) -> list:
     if reps % BLOCK_REPS:
         sizes.append(reps % BLOCK_REPS)
     return [(i, stream.master_seed, stream.path + (0, b), count)
-            for i, (_, stream) in enumerate(runs) for b, count in enumerate(sizes)]
+            for i, stream in enumerate(streams) for b, count in enumerate(sizes)]
 
 
 def _linear_centered_sums(model: LinearModel, fresh: np.ndarray,
@@ -209,7 +210,7 @@ def _markov_chunks(model: MarkovFunctionalModel, fixtures, n: int, endpoint: boo
     # a fixture's paths at n = 0 are its start lanes and draw nothing;
     # the chain-clt trace in bench/run.py reads this call's span
     start = np.concatenate([
-        sample_quenched_paths(model, fixtures[i], streams, 0, counts).states[:, 0]
+        sample_quenched_paths(model, fixtures[i], streams[0], 0, sum(counts)).states[:, 0]
         for i, streams, counts in segments])
     drifts = _drifts(model, [fixtures[i] for i, *_ in segments], n)
     owner = np.repeat(np.arange(len(segments)), [sum(counts) for *_, counts in segments])
@@ -255,10 +256,10 @@ def _reduce_markov_blocks(model: MarkovFunctionalModel, fixtures, n: int,
                                _split(blocks, loops))])
 
 
-def _replicate(model: Model, runs, n: int, reps: int, reduce,
+def _replicate(model: Model, fixtures, streams, n: int, reps: int, reduce,
                endpoint: bool = False) -> list:
     """``reduce(chunks)`` of every replication block of conditional paths,
-    one array per (fixture, stream) pair of ``runs``.
+    one array per fixture, fixture i drawing from ``streams[i]``.
 
     ``chunks`` yields (grid, realization) pairs that cut paths in time, in
     order: ``grid`` holds S_k - E0(S_k), one row per path, from the last
@@ -268,31 +269,22 @@ def _replicate(model: Model, runs, n: int, reps: int, reduce,
     with ``endpoint`` it holds times 0 and n only.  A reduction keeps one
     carry per path and may overwrite grids.
 
-    The blocks of all the pairs form one task list in (fixture, block)
+    The blocks of all the fixtures form one task list in (fixture, block)
     order, which ``_map_ordered`` splits into one contiguous group per
     worker, so a run makes one pool map whatever its fixture count.
     Only Markov paths need the drift E0(S_k); a linear fixture is
     validated all the same.
     """
-    fixtures = [fixture for fixture, _ in runs]
+    if not fixtures or len(streams) != len(fixtures):
+        raise ValueError("need at least one fixture, and one stream per fixture")
     for fixture in fixtures:
         _check_fixture(model, fixture)
     if isinstance(model, LinearModel):
         fn = partial(_reduce_linear_blocks, model, n, endpoint, reduce)
     else:
         fn = partial(_reduce_markov_blocks, model, fixtures, n, endpoint, reduce)
-    return np.split(np.concatenate(_map_ordered(fn, _block_tasks(runs, reps))), len(runs))
-
-
-def _runs(fixture, stream) -> tuple[list, bool]:
-    """The (fixture, stream) pairs of a call, and whether it gave a single
-    fixture rather than sequences paired in order."""
-    if isinstance(fixture, PastFixture):
-        return [(fixture, stream)], True
-    runs = list(zip(fixture, stream, strict=True))
-    if not runs:
-        raise ValueError("need at least one fixture")
-    return runs, False
+    return np.split(np.concatenate(_map_ordered(fn, _block_tasks(streams, reps))),
+                    len(fixtures))
 
 
 # --- replicated functional sampling -------------------------------------
@@ -303,29 +295,27 @@ def _functional_of(functional, n, chunks) -> np.ndarray:
     return functional.of_grid(next(grids) if isinstance(chunks, list) else grids)
 
 
-def sample_path_functional(model: Model,
-                           fixture: PastFixture | Sequence[PastFixture],
+def sample_path_functional(model: Model, fixtures: Sequence[PastFixture],
                            functional: PathFunctional, n: int, reps: int,
-                           stream: RandomStream | Sequence[RandomStream]):
-    """Replicated values of the functional of the centered path / sqrt(n).
+                           streams: Sequence[RandomStream]) -> list:
+    """Replicated values of the functional of the centered path / sqrt(n),
+    one array per fixture, fixture i drawing from ``streams[i]``.
 
     The centered path is S_k - E0(S_k), k = 0..n.  For the endpoint
     functional only S_n - E0(S_n) is computed, as one sum per path (see
     ``_linear_centered_sums`` and ``_markov_chunks``); for every other
     functional a linear block builds its whole grid, and a Markov loop
-    folds its chunks of steps as they come.  A fixture and its stream give one
-    array.  Sequences of fixtures and streams, paired in order, give one
-    array per fixture from one replication pass over all their blocks;
-    each array is the one its pair would give alone.
+    folds its chunks of steps as they come.  One replication pass covers
+    the blocks of all the fixtures, and each array is the one its fixture
+    would give alone.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if reps < 1:
         raise ValueError("empty sample: reps must be >= 1")
-    runs, single = _runs(fixture, stream)
-    values = _replicate(model, runs, n, reps, partial(_functional_of, functional, n),
-                        endpoint=functional.kind == "endpoint")
-    return values[0] if single else values
+    return _replicate(model, fixtures, streams, n, reps,
+                      partial(_functional_of, functional, n),
+                      endpoint=functional.kind == "endpoint")
 
 
 # --- CLT / WIP experiments ----------------------------------------------
@@ -349,13 +339,13 @@ def _limit_law(kind: str, sigma2: float, n: int):
     return "brownian-sup-abs", partial(brownian_sup_abs_cdf, sigma=sigma)
 
 
-def quenched_wip_experiment(model: Model,
-                            fixture: PastFixture | Sequence[PastFixture],
+def quenched_wip_experiment(model: Model, fixtures: Sequence[PastFixture],
                             functional: PathFunctional, n: int, reps: int,
-                            stream: RandomStream | Sequence[RandomStream],
+                            streams: Sequence[RandomStream],
                             alpha: float = 0.01, d_threshold: float = 0.03,
-                            sample_sink: Optional[dict] = None):
-    """Compare the law of a path functional with its Brownian limit.
+                            sample_sink: Optional[dict] = None) -> list:
+    """Compare the law of a path functional with its Brownian limit, one
+    report per fixture, fixture i drawing from ``streams[i]``.
 
     Every functional is tested one-sample against a closed-form CDF (see
     ``_limit_law``).  The comparison is against the limit law, so
@@ -363,21 +353,17 @@ def quenched_wip_experiment(model: Model,
     not as an error: the endpoint and the grid-exact time integral are
     judged by the p-value at ``alpha``, while the three extrema (whose
     references ignore the polygonal-grid bias by design) are judged by
-    the distance threshold ``d_threshold``.  Passing a dict as
-    ``sample_sink`` collects the raw sample and the reference CDF for
-    plotting dumps.  Sequences of fixtures and streams, paired in order,
-    are sampled in one pass (see ``sample_path_functional``) and give one
-    report per fixture; the sink then collects the first fixture's sample.
+    the distance threshold ``d_threshold``.  All the fixtures are
+    sampled in one pass (see ``sample_path_functional``).  Passing a dict
+    as ``sample_sink`` collects the first fixture's raw sample and the
+    reference CDF for plotting dumps.
     """
 
     sigma2 = sigma_squared(model)
-    runs, single = _runs(fixture, stream)
-    fixtures, streams = map(list, zip(*runs))
     samples = sample_path_functional(model, fixtures, functional, n, reps, streams)
-    reports = [_wip_report(model, fx, functional, n, reps, st, values, sigma2,
-                           alpha, d_threshold, sample_sink if i == 0 else None)
-               for i, (fx, st, values) in enumerate(zip(fixtures, streams, samples))]
-    return reports[0] if single else reports
+    return [_wip_report(model, fx, functional, n, reps, st, values, sigma2,
+                        alpha, d_threshold, sample_sink if i == 0 else None)
+            for i, (fx, st, values) in enumerate(zip(fixtures, streams, samples))]
 
 
 def _wip_report(model: Model, fixture: PastFixture, functional: PathFunctional,
@@ -481,7 +467,7 @@ def strest_experiment(model: Model, fixture: PastFixture, r: float,
     if reps < 2:
         raise ValueError("reps must be >= 2")
     approx = martingale_increment(model, r)
-    [mat] = _replicate(model, [(fixture, stream)], Ns[-1], reps,
+    [mat] = _replicate(model, [fixture], [stream], Ns[-1], reps,
                        partial(_strest_of, approx, Ns))
     scaled = mat / np.asarray(Ns, dtype=float)[None, :]
     return StrestReport(
@@ -584,7 +570,7 @@ def doob_bound_check(model: Model, fixture: PastFixture, N: int, reps: int,
                          "linear model lacks exact maximal functions")
     if N < 1 or reps < 2:
         raise ValueError("need N >= 1 and reps >= 2")
-    [maxima] = _replicate(model, [(fixture, stream)], N, reps, _max_square_of)
+    [maxima] = _replicate(model, [fixture], [stream], N, reps, _max_square_of)
     mean = float(maxima.mean())
     se = float(maxima.std(ddof=1) / math.sqrt(reps))
     lhs = math.sqrt(mean)
@@ -595,8 +581,10 @@ def doob_bound_check(model: Model, fixture: PastFixture, N: int, reps: int,
     x = fixture.state
     admissible = np.flatnonzero(P[:, x] > 0)
     ns = np.arange(1, N + 1, dtype=float)
-    C = np.cumsum(np.vstack([np.zeros(S), *islice(_powers(P.T, np.eye(S)[x]), N - 1)]),
-                  axis=0)                          # row l: c_l = sum_{m<l} e_x P^m
+    C = np.zeros((N, S))
+    for row, power in zip(C[1:], _powers(P.T, np.eye(S)[x])):
+        row[:] = power
+    np.cumsum(C, axis=0, out=C)                    # row l: c_l = sum_{m<l} e_x P^m
     chunk = max(1, 2**16 // (S * N))
     max_terms = 20_000
     total = np.zeros(S)     # per previous-state a: sum_i sqrt((f_i^2)*_N)(a, x)

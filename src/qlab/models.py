@@ -397,38 +397,28 @@ def _linear_observables(model: LinearModel, fixture: PastFixture,
     return _fir(model.coeffs, np.hstack([prefix, fresh]))[:, J:]
 
 
-def sample_quenched_paths(model: Model, fixture: PastFixture,
-                          stream: RandomStream | Sequence[RandomStream], n: int,
-                          reps: int | Sequence[int] = 1) -> Realization:
-    """Draw ``reps`` conditional paths of length ``n`` given the frozen past.
+def sample_quenched_paths(model: Model, fixture: PastFixture, stream: RandomStream,
+                          n: int, reps: int = 1) -> Realization:
+    """Draw one block of ``reps`` conditional paths of length ``n`` given
+    the frozen past, from ``stream``.
 
-    A Markov model also takes a sequence of block streams with a matching
-    sequence of counts, and steps all their chains together; the rows
-    follow the blocks in order.  The draw contract is per block: a block
-    of ``count`` chains draws ``n * count`` uniforms from its own stream,
-    time-major, and uniform ``k * count + i`` moves its chain ``i`` from
+    The Markov draw contract: the block draws ``n * reps`` uniforms,
+    time-major, and uniform ``k * reps + i`` moves its chain ``i`` from
     step ``k`` to ``k + 1`` by inverse CDF on the cumulative sums of the
     current row.  How many calls fetch them does not change the numbers:
     ``_markov_steps`` sets its chunk width from a fixed draw budget and the
     lane count.  The Markov states are the transposed view of a time-major
-    array that stores each row ``_markov_steps`` yields.  A linear model is
-    sampled one block at a time.
+    array that stores each row ``_markov_steps`` yields.
     """
-    blocks = (list(zip(stream, reps, strict=True))
-              if isinstance(stream, Sequence) else [(stream, reps)])
-    if n < 0 or any(count < 0 for _, count in blocks):
+    if n < 0 or reps < 0:
         raise ValueError("n and reps must be >= 0")
     _check_fixture(model, fixture)
     if isinstance(model, LinearModel):
-        if len(blocks) != 1:
-            raise ValueError("a linear model is sampled one block at a time")
-        [(stream, reps)] = blocks
         fresh = sample(stream, model.innovation, reps * n).reshape(reps, n)
         return Realization(values=_linear_observables(model, fixture, fresh),
                            fresh=fresh)
-    total = sum(count for _, count in blocks)
-    states = np.empty((n + 1, total), dtype=np.uint8)    # time-major
+    states = np.empty((n + 1, reps), dtype=np.uint8)    # time-major
     states[0] = fixture.state
-    for k, state in enumerate(_markov_steps(model, states[0], n, blocks), 1):
+    for k, state in enumerate(_markov_steps(model, states[0], n, [(stream, reps)]), 1):
         states[k] = state
     return Realization(values=model.observable[states[1:].T], states=states.T)

@@ -115,12 +115,11 @@ def test_criterion_04_quenched_clt(which, rho_model, two_state_chain):
     model = rho_model if which == "linear" else two_state_chain
     with criterion(4, f"quenched-clt-{which}", 120.0):
         base = RandomStream(9004, [0 if which == "linear" else 1])
-        passes = 0
-        for i in range(10):
-            fx = sample_fixture(model, base.child(0, i))
-            rep = quenched_wip_experiment(model, fx, PathFunctional("endpoint"),
-                                          4096, 5000, base.child(1, i), alpha=0.01)
-            passes += rep.verdict == "pass"
+        fixtures = [sample_fixture(model, base.child(0, i)) for i in range(10)]
+        reports = quenched_wip_experiment(model, fixtures, PathFunctional("endpoint"),
+                                          4096, 5000, [base.child(1, i) for i in range(10)],
+                                          alpha=0.01)
+        passes = sum(rep.verdict == "pass" for rep in reports)
         assert passes >= 9, f"{passes}/10 fixtures passed"
 
 
@@ -128,8 +127,8 @@ def test_criterion_05_quenched_wip_supremum(rho_model):
     with criterion(5, "quenched-wip-supremum", 120.0):
         base = RandomStream(9005, [])
         fx = sample_fixture(rho_model, base.child(0))
-        rep = quenched_wip_experiment(rho_model, fx, PathFunctional("supremum"),
-                                      4096, 5000, base.child(1))
+        [rep] = quenched_wip_experiment(rho_model, [fx], PathFunctional("supremum"),
+                                        4096, 5000, [base.child(1)])
         assert rep.test_statistic < 0.03
         assert rep.verdict == "pass"
 

@@ -43,6 +43,25 @@ def test_report_field_invariants():
 
 # --- CLT and WIP --------------------------------------------------------------
 
+def check_run_reports_as_fixtures_alone(model, f, workers=(1, 2)):
+    """Byte oracle of a run of three fixtures: its reports, and the sink's
+    sample, are those each fixture gives as a run of its own.  Returns the
+    run's fixtures and streams."""
+    fxs = [sample_fixture(model, RandomStream(62, [i])) for i in range(3)]
+    streams = [RandomStream(62, [1, i]) for i in range(3)]
+    alone = [asdict(rep) for fx, st in zip(fxs, streams)
+             for rep in quenched_wip_experiment(model, [fx], f, 40, 301, [st])]
+    for count in workers:
+        with worker_pool(count):
+            sink = {}
+            batch = quenched_wip_experiment(model, fxs, f, 40, 301, streams,
+                                            sample_sink=sink)
+        assert [asdict(rep) for rep in batch] == alone
+        [first] = sample_path_functional(model, fxs[:1], f, 40, 301, streams[:1])
+        assert sink["values"].tobytes() == first.tobytes()
+    return fxs, streams
+
+
 @pytest.mark.parametrize("functional", ["endpoint", "supremum"])
 def test_a_run_of_fixtures_reports_as_its_fixtures_alone(functional, rho_model,
                                                         three_state_chain):
@@ -51,18 +70,7 @@ def test_a_run_of_fixtures_reports_as_its_fixtures_alone(functional, rho_model,
     # splitting the run inside a fixture
     f = PathFunctional(functional)
     for model in (rho_model, three_state_chain):
-        fxs = [sample_fixture(model, RandomStream(62, [i])) for i in range(3)]
-        streams = [RandomStream(62, [1, i]) for i in range(3)]
-        alone = [asdict(quenched_wip_experiment(model, fx, f, 40, 301, st))
-                 for fx, st in zip(fxs, streams)]
-        for workers in (1, 2):
-            with worker_pool(workers):
-                sink = {}
-                batch = quenched_wip_experiment(model, fxs, f, 40, 301, streams,
-                                              sample_sink=sink)
-            assert [asdict(rep) for rep in batch] == alone
-            first = sample_path_functional(model, fxs[0], f, 40, 301, streams[0])
-            assert sink["values"].tobytes() == first.tobytes()
+        fxs, streams = check_run_reports_as_fixtures_alone(model, f)
         with pytest.raises(ValueError, match="at least one fixture"):
             sample_path_functional(model, [], f, 40, 301, [])
         with pytest.raises(ValueError):
@@ -73,8 +81,8 @@ def test_clt_exact_normal_identity_model(identity_model):
     # with gaussian innovations the centered endpoint is exactly normal at
     # every n, so the KS distance sits below the 1% critical value
     fx = PastFixture(innovations=np.array([0.0]))
-    rep = quenched_wip_experiment(identity_model, fx, ENDPOINT, 64, 5000,
-                                  RandomStream(61, [0]))
+    [rep] = quenched_wip_experiment(identity_model, [fx], ENDPOINT, 64, 5000,
+                                    [RandomStream(61, [0])])
     assert rep.test_statistic < 1.63 / math.sqrt(5000)
     assert rep.verdict == "pass"
 
@@ -83,11 +91,11 @@ def test_endpoint_wip_reproduces_clt(rho_model):
     # the endpoint WIP experiment is the CLT: a one-sample KS test of the
     # centered endpoint sample against N(0, sigma^2)
     fx = sample_fixture(rho_model, RandomStream(61, [1]))
-    values = sample_path_functional(rho_model, fx, ENDPOINT, 128, 500,
-                                    RandomStream(61, [2]))
+    [values] = sample_path_functional(rho_model, [fx], ENDPOINT, 128, 500,
+                                      [RandomStream(61, [2])])
     d, p = ks_one_sample(values, normal_reference(sigma_squared(rho_model)))
-    wip = quenched_wip_experiment(rho_model, fx, ENDPOINT, 128, 500,
-                                  RandomStream(61, [2]))
+    [wip] = quenched_wip_experiment(rho_model, [fx], ENDPOINT, 128, 500,
+                                    [RandomStream(61, [2])])
     assert wip.test_statistic == d
     assert wip.p_value == p
     assert wip.estimate == float(values.mean())
@@ -96,13 +104,13 @@ def test_endpoint_wip_reproduces_clt(rho_model):
 def test_empty_sample_rejected(rho_model):
     fx = sample_fixture(rho_model, RandomStream(61, [3]))
     with pytest.raises(ValueError):
-        quenched_wip_experiment(rho_model, fx, ENDPOINT, 64, 0, RandomStream(61, [4]))
+        quenched_wip_experiment(rho_model, [fx], ENDPOINT, 64, 0, [RandomStream(61, [4])])
 
 
 def test_degenerate_observable_reports_not_raises(zero_chain):
     fx = PastFixture(state=0)
-    rep = quenched_wip_experiment(zero_chain, fx, ENDPOINT, 64, 200,
-                                  RandomStream(61, [5]))
+    [rep] = quenched_wip_experiment(zero_chain, [fx], ENDPOINT, 64, 200,
+                                    [RandomStream(61, [5])])
     assert rep.verdict == "degenerate"
     assert rep.p_value is None
     assert rep.details["max_abs_value"] == 0.0
@@ -114,8 +122,8 @@ def test_time_integral_against_brownian_mc(rho_model):
     # the sample and the closed form
     fx = sample_fixture(rho_model, RandomStream(61, [6]))
     sink = {}
-    rep = quenched_wip_experiment(rho_model, fx, PathFunctional("time-integral"),
-                                  512, 5000, RandomStream(61, [7]), sample_sink=sink)
+    [rep] = quenched_wip_experiment(rho_model, [fx], PathFunctional("time-integral"),
+                                    512, 5000, [RandomStream(61, [7])], sample_sink=sink)
     assert rep.details["reference"] == "trapezoid-normal"
     assert rep.details["verdict_rule"] == "p>0.01"
     assert rep.p_value > 0.01
@@ -128,9 +136,9 @@ def test_time_integral_against_brownian_mc(rho_model):
 def test_workers_do_not_change_values(rho_model):
     fx = sample_fixture(rho_model, RandomStream(61, [8]))
     f = PathFunctional("supremum")
-    v1 = sample_path_functional(rho_model, fx, f, 300, 700, RandomStream(61, [9]))
+    [v1] = sample_path_functional(rho_model, [fx], f, 300, 700, [RandomStream(61, [9])])
     with worker_pool(3):
-        v2 = sample_path_functional(rho_model, fx, f, 300, 700, RandomStream(61, [9]))
+        [v2] = sample_path_functional(rho_model, [fx], f, 300, 700, [RandomStream(61, [9])])
     assert np.array_equal(v1, v2)
 
 
@@ -170,10 +178,10 @@ def test_brownian_grid_floor_enforced(identity_model):
     fx = PastFixture(innovations=np.array([0.0]))
     for kind in ("endpoint", "time-integral", "supremum", "infimum", "sup-abs"):
         with pytest.raises(ValueError):
-            quenched_wip_experiment(identity_model, fx, PathFunctional(kind),
-                                    0, 100, RandomStream(62, [3]))
-        rep = quenched_wip_experiment(identity_model, fx, PathFunctional(kind),
-                                      128, 100, RandomStream(62, [3]))
+            quenched_wip_experiment(identity_model, [fx], PathFunctional(kind),
+                                    0, 100, [RandomStream(62, [3])])
+        [rep] = quenched_wip_experiment(identity_model, [fx], PathFunctional(kind),
+                                        128, 100, [RandomStream(62, [3])])
         assert rep.n == 128 and rep.test_statistic is not None
 
 
@@ -185,8 +193,8 @@ def test_time_integral_law_at_own_grid(identity_model):
     z = np.linspace(-2.0, 2.0, 9)
     for n in (1, 2, 7, 64, 300):
         sink = {}
-        quenched_wip_experiment(identity_model, fx, PathFunctional("time-integral"),
-                                n, 100, RandomStream(62, [0, n]), sample_sink=sink)
+        quenched_wip_experiment(identity_model, [fx], PathFunctional("time-integral"),
+                                n, 100, [RandomStream(62, [0, n])], sample_sink=sink)
         w = (n - np.arange(1, n + 1) + 0.5) / n
         sd = math.sqrt(np.sum(w**2) / n)
         assert np.allclose(sink["ref_cdf"](z), normal_cdf(z / sd), rtol=0, atol=1e-15)
@@ -211,9 +219,9 @@ def test_brownian_zero_sigma_gives_zero_paths(zero_chain):
         with pytest.raises(ValueError):
             cdf(1.0, 0.0)
     for kind in ("infimum", "sup-abs", "time-integral"):
-        rep = quenched_wip_experiment(zero_chain, PastFixture(state=0),
-                                      PathFunctional(kind), 64, 100,
-                                      RandomStream(62, [2]))
+        [rep] = quenched_wip_experiment(zero_chain, [PastFixture(state=0)],
+                                        PathFunctional(kind), 64, 100,
+                                        [RandomStream(62, [2])])
         assert rep.verdict == "degenerate"
         assert rep.details["max_abs_value"] == 0.0
 
@@ -223,8 +231,8 @@ def test_extrema_judged_by_distance_threshold(identity_model):
     fx = PastFixture(innovations=np.array([0.0]))
     for kind, reference in (("supremum", "brownian-sup"), ("infimum", "brownian-inf"),
                             ("sup-abs", "brownian-sup-abs")):
-        rep = quenched_wip_experiment(identity_model, fx, PathFunctional(kind),
-                                      4096, 5000, RandomStream(62, [3]))
+        [rep] = quenched_wip_experiment(identity_model, [fx], PathFunctional(kind),
+                                        4096, 5000, [RandomStream(62, [3])])
         assert rep.details["reference"] == reference
         assert rep.details["verdict_rule"] == "D<=0.03"
         assert rep.verdict == "pass"
@@ -251,8 +259,8 @@ def test_time_integral_exact_normal_identity_model(identity_model):
     # with gaussian innovations the time integral of the centered polygonal
     # path is exactly N(0, (4n^2 - 1) / (12 n^2)) at every n, also below 256
     fx = PastFixture(innovations=np.array([0.0]))
-    rep = quenched_wip_experiment(identity_model, fx, PathFunctional("time-integral"),
-                                  64, 5000, RandomStream(61, [0]))
+    [rep] = quenched_wip_experiment(identity_model, [fx], PathFunctional("time-integral"),
+                                    64, 5000, [RandomStream(61, [0])])
     assert rep.details["reference"] == "trapezoid-normal"
     assert rep.test_statistic < 1.63 / math.sqrt(5000)
     assert rep.verdict == "pass"
@@ -511,7 +519,7 @@ def test_internal_consistency_of_centered_statistics(two_state_chain):
     fx = PastFixture(state=0)
     n, reps = 48, 32
     stream = RandomStream(66, [4])
-    values = sample_path_functional(two_state_chain, fx, ENDPOINT, n, reps, stream)
+    [values] = sample_path_functional(two_state_chain, [fx], ENDPOINT, n, reps, [stream])
     real = sample_quenched_paths(two_state_chain, fx,
                                  RandomStream(66, [4, 0, 0]), n, reps)
     drift = e0_increment_series(two_state_chain, fx, n)
@@ -536,18 +544,18 @@ def test_markov_endpoint_stores_no_paths(two_state_chain, kind):
     # peak stays below the (n + 1) x reps uint8 state array of a path grid
     fx, n, reps = PastFixture(state=0), 4096, 1024
     functional = PathFunctional(kind)
-    sample_path_functional(two_state_chain, fx, functional, 64, 256, RandomStream(68, [0]))
-    peak = _traced_peak(sample_path_functional, two_state_chain, fx, functional, n, reps,
-                        RandomStream(68, [1]))
+    sample_path_functional(two_state_chain, [fx], functional, 64, 256, [RandomStream(68, [0])])
+    peak = _traced_peak(sample_path_functional, two_state_chain, [fx], functional, n, reps,
+                        [RandomStream(68, [1])])
     assert peak < (n + 1) * reps
 
 
 def test_markov_supremum_at_long_horizon_stores_no_paths(two_state_chain):
     # n = 2^16: the peak is the lanes' carries and one chunk of steps
     fx, n, reps = PastFixture(state=1), 1 << 16, 256
-    sample_path_functional(two_state_chain, fx, SUPREMUM, 64, 256, RandomStream(68, [0]))
-    peak = _traced_peak(sample_path_functional, two_state_chain, fx, SUPREMUM, n, reps,
-                        RandomStream(68, [4]))
+    sample_path_functional(two_state_chain, [fx], SUPREMUM, 64, 256, [RandomStream(68, [0])])
+    peak = _traced_peak(sample_path_functional, two_state_chain, [fx], SUPREMUM, n, reps,
+                        [RandomStream(68, [4])])
     assert peak < (n + 1) * reps
 
 
@@ -563,6 +571,17 @@ def test_markov_strest_and_doob_store_no_paths(two_state_chain):
     assert strest < (n + 1) * reps and doob < (n + 1) * reps
 
 
+def test_doob_table_grows_by_no_array_per_step(two_state_chain):
+    # the exact right side tabulates c_l = sum_{m<l} e_x P^m, l < N, in one
+    # (N, S) array: from N = 2048 to 8192 the peak may grow by a few floats
+    # per added step, not by one array object per step
+    fx = PastFixture(state=0)
+    doob_bound_check(two_state_chain, fx, 64, 2, RandomStream(68, [0]))
+    short, long = (_traced_peak(doob_bound_check, two_state_chain, fx, N, 2,
+                                RandomStream(68, [7])) for N in (2048, 8192))
+    assert long - short < 8 * 8 * (8192 - 2048)
+
+
 def _endpoint_peak(chain, fixtures: int, n: int, reps: int) -> int:
     fxs = [PastFixture(state=i % 2) for i in range(fixtures)]
     streams = [RandomStream(68, [2, i]) for i in range(fixtures)]
@@ -573,8 +592,8 @@ def test_markov_endpoint_peak_does_not_grow_with_fixtures(two_state_chain):
     # eight fixtures step 8 x 2048 lanes in one loop; the draw budget keeps
     # the chunk buffers at the one-fixture size, so only the lanes' own
     # arrays grow
-    sample_path_functional(two_state_chain, PastFixture(state=0), ENDPOINT, 64, 256,
-                           RandomStream(68, [0]))
+    sample_path_functional(two_state_chain, [PastFixture(state=0)], ENDPOINT, 64, 256,
+                           [RandomStream(68, [0])])
     one = _endpoint_peak(two_state_chain, 1, 256, 2048)
     eight = _endpoint_peak(two_state_chain, 8, 256, 2048)
     assert eight < 2 * one
@@ -610,7 +629,7 @@ def pools(monkeypatch):
 def _three_experiments(chain):
     """Three block-replicated experiments of three blocks each."""
     fx, stream = PastFixture(state=0), RandomStream(67, [1])
-    return (sample_path_functional(chain, fx, ENDPOINT, 32, 600, stream).tolist(),
+    return (sample_path_functional(chain, [fx], ENDPOINT, 32, 600, [stream])[0].tolist(),
             strest_experiment(chain, fx, math.inf, [16, 32], 600, stream).estimates,
             doob_bound_check(chain, fx, 32, 600, stream).lhs)
 

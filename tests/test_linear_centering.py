@@ -80,7 +80,7 @@ def test_sampled_functional_equals_uncentered_route(linear_model, functional):
     n, reps = 384, BLOCK_REPS + 44
     fixture = sample_fixture(linear_model, RandomStream(72, [0]))
     stream = RandomStream(72, [1])
-    values = sample_path_functional(linear_model, fixture, functional, n, reps, stream)
+    [values] = sample_path_functional(linear_model, [fixture], functional, n, reps, [stream])
     olds = []
     for b, count in enumerate((BLOCK_REPS, 44)):
         real = sample_quenched_paths(linear_model, fixture,
@@ -98,23 +98,22 @@ def test_centered_sums_do_not_depend_on_the_past(linear_model, functional):
     J = linear_model.horizon
     pasts = [PastFixture(innovations=np.zeros(J + 1)),
              sample_fixture(linear_model, RandomStream(73, [0]))]
-    first, second = (sample_path_functional(linear_model, fixture, functional,
-                                            200, 300, RandomStream(73, [1]))
-                     for fixture in pasts)
+    first, second = sample_path_functional(linear_model, pasts, functional, 200, 300,
+                                           [RandomStream(73, [1])] * 2)
     assert np.array_equal(first, second)
 
 
 def test_wrong_fixture_length_still_refused(rho_model):
     short = PastFixture(innovations=np.zeros(3))
     with pytest.raises(ValueError, match="exactly 41 innovations"):
-        sample_path_functional(rho_model, short, ENDPOINT, 16, 8, RandomStream(74, [0]))
+        sample_path_functional(rho_model, [short], ENDPOINT, 16, 8, [RandomStream(74, [0])])
     with pytest.raises(ValueError, match="exactly 41 innovations"):
-        sample_path_functional(rho_model, short, SUPREMUM, 16, 8, RandomStream(74, [0]))
+        sample_path_functional(rho_model, [short], SUPREMUM, 16, 8, [RandomStream(74, [0])])
     with pytest.raises(ValueError, match="exactly 41 innovations"):
         strest_experiment(rho_model, short, math.inf, [4, 8], 8, RandomStream(74, [1]))
     with pytest.raises(ValueError, match="innovation fixture"):
-        sample_path_functional(rho_model, PastFixture(state=0), ENDPOINT, 16, 8,
-                               RandomStream(74, [0]))
+        sample_path_functional(rho_model, [PastFixture(state=0)], ENDPOINT, 16, 8,
+                               [RandomStream(74, [0])])
 
 
 @settings(max_examples=60)
@@ -141,8 +140,8 @@ def test_gaussian_endpoint_exact_finite_n_law(rho_model, n):
     B = 2.0 - 0.5 ** np.minimum(t, 40)
     scale = math.sqrt(np.sum(B**2) / n)
     fixture = sample_fixture(rho_model, RandomStream(75, [0]))
-    values = sample_path_functional(rho_model, fixture, ENDPOINT, n, 5000,
-                                    RandomStream(75, [1]))
+    [values] = sample_path_functional(rho_model, [fixture], ENDPOINT, n, 5000,
+                                      [RandomStream(75, [1])])
     assert kstest(values, norm(scale=scale).cdf).pvalue > 0.01
 
 

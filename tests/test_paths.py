@@ -25,10 +25,10 @@ def test_grid_points_equal_prefix_sums(identity_model):
     fx = PastFixture(innovations=np.array([0.0]))
     stream = RandomStream(31, [1])
     n = 12
-    sup = sample_path_functional(identity_model, fx, PathFunctional("supremum"),
-                                 n, 1, stream)[0]
-    inf = sample_path_functional(identity_model, fx, PathFunctional("infimum"),
-                                 n, 1, stream)[0]
+    [[sup]] = sample_path_functional(identity_model, [fx], PathFunctional("supremum"),
+                                     n, 1, [stream])
+    [[inf]] = sample_path_functional(identity_model, [fx], PathFunctional("infimum"),
+                                     n, 1, [stream])
     inc = sample_quenched_paths(identity_model, fx, RandomStream(31, [1, 0, 0]),
                                 n, 1).values[0]
     prefix, prefixes = 0.0, [0.0]
@@ -44,10 +44,10 @@ def test_starts_at_zero(two_state_chain):
     # infimum <= 0 on every replication
     fx = PastFixture(state=0)
     stream = RandomStream(31, [2])
-    sup = sample_path_functional(two_state_chain, fx, PathFunctional("supremum"),
-                                 8, 50, stream)
-    inf = sample_path_functional(two_state_chain, fx, PathFunctional("infimum"),
-                                 8, 50, stream)
+    [sup] = sample_path_functional(two_state_chain, [fx], PathFunctional("supremum"),
+                                   8, 50, [stream])
+    [inf] = sample_path_functional(two_state_chain, [fx], PathFunctional("infimum"),
+                                   8, 50, [stream])
     assert np.all(sup >= 0.0) and np.all(inf <= 0.0)
 
 
@@ -55,8 +55,8 @@ def test_centering_identity_model_is_noop(identity_model):
     fx = PastFixture(innovations=np.array([2.0]))
     n, reps = 10, 20
     stream = RandomStream(31, [3])
-    values = sample_path_functional(identity_model, fx, PathFunctional("endpoint"),
-                                    n, reps, stream)
+    [values] = sample_path_functional(identity_model, [fx], PathFunctional("endpoint"),
+                                      n, reps, [stream])
     raw = sample_quenched_paths(identity_model, fx, stream.child(0, 0), n, reps)
     assert np.array_equal(values, np.cumsum(raw.values, axis=1)[:, -1] / math.sqrt(n))
 

@@ -6,13 +6,18 @@ it must pass, and with one library function replaced by a version that
 carries one named bug, where it must fail.
 """
 
+from itertools import islice
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from qlab import PathFunctional, RandomStream
-from qlab import experiments
+from qlab import experiments, models
 
-from test_power_sequence import check_blocks_jointly, check_fixtures_jointly
+from test_experiments import check_run_reports_as_fixtures_alone
+from test_power_sequence import (check_blocks_jointly, check_draw_contract,
+                                 check_fixtures_jointly)
 
 REPS = 4 * 256 + 37
 
@@ -48,3 +53,44 @@ def test_lane_that_subtracts_another_fixtures_drift(three_state_chain, monkeypat
                         lambda model, fixtures, n: drifts(model, fixtures[::-1], n))
     with pytest.raises(AssertionError):
         oracle()
+
+
+def test_run_whose_fixtures_all_draw_from_the_first_stream(three_state_chain,
+                                                           monkeypatch):
+    # the bug hands every fixture's blocks fixture 0's stream
+    oracle = lambda: check_run_reports_as_fixtures_alone(
+        three_state_chain, PathFunctional("endpoint"), workers=(1,))
+    oracle()
+    block_tasks = experiments._block_tasks
+    monkeypatch.setattr(experiments, "_block_tasks",
+                        lambda streams, reps: block_tasks(streams[:1] * len(streams), reps))
+    with pytest.raises(AssertionError):
+        oracle()
+
+
+def test_step_thresholds_from_the_transpose(three_state_chain, monkeypatch):
+    # the bug steps on the cumulative sums of the rows of P^T, not of P
+    oracle = lambda: check_draw_contract(three_state_chain, 20, 16)
+    oracle()
+    markov_steps = models._markov_steps
+
+    def transposed(model, start, steps, blocks):
+        thresholds = np.cumsum(model.transition.T, axis=1)[:, :-1]
+        shadow = SimpleNamespace(_thresholds=thresholds,
+                                 _guide=models._guide_table(thresholds))
+        return markov_steps(shadow, start, steps, blocks)
+
+    monkeypatch.setattr(models, "_markov_steps", transposed)
+    with pytest.raises(AssertionError):
+        oracle()
+
+
+def test_loop_that_skips_its_first_step(three_state_chain, monkeypatch):
+    # the bug steps once more and drops W_1, so each path runs W_0, W_2, ...
+    _blocks_oracle(three_state_chain)
+    markov_steps = experiments._markov_steps
+    monkeypatch.setattr(experiments, "_markov_steps",
+                        lambda model, start, steps, blocks: islice(
+                            markov_steps(model, start, steps + 1, blocks), 1, None))
+    with pytest.raises(AssertionError):
+        _blocks_oracle(three_state_chain)

@@ -184,6 +184,18 @@ KERNEL_CHAINS = {"dyadic-four": _dyadic_four_state, "crowded-five": _crowded_fiv
                  "dense-64": _dense_64_state}
 
 
+def check_draw_contract(chain, n, reps):
+    """Byte oracle of the sampler: one block of ``reps`` chains from each of
+    the first six states against the stepwise draws of the same stream."""
+    for x in range(min(chain.n_states, 6)):
+        real = sample_quenched_paths(chain, PastFixture(state=x),
+                                     RandomStream(7004, [x]), n, reps)
+        oracle = _stepwise_paths(chain.transition, np.full(reps, x), n,
+                                 RandomStream(7004, [x]))
+        assert real.states.dtype == np.uint8
+        assert np.array_equal(real.states, oracle)
+
+
 @pytest.mark.parametrize("which", ["two", "three", "sparse-six", *KERNEL_CHAINS])
 def test_sampler_draw_contract(which, two_state_chain, three_state_chain):
     # 300 steps cross the kernel's chunks of uniforms; the last three chains
@@ -192,14 +204,7 @@ def test_sampler_draw_contract(which, two_state_chain, three_state_chain):
     named = {"two": two_state_chain, "three": three_state_chain}
     chain = named[which] if which in named else {"sparse-six": _sparse_six_state,
                                                  **KERNEL_CHAINS}[which]()
-    n, reps = 300, 257
-    for x in range(min(chain.n_states, 6)):
-        real = sample_quenched_paths(chain, PastFixture(state=x),
-                                     RandomStream(7004, [x]), n, reps)
-        oracle = _stepwise_paths(chain.transition, np.full(reps, x), n,
-                                 RandomStream(7004, [x]))
-        assert real.states.dtype == np.uint8
-        assert np.array_equal(real.states, oracle)
+    check_draw_contract(chain, 300, 257)
 
 
 @pytest.mark.parametrize("which", sorted(KERNEL_CHAINS))
@@ -257,7 +262,8 @@ def check_blocks_jointly(chain, x, reps, stream, n, Ns, kinds=FUNCTIONAL_KINDS,
         with worker_pool(count):
             for kind in kinds:
                 functional = PathFunctional(kind)
-                got = sample_path_functional(chain, fixture, functional, n, reps, stream)
+                [got] = sample_path_functional(chain, [fixture], functional, n, reps,
+                                               [stream])
                 assert got.tobytes() == functional.of_grid(grid).tobytes()
             rep = strest_experiment(chain, fixture, math.inf, Ns, reps, stream)
             assert rep.estimates == [float(v) for v in scaled.mean(axis=0)]
@@ -307,15 +313,16 @@ def test_markov_run_steps_fixtures_jointly(three_state_chain, loop_lanes, monkey
 
 
 def test_chunk_width_leaves_the_numbers_alone(three_state_chain, monkeypatch):
-    # 600 lanes: the draw budget gives chunks of 1, 7 and 128 steps, and
-    # 7 does not divide n = 150
+    # 600 lanes, in one block or in a run of two fixtures stepped together:
+    # the draw budget gives chunks of 1, 7 and 128 steps, and 7 does not
+    # divide n = 150
     chain, n, lanes = three_state_chain, 150, 600
     fixtures = [PastFixture(state=2), PastFixture(state=0)]
     results = set()
     for width in (1, 7, 128):
         monkeypatch.setattr(models, "_STEP_DRAWS", width * lanes)
         streams = [RandomStream(7011, [i]) for i in range(2)]
-        real = sample_quenched_paths(chain, fixtures[0], streams, n, [lanes // 2] * 2)
+        real = sample_quenched_paths(chain, fixtures[0], streams[0], n, lanes)
         values = sample_path_functional(chain, fixtures, PathFunctional("endpoint"), n,
                                         lanes // 2, streams)
         results.add((real.states.tobytes(), *(v.tobytes() for v in values)))

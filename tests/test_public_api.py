@@ -6,8 +6,9 @@ and property of an exported class.  The allowlist names the
 reference implementations that exist so tests can compare against them.
 Likewise every defaulted parameter of an exported function must be passed
 at some call in ``src/qlab`` or a demo; forwarding a caller's own default
-counts only if that caller's parameter is passed in turn.  And the CLI
-imports no ``scipy.signal``: the library's filters are numpy's.
+counts only if that caller's parameter is passed in turn.  No exported
+function takes one item or a sequence of them in the same parameter.  And
+the CLI imports no ``scipy.signal``: the library's filters are numpy's.
 """
 
 import ast
@@ -150,6 +151,39 @@ def test_every_defaulted_parameter_has_a_caller():
         if param.default is not param.empty and (name, param.name) not in passed)
     unused = sorted(set(unpassed) - set(PARAMETER_ALLOWLIST))
     assert not unused, f"defaulted parameters no caller passes: {unused}"
+
+
+def _union_members(node: ast.expr) -> list:
+    """The members of an annotation's union, ``A | B`` or ``Union[A, B]``."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+        return _union_members(node.left) + _union_members(node.right)
+    if isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "Union":
+        members = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+        return [m for member in members for m in _union_members(member)]
+    return [node]
+
+
+def _is_sequence(node: ast.expr) -> bool:
+    return isinstance(node, ast.Subscript) and "Sequence" in (
+        getattr(node.value, "id", None), getattr(node.value, "attr", None))
+
+
+def test_no_export_takes_one_item_or_a_sequence():
+    # one call form: a parameter takes either one item or a sequence of
+    # them, so no union annotation lists a Sequence[...] among other members
+    both = []
+    for name in qlab.__all__:
+        function = getattr(qlab, name)
+        if not inspect.isfunction(function):
+            continue
+        for param in inspect.signature(function).parameters.values():
+            if param.annotation is param.empty:
+                continue
+            # qlab's modules postpone annotations, so each is its source text
+            members = _union_members(ast.parse(param.annotation, mode="eval").body)
+            if len(members) > 1 and any(map(_is_sequence, members)):
+                both.append(f"{name}.{param.name}")
+    assert not both, f"parameters that take one item or a sequence: {sorted(both)}"
 
 
 def test_cli_import_loads_no_scipy_signal():
