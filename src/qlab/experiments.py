@@ -11,7 +11,7 @@ group per worker; a group's Markov blocks are stepped in loops of about
 
 The statistic is the conditionally centered sum S_k - E0(S_k); every
 reduction of it folds chunks of the path left to right.  A Markov loop
-subtracts each chain's own fixture's exact drift from its running sum of
+subtracts each chain's start state's exact drift from its running sum of
 g, kept by the step loop with no path array: the endpoint once at the
 end, otherwise chunk by chunk of steps.  A linear block is one chunk,
 built from its fresh innovations alone because the frozen past cancels:
@@ -33,8 +33,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from itertools import groupby, islice, pairwise
-from operator import itemgetter
+from itertools import islice, pairwise
 from typing import Optional
 
 import numpy as np
@@ -180,41 +179,30 @@ def _reduce_linear_blocks(model: LinearModel, n: int, endpoint: bool, reduce,
     return np.concatenate(reduced)
 
 
-def _segments(blocks) -> list:
-    """A group's blocks as (fixture index, streams, counts), one entry per
-    run of consecutive blocks of one fixture."""
-    segments = []
-    for i, run in groupby(blocks, itemgetter(0)):
-        run = list(run)
-        segments.append((i, [RandomStream(seed, path) for _, seed, path, _ in run],
-                         [count for *_, count in run]))
-    return segments
-
-
-def _drifts(model: MarkovFunctionalModel, fixtures, n: int) -> np.ndarray:
-    """E0(S_k), k = 1..n, summed stepwise: one column per fixture."""
-    return np.column_stack([np.cumsum(e0_increment_series(model, fixture, n))
-                            for fixture in fixtures])
+def _drifts(model: MarkovFunctionalModel, states, n: int) -> np.ndarray:
+    """E0(S_k), k = 1..n, summed stepwise: one column per start state."""
+    powers = islice(_powers(model.transition, model.observable), 1, n + 1)
+    return np.cumsum([v[states] for v in powers], axis=0)
 
 
 def _markov_chunks(model: MarkovFunctionalModel, fixtures, n: int, endpoint: bool,
                    blocks):
     """The (grid, realization) chunks of one loop over the blocks' chains,
     each stepped from its fixture's state, adding g left to right as a
-    cumsum along the path would and subtracting its own fixture's E0(S_k).
+    cumsum along the path would and subtracting its start state's E0(S_k).
     With ``endpoint`` the single grid holds times 0 and n; otherwise a chunk
     of at most _FOLD_VALUES values covers times k0..k1 and the states
     W_k0..W_k1, as views of buffers that the next chunk overwrites."""
-    segments = _segments(blocks)
     g = model.observable
-    # a fixture's paths at n = 0 are its start lanes and draw nothing;
+    lanes = [(RandomStream(seed, path), count) for _, seed, path, count in blocks]
+    # a block's paths at n = 0 are its start lanes and draw nothing;
     # the chain-clt trace in bench/run.py reads this call's span
     start = np.concatenate([
-        sample_quenched_paths(model, fixtures[i], streams[0], 0, sum(counts)).states[:, 0]
-        for i, streams, counts in segments])
-    drifts = _drifts(model, [fixtures[i] for i, *_ in segments], n)
-    owner = np.repeat(np.arange(len(segments)), [sum(counts) for *_, counts in segments])
-    lanes = [lane for _, streams, counts in segments for lane in zip(streams, counts)]
+        sample_quenched_paths(model, fixtures[i], stream, 0, count).states[:, 0]
+        for (i, *_), (stream, count) in zip(blocks, lanes)])
+    # the drift given the past is a function of the start state alone
+    present, owner = np.unique(start, return_inverse=True)
+    drifts = _drifts(model, present, n)
     steps = _markov_steps(model, start, n, lanes)
     # -0.0 is the additive identity, so the first add yields g exactly
     total = np.full(start.size, -0.0)
@@ -532,13 +520,6 @@ class DoobReport:
     terms: int
 
 
-def _max_square_of(chunks) -> np.ndarray:
-    top = 0.0
-    for grid, _ in chunks:
-        top = np.maximum(top, np.max(grid[:, 1:] ** 2, axis=1))
-    return top
-
-
 def doob_bound_check(model: Model, fixture: PastFixture, N: int, reps: int,
                      stream: RandomStream) -> DoobReport:
     """Monte Carlo LHS vs exact maximal-function RHS of the tightness bound.
@@ -570,7 +551,10 @@ def doob_bound_check(model: Model, fixture: PastFixture, N: int, reps: int,
                          "linear model lacks exact maximal functions")
     if N < 1 or reps < 2:
         raise ValueError("need N >= 1 and reps >= 2")
-    [maxima] = _replicate(model, [fixture], [stream], N, reps, _max_square_of)
+    # rounding keeps x^2 monotone in |x|: the largest square is max |x| squared
+    [sup] = _replicate(model, [fixture], [stream], N, reps,
+                       partial(_functional_of, PathFunctional("sup-abs"), 1))
+    maxima = sup ** 2
     mean = float(maxima.mean())
     se = float(maxima.std(ddof=1) / math.sqrt(reps))
     lhs = math.sqrt(mean)

@@ -77,14 +77,19 @@ def test_a_run_of_fixtures_reports_as_its_fixtures_alone(functional, rho_model,
             sample_path_functional(model, fxs, f, 40, 301, streams[:2])
 
 
-def test_clt_exact_normal_identity_model(identity_model):
-    # with gaussian innovations the centered endpoint is exactly normal at
-    # every n, so the KS distance sits below the 1% critical value
+def check_endpoint_law_exactly_normal(identity_model):
+    """KS oracle of the endpoint at a pinned seed: with gaussian innovations
+    the centered endpoint is exactly normal at every n, so the KS distance
+    sits below the 1% critical value."""
     fx = PastFixture(innovations=np.array([0.0]))
     [rep] = quenched_wip_experiment(identity_model, [fx], ENDPOINT, 64, 5000,
                                     [RandomStream(61, [0])])
     assert rep.test_statistic < 1.63 / math.sqrt(5000)
     assert rep.verdict == "pass"
+
+
+def test_clt_exact_normal_identity_model(identity_model):
+    check_endpoint_law_exactly_normal(identity_model)
 
 
 def test_endpoint_wip_reproduces_clt(rho_model):

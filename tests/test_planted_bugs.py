@@ -15,16 +15,24 @@ import pytest
 from qlab import PathFunctional, RandomStream
 from qlab import experiments, models
 
-from test_experiments import check_run_reports_as_fixtures_alone
+from test_experiments import (check_endpoint_law_exactly_normal,
+                              check_run_reports_as_fixtures_alone)
 from test_power_sequence import (check_blocks_jointly, check_draw_contract,
                                  check_fixtures_jointly)
 
 REPS = 4 * 256 + 37
 
 
-def _blocks_oracle(chain):
+def _blocks_oracle(chain, kinds=("supremum",)):
     check_blocks_jointly(chain, 2, REPS, RandomStream(7009, [3]), 60, [15, 60],
-                         kinds=["supremum"], workers=(1,))
+                         kinds=kinds, workers=(1,))
+
+
+def _fails_at(statement, oracle):
+    """``oracle`` fails, and at the assertion ``statement``, not at a later one."""
+    with pytest.raises(AssertionError) as failure:
+        oracle()
+    assert str(failure.traceback[-1].statement).strip() == statement
 
 
 def test_fold_that_drops_its_carry(three_state_chain, monkeypatch):
@@ -44,13 +52,14 @@ def test_fold_that_drops_its_carry(three_state_chain, monkeypatch):
 
 
 def test_lane_that_subtracts_another_fixtures_drift(three_state_chain, monkeypatch):
-    # one loop steps three fixtures; the bug hands their drifts out reversed
+    # one loop steps three fixtures in different states; the bug hands the
+    # states' drift columns out reversed
     oracle = lambda: check_fixtures_jointly(three_state_chain, 60, 2 * 256 + 37,
                                             workers=(1,))
     oracle()
     drifts = experiments._drifts
     monkeypatch.setattr(experiments, "_drifts",
-                        lambda model, fixtures, n: drifts(model, fixtures[::-1], n))
+                        lambda model, states, n: drifts(model, states, n)[:, ::-1])
     with pytest.raises(AssertionError):
         oracle()
 
@@ -94,3 +103,35 @@ def test_loop_that_skips_its_first_step(three_state_chain, monkeypatch):
                             markov_steps(model, start, steps + 1, blocks), 1, None))
     with pytest.raises(AssertionError):
         _blocks_oracle(three_state_chain)
+
+
+def test_doob_left_side_from_the_supremum(three_state_chain, monkeypatch):
+    # the bug takes the running maximum of S_k - E0(S_k), not of its size;
+    # with no functional asked for, the oracle checks only strest and doob
+    oracle = lambda: _blocks_oracle(three_state_chain, kinds=())
+    oracle()
+    monkeypatch.setattr(experiments, "PathFunctional", lambda kind: PathFunctional(
+        "supremum" if kind == "sup-abs" else kind))
+    _fails_at("assert rep.lhs == lhs", oracle)
+
+
+def test_sigma2_off_by_a_fifth(identity_model, monkeypatch):
+    # the bug scales the endpoint's limit variance by 1.2
+    check_endpoint_law_exactly_normal(identity_model)
+    sigma_squared = experiments.sigma_squared
+    monkeypatch.setattr(experiments, "sigma_squared",
+                        lambda model: 1.2 * sigma_squared(model))
+    with pytest.raises(AssertionError):
+        check_endpoint_law_exactly_normal(identity_model)
+
+
+@pytest.mark.parametrize("kind", experiments.EXTREMA)
+def test_block_reversed_in_time(kind, three_state_chain, monkeypatch):
+    # the bug steps each block's chains through W_n, ..., W_1
+    oracle = lambda: _blocks_oracle(three_state_chain, kinds=(kind,))
+    oracle()
+    markov_steps = experiments._markov_steps
+    monkeypatch.setattr(experiments, "_markov_steps",
+                        lambda model, start, steps, blocks: reversed(
+                            [state.copy() for state in markov_steps(model, start, steps, blocks)]))
+    _fails_at("assert got.tobytes() == functional.of_grid(grid).tobytes()", oracle)

@@ -280,10 +280,11 @@ def test_markov_experiments_step_blocks_jointly(three_state_chain):
                              n, Ns)
 
 
-def check_fixtures_jointly(chain, n, reps, kinds=FUNCTIONAL_KINDS, workers=(1, 2, 3)):
-    """Byte oracle of a run of three fixtures in different states: every
-    functional in ``kinds`` against each fixture's per-block oracle grid."""
-    states = (2, 0, 1)
+def check_fixtures_jointly(chain, n, reps, kinds=FUNCTIONAL_KINDS, workers=(1, 2, 3),
+                           states=(2, 0, 1)):
+    """Byte oracle of a run of fixtures in ``states``, three different ones
+    unless given: every functional in ``kinds`` against each fixture's
+    per-block oracle grid."""
     fixtures = [PastFixture(state=x) for x in states]
     streams = [RandomStream(7010, [1, i]) for i in range(len(states))]
     grids = []
@@ -306,10 +307,26 @@ def test_markov_run_steps_fixtures_jointly(three_state_chain, loop_lanes, monkey
     # partial one: two workers split the run inside fixture 1, so one loop
     # steps lanes of two fixtures, for the endpoint and every path
     # functional alike; n = 300 crosses the kernel's chunks, and 500 lanes
-    # a loop splits each group into loops inside fixtures too
+    # a loop splits each group into loops inside fixtures too.  A second run
+    # repeats a state in fixtures 0 and 1, so a loop that steps lanes of
+    # both, at either loop size, maps them onto one drift column
     if loop_lanes is not None:
         monkeypatch.setattr(experiments, "_LOOP_LANES", loop_lanes)
-    check_fixtures_jointly(three_state_chain, 300, 2 * 256 + 37)
+    for states in ((2, 0, 1), (2, 2, 0)):
+        check_fixtures_jointly(three_state_chain, 300, 2 * 256 + 37, states=states)
+
+
+@pytest.mark.parametrize("which", ["three", "dense-64"])
+def test_drift_columns_are_the_stepped_sums(which, three_state_chain):
+    # one power pass serves every start state, in any order: each column has
+    # the bytes of that state's own stepped sum
+    chain = three_state_chain if which == "three" else _dense_64_state()
+    states = np.arange(chain.n_states, dtype=np.uint8)[::-1]
+    drifts = experiments._drifts(chain, states, 300)
+    assert drifts.shape == (300, chain.n_states)
+    for x, column in zip(states, drifts.T):
+        stepped = np.cumsum(e0_increment_series(chain, PastFixture(state=int(x)), 300))
+        assert column.tobytes() == stepped.tobytes()
 
 
 def test_chunk_width_leaves_the_numbers_alone(three_state_chain, monkeypatch):
