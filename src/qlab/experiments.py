@@ -11,11 +11,11 @@ group per worker; a group's Markov blocks are stepped in loops of about
 
 The statistic is the conditionally centered sum S_k - E0(S_k); every
 reduction of it folds chunks of the path left to right.  A Markov loop
-subtracts each chain's start state's exact drift from its running sum of
-g, kept by the step loop with no path array: the endpoint once at the
-end, otherwise chunk by chunk of steps.  A linear block is one chunk,
-built from its fresh innovations alone because the frozen past cancels:
-the endpoint as one sum per path weighted by the partial sums B_t of the
+adds g to one running sum per chain at each step, writes it into chunks
+of steps and subtracts each start state's exact drift; the endpoint is
+the one chunk at time n.  A linear block is one chunk, built from its
+fresh innovations alone because the frozen past cancels: the endpoint
+as one sum per path weighted by the partial sums B_t of the
 coefficients, a path grid as the cumsum of a zero-state FIR.  The frozen
 past enters a linear experiment only through
 ``sample_quenched_paths(...).values`` and the decomposition identity
@@ -181,19 +181,20 @@ def _reduce_linear_blocks(model: LinearModel, n: int, endpoint: bool, reduce,
 
 def _drifts(model: MarkovFunctionalModel, states, n: int) -> np.ndarray:
     """E0(S_k), k = 1..n, summed stepwise: one column per start state."""
-    powers = islice(_powers(model.transition, model.observable), 1, n + 1)
-    return np.cumsum([v[states] for v in powers], axis=0)
+    drifts = np.empty((n, len(states)))
+    for row, v in zip(drifts, islice(_powers(model.transition, model.observable), 1, None)):
+        row[:] = v[states]
+    return np.cumsum(drifts, axis=0, out=drifts)
 
 
 def _markov_chunks(model: MarkovFunctionalModel, fixtures, n: int, endpoint: bool,
                    blocks):
     """The (grid, realization) chunks of one loop over the blocks' chains,
-    each stepped from its fixture's state, adding g left to right as a
-    cumsum along the path would and subtracting its start state's E0(S_k).
-    With ``endpoint`` the single grid holds times 0 and n; otherwise a chunk
-    of at most _FOLD_VALUES values covers times k0..k1 and the states
-    W_k0..W_k1, as views of buffers that the next chunk overwrites."""
-    g = model.observable
+    each stepped from its fixture's state.  A step adds g to each chain's
+    running sum and writes it into the chunk, which subtracts each start
+    state's E0(S_k) once full.  A chunk of at most _FOLD_VALUES values covers
+    times k0..k1 and the states W_k0..W_k1, as views of buffers that the
+    next chunk overwrites; the endpoint's one chunk stores time n alone."""
     lanes = [(RandomStream(seed, path), count) for _, seed, path, count in blocks]
     # a block's paths at n = 0 are its start lanes and draw nothing;
     # the chain-clt trace in bench/run.py reads this call's span
@@ -203,33 +204,25 @@ def _markov_chunks(model: MarkovFunctionalModel, fixtures, n: int, endpoint: boo
     # the drift given the past is a function of the start state alone
     present, owner = np.unique(start, return_inverse=True)
     drifts = _drifts(model, present, n)
-    steps = _markov_steps(model, start, n, lanes)
-    # -0.0 is the additive identity, so the first add yields g exactly
-    total = np.full(start.size, -0.0)
-    if endpoint:
-        term = np.empty_like(total)
-        for state in steps:
-            total += np.take(g, state, out=term)
-        grid = np.zeros((total.size, 2))
-        np.subtract(total, drifts[-1, owner], out=grid[:, 1])
-        yield grid, None
-        return
-    width = min(max(_FOLD_VALUES // start.size, 1), n)
+    width = 1 if endpoint else min(max(_FOLD_VALUES // start.size, 1), n)
     states = np.empty((width + 1, start.size), dtype=np.uint8)     # time-major
     sums, last = np.empty(states.shape), np.zeros(start.size)
     states[0] = start
-    for k0 in range(0, n, width):
-        rows, chunk = sums[: min(width, n - k0) + 1], states[: min(width, n - k0) + 1]
-        for row, state in zip(chunk[1:], steps):
-            row[:] = state
-        rows[0] = total
-        # every state is in range; mode "raise" would buffer ``out``
-        np.take(g, chunk[1:], out=rows[1:], mode="clip")
-        total = np.cumsum(rows, axis=0, out=rows)[-1].copy()
-        rows[1:] -= drifts[k0 : k0 + len(rows) - 1, owner]
-        rows[0], last = last, rows[-1].copy()
-        yield rows.T, Realization(None, states=chunk.T)
-        states[0] = chunk[-1]
+    # -0.0 is the additive identity, so the first add yields g exactly
+    total, term, j = np.full(start.size, -0.0), np.empty(start.size), 0
+    for k, state in enumerate(_markov_steps(model, start, n, lanes), 1):
+        total += np.take(model.observable, state, out=term)
+        if endpoint and k < n:
+            continue
+        j += 1
+        states[j], sums[j] = state, total
+        if j == width or k == n:
+            rows, chunk = sums[: j + 1], states[: j + 1]
+            rows[1:] -= drifts[k - j : k, owner]
+            # the carry is copied first: a reduction may overwrite its grid
+            rows[0], last = last, rows[-1].copy()
+            yield rows.T, Realization(None, states=chunk.T)
+            states[0], j = chunk[-1], 0
 
 
 def _reduce_markov_blocks(model: MarkovFunctionalModel, fixtures, n: int,

@@ -564,6 +564,14 @@ def test_markov_supremum_at_long_horizon_stores_no_paths(two_state_chain):
     assert peak < (n + 1) * reps
 
 
+def test_drift_columns_build_no_array_per_step(two_state_chain):
+    # one power pass fills the (n, states) drift table and sums it in place:
+    # the peak stays below twice the table, not one small array per step
+    n, states = 1 << 16, np.array([1], dtype=np.uint8)
+    table = experiments._drifts(two_state_chain, states, n)
+    assert _traced_peak(experiments._drifts, two_state_chain, states, n) < 2 * table.nbytes
+
+
 def test_markov_strest_and_doob_store_no_paths(two_state_chain):
     # strest folds the martingale and the squared gap, doob the squared sum,
     # chunk by chunk of steps

@@ -135,3 +135,35 @@ def test_block_reversed_in_time(kind, three_state_chain, monkeypatch):
                         lambda model, start, steps, blocks: reversed(
                             [state.copy() for state in markov_steps(model, start, steps, blocks)]))
     _fails_at("assert got.tobytes() == functional.of_grid(grid).tobytes()", oracle)
+
+
+def test_fold_carry_read_after_the_yield(three_state_chain, monkeypatch):
+    # chunks of 30 steps; the bug takes each chunk's column 0 from the
+    # chunk before as the reduction left it, scaled by 1 / sqrt(n) in place
+    oracle = lambda: _blocks_oracle(three_state_chain, kinds=("time-integral",))
+    oracle()
+    markov_chunks = experiments._markov_chunks
+
+    def late_carry(*args):
+        carry = None
+        for grid, real in markov_chunks(*args):
+            if carry is not None:
+                grid[:, 0] = carry
+            yield grid, real
+            carry = grid[:, -1].copy()
+
+    monkeypatch.setattr(experiments, "_markov_chunks", late_carry)
+    _fails_at("assert got.tobytes() == functional.of_grid(grid).tobytes()", oracle)
+
+
+def test_endpoint_drift_one_step_ahead(three_state_chain, monkeypatch):
+    # the bug subtracts E0(S_{k+1}) from S_k; at n = 12 the extra term
+    # P^13 g is still far above rounding
+    oracle = lambda: check_fixtures_jointly(three_state_chain, 12, 2 * 256 + 37,
+                                            kinds=("endpoint",), workers=(1,))
+    oracle()
+    drifts = experiments._drifts
+    monkeypatch.setattr(experiments, "_drifts",
+                        lambda model, states, n: drifts(model, states, n + 1)[1:])
+    with pytest.raises(AssertionError):
+        oracle()

@@ -8,6 +8,7 @@ kernel is also checked on chains whose thresholds sit on the edges of its
 guide buckets, crowd into one bucket, or tie with the uniforms.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -330,17 +331,22 @@ def test_drift_columns_are_the_stepped_sums(which, three_state_chain):
 
 
 def test_chunk_width_leaves_the_numbers_alone(three_state_chain, monkeypatch):
-    # 600 lanes, in one block or in a run of two fixtures stepped together:
-    # the draw budget gives chunks of 1, 7 and 128 steps, and 7 does not
-    # divide n = 150
+    # 600 lanes, in one block, in a run of two fixtures stepped together or
+    # in one fixture's strest and doob: the draw budget gives chunks of 1, 7
+    # and 128 steps, the fold budget folds 1, 7 or all n = 150 steps a
+    # chunk, and 7 does not divide n
     chain, n, lanes = three_state_chain, 150, 600
     fixtures = [PastFixture(state=2), PastFixture(state=0)]
     results = set()
-    for width in (1, 7, 128):
-        monkeypatch.setattr(models, "_STEP_DRAWS", width * lanes)
+    for draw, fold in itertools.product((1, 7, 128), (1, 7, n)):
+        monkeypatch.setattr(models, "_STEP_DRAWS", draw * lanes)
+        monkeypatch.setattr(experiments, "_FOLD_VALUES", fold * lanes)
         streams = [RandomStream(7011, [i]) for i in range(2)]
         real = sample_quenched_paths(chain, fixtures[0], streams[0], n, lanes)
-        values = sample_path_functional(chain, fixtures, PathFunctional("endpoint"), n,
-                                        lanes // 2, streams)
-        results.add((real.states.tobytes(), *(v.tobytes() for v in values)))
+        values = [v.tobytes() for kind in FUNCTIONAL_KINDS
+                  for v in sample_path_functional(chain, fixtures, PathFunctional(kind), n,
+                                                  lanes // 2, streams)]
+        strest = strest_experiment(chain, fixtures[1], math.inf, [16, n], lanes, streams[1])
+        doob = doob_bound_check(chain, fixtures[1], n, lanes, streams[1])
+        results.add((real.states.tobytes(), *values, *strest.estimates, doob.lhs))
     assert len(results) == 1
