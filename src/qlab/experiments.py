@@ -505,43 +505,42 @@ def uncentered_drift_check(model: Model, fixtures, Ns) -> DriftReport:
 @dataclass
 class DoobReport:
     lhs: float
-    rhs: float                # bound at the least favorable admissible past
-    rhs_strict: float         # bound at the most favorable admissible past
+    rhs: float
     relative_se: float
     holds: bool
-    strict_holds: bool
-    terms: int
+
+
+def _occupations(P: np.ndarray, x: int, N: int) -> np.ndarray:
+    """Rows c_t = sum_{m<t} e_x P^m, t = 0..N: the expected visits to each
+    state in the first t steps from x, one power pass deep."""
+    C = np.zeros((N + 1, P.shape[0]))
+    for row, power in zip(C[1:], _powers(P.T, np.eye(P.shape[0])[x])):
+        row[:] = power
+    return np.cumsum(C, axis=0, out=C)
 
 
 def doob_bound_check(model: Model, fixture: PastFixture, N: int, reps: int,
                      stream: RandomStream) -> DoobReport:
-    """Monte Carlo LHS vs exact maximal-function RHS of the tightness bound.
+    """Monte Carlo LHS vs exact RHS of the maximal inequality for S_k - E0(S_k).
 
-    Markov models only: the right side needs exact maximal functions of
-    the squared projection terms, which are functions of the state pair
-    (previous, current).  The frozen past fixes only the current state,
-    so the bound is evaluated at both the least and the most favorable
-    admissible previous state; ``holds`` uses the least favorable one
-    (the form every admissible past satisfies if the displayed bound
-    holds at any of them), while ``strict_holds`` records the pointwise
-    form at the best case.  Truncations are conservative on both sides.
+    Markov models only.  With v_i = P^i g and x the frozen state, the
+    centered sum telescopes into S_k - E_x S_k = sum_{i<k} M^(i)_{k-i},
+    where M^(i)_t = sum_{j<=t} [v_i(W_j) - v_{i+1}(W_{j-1})] is a
+    martingale under P_x.  Minkowski's inequality over i and then Doob's
+    L^2 maximal inequality for each M^(i) give
 
-    The right side sums, over the terms v_i(cur) - v_{i+1}(prev) with
-    v_i = P^i g, the root of the largest Cesaro mean of the term's square
-    and its pushes through the chain.  It runs in passes over chunks of
-    terms with two identities.  The one-step push of term i's square is
-    u_i = P(v_i^2) - v_{i+1}^2, because P v_i = v_{i+1}; and the sum of its
-    first l pushes, read at x, is c_l . u_i with c_l = sum_{m<l} e_x P^m,
-    tabulated once.  A chunk holds max(1, 2^16 // (S N)) terms, so its
-    (terms, S, N) array of Cesaro means stays at 0.5 MB.  The sum stops at
-    the first term whose largest squared pair gap is below 1e-26, or after
-    20,000 terms.  That gap comes from the extremes of v_i and v_{i+1}:
-    rounding is monotone, so it equals the largest rounded gap of the pairs.
+        || max_{k<=N} |S_k - E_x S_k| ||_2 <= 2 sum_{i<N} ||M^(i)_{N-i}||_2,
+
+    and ||M^(i)_t||_2^2 = c_t . u_i, with c_t = sum_{m<t} e_x P^m and
+    u_i(a) = sum_b P(a, b) (v_i(b) - v_{i+1}(a))^2, the conditional variance
+    of one increment, formed as a sum of squares so that it cannot go
+    negative.  The right side takes exactly N terms; the left side is the
+    root of the mean of the squared ``sup-abs`` functional.
     """
 
     if not isinstance(model, MarkovFunctionalModel):
-        raise ValueError("doob_bound_check supports Markov models only; the "
-                         "linear model lacks exact maximal functions")
+        raise ValueError("doob_bound_check supports Markov models only; its "
+                         "exact right side sums over the chain's states")
     if N < 1 or reps < 2:
         raise ValueError("need N >= 1 and reps >= 2")
     # rounding keeps x^2 monotone in |x|: the largest square is max |x| squared
@@ -553,43 +552,13 @@ def doob_bound_check(model: Model, fixture: PastFixture, N: int, reps: int,
     lhs = math.sqrt(mean)
     rel_se = se / (2.0 * mean) if mean > 0 else 0.0
 
-    P, g = model.transition, model.observable
-    S = model.n_states
-    x = fixture.state
-    admissible = np.flatnonzero(P[:, x] > 0)
-    ns = np.arange(1, N + 1, dtype=float)
-    C = np.zeros((N, S))
-    for row, power in zip(C[1:], _powers(P.T, np.eye(S)[x])):
-        row[:] = power
-    np.cumsum(C, axis=0, out=C)                    # row l: c_l = sum_{m<l} e_x P^m
-    chunk = max(1, 2**16 // (S * N))
-    max_terms = 20_000
-    total = np.zeros(S)     # per previous-state a: sum_i sqrt((f_i^2)*_N)(a, x)
-    terms = 0
-    powers = _powers(P, g)
-    V = np.array([next(powers)])
-    while terms < max_terms:
-        V = np.vstack([V[-1:], *islice(powers, min(chunk, max_terms - terms))])
-        v, v_next = V[:-1], V[1:]
-        gap_sq = np.maximum(v.max(axis=1) - v_next.min(axis=1),
-                            v_next.max(axis=1) - v.min(axis=1)) ** 2
-        small = np.flatnonzero(gap_sq < 1e-26)
-        if small.size:
-            v, v_next = v[:small[0]], v_next[:small[0]]
-        u = (v * v) @ P.T - v_next * v_next          # [term, prev]
-        # Cesaro numerators: the term's square at (prev, x), then its pushes
-        cesaro = (v[:, x, None] - v_next)[:, :, None] ** 2 + (u @ C.T)[:, None, :]
-        cesaro /= ns
-        total += np.sqrt(cesaro.max(axis=2)).sum(axis=0)
-        terms += len(v)
-        if small.size:
-            break
-    rhs = math.sqrt(N) * float(total[admissible].max())
-    rhs_strict = math.sqrt(N) * float(total[admissible].min())
-    slack = 1.0 + 3.0 * rel_se
-    return DoobReport(lhs=lhs, rhs=rhs, rhs_strict=rhs_strict,
-                      relative_se=rel_se, holds=lhs <= rhs * slack,
-                      strict_holds=lhs <= rhs_strict * slack, terms=terms)
+    P, rhs = model.transition, 0.0
+    # term i pairs c_{N-i} with u_i, i = 0..N-1
+    for c, (v, v_next) in zip(_occupations(P, fixture.state, N)[:0:-1],
+                              pairwise(_powers(P, model.observable))):
+        rhs += 2.0 * math.sqrt(c @ (P * (v[None, :] - v_next[:, None]) ** 2).sum(axis=1))
+    return DoobReport(lhs=lhs, rhs=rhs, relative_se=rel_se,
+                      holds=lhs <= rhs * (1.0 + 3.0 * rel_se))
 
 
 # --- exact decomposition identity -----------------------------------------

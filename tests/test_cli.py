@@ -268,8 +268,9 @@ _CONFIG = {"K", "Ns", "alpha", "d_threshold", "experiment", "fixtures", "functio
 @pytest.mark.parametrize("args, top, first", [
     (["doob", "--model", "markov_2state.json", "--n", "8", "--reps", "8",
       "--fixtures", "1"], _TOP,
-     {"fixture", "holds", "lhs", "relative_se", "rhs", "rhs_strict", "strict_holds",
-      "terms"}),
+     {"fixture", "holds", "lhs", "relative_se", "rhs"}),
+    (["hannan", "--model", "markov_2state.json", "--K", "64"], _TOP,
+     {"fitted_tail", "partial_sum", "tail_fit", "verdict"}),
     (["hopf", "--model", "markov_2state.json"], _TOP | {"truncation"},
      {"function", "l1_norm", "ok", "worst_level", "worst_product"}),
     (["markov-check", "--model", "markov_2state.json"], _TOP,
@@ -287,7 +288,7 @@ _CONFIG = {"K", "Ns", "alpha", "d_threshold", "experiment", "fixtures", "functio
     (["identity", "--model", "markov_2state.json", "--n", "8", "--fixtures", "1"], _TOP,
      {"allowance", "fixture", "residual", "verdict"}),
     (["sigma2", "--model", "linear_rho05.json"], _TOP, {"sigma2", "verdict"}),
-], ids=["doob", "hopf", "markov-check", "strest", "quenched-clt", "identity",
+], ids=["doob", "hannan", "hopf", "markov-check", "strest", "quenched-clt", "identity",
         "sigma2"])
 def test_report_schema(args, top, first, tmp_path):
     out = tmp_path / "o"
@@ -300,6 +301,34 @@ def test_report_schema(args, top, first, tmp_path):
     if "dunford_schwartz" in first:
         assert set(report["reports"][0]["dunford_schwartz"]) == {"checked", "ok",
                                                                  "violations"}
+
+
+def test_doob_iid_chain_holds(tmp_path):
+    # on the i.i.d. chain S_k is a simple random walk: E max_{k<=N} S_k^2
+    # exceeds N, and its root at N = 256 is about 21.2, under 2 sqrt(256)
+    model = tmp_path / "iid.json"
+    model.write_text(json.dumps({"type": "markov", "P": [[0.5, 0.5], [0.5, 0.5]],
+                                 "g": [1.0, -1.0]}))
+    out = tmp_path / "o"
+    assert main(["doob", "--model", str(model), "--n", "256", "--reps", "20000",
+                 "--seed", "42", "--out", str(out)]) == 0
+    reports = json.loads((out / "report.json").read_text())["reports"]
+    assert {r["rhs"] for r in reports} == {32.0}
+    assert all(16.0 < r["lhs"] < 32.0 for r in reports)
+
+
+def test_diverging_series_verdict_fails(tmp_path):
+    # harmonic coefficients a_k = 1 / (k + 1): the projection norms are not
+    # summable, and a diverging verdict exits 2
+    model = tmp_path / "harmonic.json"
+    model.write_text(json.dumps({"type": "linear", "tail_bound": 0.005,
+                                 "coeffs": [1.0 / (k + 1) for k in range(200)]}))
+    out = tmp_path / "o"
+    assert main(["hannan", "--model", str(model), "--K", "1000", "--seed", "1",
+                 "--out", str(out)]) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["reports"][0]["verdict"] == "diverging"
+    assert report["verdict"] == "fail"
 
 
 def test_degenerate_quenched_run(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import tracemalloc
@@ -16,7 +17,7 @@ from qlab import (MarkovFunctionalModel, PastFixture, PathFunctional,
                   normal_reference, quenched_wip_experiment, sample_fixture,
                   sample_path_functional, sample_quenched_paths, sigma_squared,
                   strest_experiment, uncentered_drift_check, worker_pool)
-from qlab import experiments
+from qlab import experiments, models
 from qlab.cli import RunConfig, run
 from qlab.experiments import ExperimentReport
 
@@ -383,19 +384,17 @@ def test_doob_zero_observable(zero_chain):
 def test_doob_single_step(two_state_chain):
     rep = doob_bound_check(two_state_chain, PastFixture(state=0), 1, 2000,
                            RandomStream(65, [1]))
-    # exact single-step enumeration: sd of g(W_1) from state 0 is sqrt(0.84)
+    # exact single-step enumeration: sd of g(W_1) from state 0 is sqrt(0.84),
+    # and at N = 1 the bound is exactly twice it
     assert rep.lhs == pytest.approx(math.sqrt(0.84), abs=0.05)
-    assert rep.holds and rep.strict_holds
+    assert rep.rhs == pytest.approx(2 * math.sqrt(0.84), rel=1e-12)
+    assert rep.holds
 
 
 def test_doob_two_state_chain_full(two_state_chain):
     rep = doob_bound_check(two_state_chain, PastFixture(state=0), 1024, 10_000,
                            RandomStream(65, [2]))
     assert rep.holds
-    # the bound as displayed (pointwise in the past) is tighter than the
-    # simulated left side here; the report records that disagreement
-    assert not rep.strict_holds
-    assert rep.rhs > rep.rhs_strict
 
 
 def test_doob_rejects_linear_models(rho_model):
@@ -404,33 +403,22 @@ def test_doob_rejects_linear_models(rho_model):
         doob_bound_check(rho_model, fx, 16, 100, RandomStream(65, [4]))
 
 
-def _doob_rhs_oracle(chain, x: int, N: int) -> tuple[float, float, int]:
-    """(rhs, rhs_strict, terms) of the Doob right side, one term at a time.
+def _doob_rhs_oracle(chain, x: int, N: int) -> float:
+    """2 sum_{i<N} ||M^(i)_{N-i}||_2, one term at a time.
 
-    Each term builds its whole (prev, cur) square, averages it over the
-    step out of each prev and pushes that average through P^m with
-    ``matrix_power``.  The iterates P^i g are stepped v <- P v, so the stop
-    test sees the same floats as any other v <- P v loop.
+    v_i = P^i g comes from ``matrix_power``, and ||M^(i)_t||^2 is the sum
+    over m < t and pairs (a, b) of P^m(x, a) P(a, b) (v_i(b) - v_{i+1}(a))^2:
+    the pairs are summed explicitly, the steps m as rows of ``matrix_power``.
     """
-    P, g = chain.transition, chain.observable
+    P, g, S = chain.transition, chain.observable, chain.n_states
     rows = np.array([np.linalg.matrix_power(P, m)[x] for m in range(N)])   # e_x P^m
-    total = np.zeros(g.size)
-    terms = 0
-    v = g
-    for _ in range(20_000):
-        v_next = P @ v
-        pair_sq = (v[None, :] - v_next[:, None]) ** 2                    # [prev, cur]
-        if pair_sq.max() < 1e-26:
-            break
-        u = (P * pair_sq).sum(axis=1)
-        prefix = np.concatenate([[0.0], np.cumsum(rows[:-1] @ u)])
-        cesaro = (pair_sq[:, x][:, None] + prefix[None, :]) / np.arange(1, N + 1)
-        total += np.sqrt(cesaro.max(axis=1))
-        terms += 1
-        v = v_next
-    admissible = P[:, x] > 0
-    return (math.sqrt(N) * total[admissible].max(),
-            math.sqrt(N) * total[admissible].min(), terms)
+    v = [np.linalg.matrix_power(P, i) @ g for i in range(N + 1)]
+    total = 0.0
+    for i in range(N):
+        u = [sum(P[a, b] * (v[i][b] - v[i + 1][a]) ** 2 for b in range(S))
+             for a in range(S)]
+        total += 2 * math.sqrt(rows[: N - i].sum(axis=0) @ u)
+    return total
 
 
 def _lazy_cycle(S: int) -> MarkovFunctionalModel:
@@ -451,13 +439,12 @@ def _flip(p: float) -> MarkovFunctionalModel:
     return MarkovFunctionalModel(np.array([[1 - p, p], [p, 1 - p]]), np.array([1.0, -1.0]))
 
 
-def _assert_doob_rhs(chain, x: int, N: int) -> int:
-    rhs, rhs_strict, terms = _doob_rhs_oracle(chain, x, N)
-    rep = doob_bound_check(chain, PastFixture(state=x), N, 2, RandomStream(68, [x]))
-    assert rep.terms == terms
-    assert rep.rhs == pytest.approx(rhs, rel=1e-12, abs=0)
-    assert rep.rhs_strict == pytest.approx(rhs_strict, rel=1e-12, abs=0)
-    return terms
+def check_doob_rhs_per_term(chain, N: int):
+    """The library's right side against ``_doob_rhs_oracle`` from every state."""
+    for x in range(chain.n_states):
+        rep = experiments.doob_bound_check(chain, PastFixture(state=x), N, 2,
+                                           RandomStream(68, [x]))
+        assert rep.rhs == pytest.approx(_doob_rhs_oracle(chain, x, N), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("N", [1, 2, 64])
@@ -466,32 +453,65 @@ def test_doob_rhs_against_per_term_oracle(name, N, two_state_chain, three_state_
     chain = {"two": two_state_chain, "three": three_state_chain,
              "six-sparse": _sparse_six_state(), "cycle16": _lazy_cycle(16),
              "flip005": _flip(0.05)}[name]
-    terms = [_assert_doob_rhs(chain, x, N) for x in range(chain.n_states)]
-    if name == "cycle16" and N == 64:    # 64 terms per chunk: the sum spans several
-        assert min(terms) > 4 * 64
-
-
-def test_doob_rhs_stop_on_a_chunk_edge(two_state_chain):
-    # at S = 2, N = 1900 a chunk holds 2^16 // 3800 = 17 terms, and this
-    # chain stops after exactly two chunks
-    assert _assert_doob_rhs(two_state_chain, 0, 1900) == 34
-
-
-def test_doob_rhs_stop_at_the_threshold():
-    # the only pair gap squares to exactly 1e-26, which is not below the
-    # threshold, so the term counts; the next term is zero and stops the sum
-    chain = MarkovFunctionalModel(np.full((2, 2), 0.5), np.array([1e-13, -1e-13]))
-    assert _assert_doob_rhs(chain, 0, 2) == 1
+    check_doob_rhs_per_term(chain, N)
 
 
 def test_doob_rhs_zero_observable(zero_chain):
     rep = doob_bound_check(zero_chain, PastFixture(state=1), 2, 2, RandomStream(68, [0]))
-    assert (rep.terms, rep.rhs, rep.rhs_strict) == (0, 0.0, 0.0)
+    assert rep.rhs == 0.0
 
 
-def test_doob_rhs_term_cap():
-    # flip 1e-4 contracts by 0.9998 a step, so neither side stops before the cap
-    assert _assert_doob_rhs(_flip(1e-4), 0, 2) == 20_000
+def _exact_doob_lhs(chain, x: int, N: int) -> float:
+    """sqrt(E_x max_{k<=N} (S_k - E_x S_k)^2), summed over all S^N paths."""
+    P, g = chain.transition, chain.observable
+    paths = np.array(list(itertools.product(range(chain.n_states), repeat=N)))  # W_1..W_N
+    prev = np.hstack([np.full((len(paths), 1), x), paths[:, :-1]])
+    weights = np.prod(P[prev, paths], axis=1)
+    means = np.cumsum([np.linalg.matrix_power(P, k)[x] @ g for k in range(1, N + 1)])
+    return math.sqrt(weights @ np.max((np.cumsum(g[paths], axis=1) - means) ** 2, axis=1))
+
+
+def check_doob_bound_by_enumeration(chain, N: int, reps: int = 2):
+    """From every state, the exact left side by path enumeration is at most
+    the library's right side, which Doob's and Minkowski's inequalities
+    make a theorem; with ``reps`` > 2 the Monte Carlo left side also lies
+    within four of its standard errors of the exact one."""
+    for x in range(chain.n_states):
+        exact = _exact_doob_lhs(chain, x, N)
+        rep = experiments.doob_bound_check(chain, PastFixture(state=x), N, reps,
+                                           RandomStream(69, [N, x]))
+        assert exact <= rep.rhs
+        if reps > 2:
+            assert abs(rep.lhs - exact) <= 4 * rep.relative_se * exact
+
+
+def _random_chain(rng, S: int) -> MarkovFunctionalModel:
+    P = rng.random((S, S))
+    P[P < 0.3] = 0.0
+    P += 0.2 * np.roll(np.eye(S), 1, axis=1) + 0.1 * np.eye(S)   # irreducible, aperiodic
+    return centered_chain(P / P.sum(axis=1, keepdims=True), rng.normal(size=S))
+
+
+@pytest.mark.parametrize("seed", range(13))
+def test_doob_bound_holds_on_every_path_enumeration(seed):
+    rng = np.random.default_rng(7100 + seed)
+    for S in (2, 3):
+        chain = _random_chain(rng, S)
+        for N in (1, 2, 5, 8):
+            check_doob_bound_by_enumeration(chain, N, reps=2048 if N == 8 else 2)
+
+
+IID = MarkovFunctionalModel(np.full((2, 2), 0.5), np.array([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("N, lhs", [(2, math.sqrt(2.5)), (16, 4.98801)])
+def test_doob_iid_chain_exact_sides(N, lhs):
+    # S_k is a simple random walk: the bound is 2 sqrt(N), exactly, above
+    # the walk's exact L^2 maximum
+    assert _exact_doob_lhs(IID, 0, N) == pytest.approx(lhs, rel=1e-6)
+    rep = doob_bound_check(IID, PastFixture(state=0), N, 2, RandomStream(68, [N]))
+    assert rep.rhs == pytest.approx(2 * math.sqrt(N), rel=1e-12)
+    check_doob_bound_by_enumeration(IID, N)
 
 
 # --- decomposition identity ------------------------------------------------------------
@@ -543,25 +563,47 @@ def _traced_peak(experiment, *args) -> int:
         tracemalloc.stop()
 
 
+def _fold_bytes(n: int, chains: int, endpoint: bool = False, floats: int = 2) -> int:
+    """The bytes a Markov fold of ``chains`` chains over n steps holds at once
+    by design: one chunk of steps, each value a uint8 state and ``floats``
+    float arrays (the running sums and the reduction's temporary, and for
+    strest the martingale); one chunk of step draws, a float uniform and an
+    int32 bucket each, plus a block's raw integers and their float copy;
+    sixteen 8-byte carries per chain; and one start state's drift table."""
+    width = 1 if endpoint else min(max(experiments._FOLD_VALUES // chains, 1), n)
+    draws = min(max(models._STEP_DRAWS // chains, 1), models._STEP_CHUNK, n)
+    return ((width + 1) * chains * (1 + 8 * floats) + draws * chains * (8 + 4)
+            + draws * min(chains, experiments.BLOCK_REPS) * 16 + 16 * 8 * chains + 8 * n)
+
+
+# each fold's peak is bounded by 1.25 times _fold_bytes; the measured peaks
+# are 0.90-1.05 times it, so a regression of a quarter of the design fails
+FOLD_SLACK = 1.25
+
+
 @pytest.mark.parametrize("kind", ["endpoint", "supremum", "time-integral"])
 def test_markov_endpoint_stores_no_paths(two_state_chain, kind):
-    # every functional folds one running sum per chain as it is stepped: the
-    # peak stays below the (n + 1) x reps uint8 state array of a path grid
+    # every functional folds one running sum per chain as it is stepped
     fx, n, reps = PastFixture(state=0), 4096, 1024
     functional = PathFunctional(kind)
     sample_path_functional(two_state_chain, [fx], functional, 64, 256, [RandomStream(68, [0])])
     peak = _traced_peak(sample_path_functional, two_state_chain, [fx], functional, n, reps,
                         [RandomStream(68, [1])])
-    assert peak < (n + 1) * reps
+    assert peak < FOLD_SLACK * _fold_bytes(n, reps, endpoint=kind == "endpoint")
+
+
+def check_supremum_stores_no_paths(chain, n: int, chains: int):
+    """The Markov supremum's peak is the chains' carries, one chunk of steps,
+    one chunk of draws and the drift table: within FOLD_SLACK of them."""
+    fx = PastFixture(state=1)
+    sample_path_functional(chain, [fx], SUPREMUM, 64, 256, [RandomStream(68, [0])])
+    peak = _traced_peak(sample_path_functional, chain, [fx], SUPREMUM, n, chains,
+                        [RandomStream(68, [4])])
+    assert peak < FOLD_SLACK * _fold_bytes(n, chains)
 
 
 def test_markov_supremum_at_long_horizon_stores_no_paths(two_state_chain):
-    # n = 2^16: the peak is the lanes' carries and one chunk of steps
-    fx, n, reps = PastFixture(state=1), 1 << 16, 256
-    sample_path_functional(two_state_chain, [fx], SUPREMUM, 64, 256, [RandomStream(68, [0])])
-    peak = _traced_peak(sample_path_functional, two_state_chain, [fx], SUPREMUM, n, reps,
-                        [RandomStream(68, [4])])
-    assert peak < (n + 1) * reps
+    check_supremum_stores_no_paths(two_state_chain, 1 << 16, 256)
 
 
 def test_drift_columns_build_no_array_per_step(two_state_chain):
@@ -581,13 +623,14 @@ def test_markov_strest_and_doob_store_no_paths(two_state_chain):
     strest = _traced_peak(strest_experiment, two_state_chain, fx, math.inf, [512, n], reps,
                           RandomStream(68, [5]))
     doob = _traced_peak(doob_bound_check, two_state_chain, fx, n, reps, RandomStream(68, [6]))
-    assert strest < (n + 1) * reps and doob < (n + 1) * reps
+    assert strest < FOLD_SLACK * _fold_bytes(n, reps, floats=3)
+    assert doob < FOLD_SLACK * _fold_bytes(n, reps)
 
 
 def test_doob_table_grows_by_no_array_per_step(two_state_chain):
-    # the exact right side tabulates c_l = sum_{m<l} e_x P^m, l < N, in one
-    # (N, S) array: from N = 2048 to 8192 the peak may grow by a few floats
-    # per added step, not by one array object per step
+    # the exact right side tabulates c_t = sum_{m<t} e_x P^m, t <= N, in one
+    # (N + 1, S) array: from N = 2048 to 8192 the peak may grow by a few
+    # floats per added step, not by one array object per step
     fx = PastFixture(state=0)
     doob_bound_check(two_state_chain, fx, 64, 2, RandomStream(68, [0]))
     short, long = (_traced_peak(doob_bound_check, two_state_chain, fx, N, 2,

@@ -6,6 +6,7 @@ it must pass, and with one library function replaced by a version that
 carries one named bug, where it must fail.
 """
 
+from dataclasses import replace
 from itertools import islice
 from types import SimpleNamespace
 
@@ -15,8 +16,10 @@ import pytest
 from qlab import PathFunctional, RandomStream
 from qlab import experiments, models
 
-from test_experiments import (check_endpoint_law_exactly_normal,
-                              check_run_reports_as_fixtures_alone)
+from test_experiments import (IID, check_doob_bound_by_enumeration,
+                              check_doob_rhs_per_term, check_endpoint_law_exactly_normal,
+                              check_run_reports_as_fixtures_alone,
+                              check_supremum_stores_no_paths)
 from test_power_sequence import (check_blocks_jointly, check_draw_contract,
                                  check_fixtures_jointly)
 
@@ -167,3 +170,37 @@ def test_endpoint_drift_one_step_ahead(three_state_chain, monkeypatch):
                         lambda model, states, n: drifts(model, states, n + 1)[1:])
     with pytest.raises(AssertionError):
         oracle()
+
+
+def test_doob_bound_without_its_factor_2(monkeypatch):
+    # the bug drops Doob's factor 2, which halves the right side: on the
+    # i.i.d. chain at N = 2 it is sqrt(2), under the exact sqrt(2.5)
+    oracle = lambda: check_doob_bound_by_enumeration(IID, 2)
+    oracle()
+    check = experiments.doob_bound_check
+    monkeypatch.setattr(experiments, "doob_bound_check",
+                        lambda *args: replace(check(*args), rhs=check(*args).rhs / 2))
+    _fails_at("assert exact <= rep.rhs", oracle)
+
+
+def test_occupations_from_p_not_its_transpose(three_state_chain, monkeypatch):
+    # the bug sums the columns P^m e_x of the powers for the rows e_x P^m
+    oracle = lambda: check_doob_rhs_per_term(three_state_chain, 8)
+    oracle()
+    occupations = experiments._occupations
+    monkeypatch.setattr(experiments, "_occupations",
+                        lambda P, x, N: occupations(P.T, x, N))
+    with pytest.raises(AssertionError):
+        oracle()
+
+
+def test_drift_table_as_a_list_of_rows(two_state_chain, monkeypatch):
+    # the bug builds the drift table from a Python list of n one-row arrays
+    # before its cumsum: the same bytes, at over 100 bytes a step
+    oracle = lambda: check_supremum_stores_no_paths(two_state_chain, 8192, 32)
+    oracle()
+    powers = models._powers
+    monkeypatch.setattr(experiments, "_drifts", lambda model, states, n: np.cumsum(
+        [v[states] for v in islice(powers(model.transition, model.observable), 1, n + 1)],
+        axis=0))
+    _fails_at("assert peak < FOLD_SLACK * _fold_bytes(n, chains)", oracle)

@@ -13,7 +13,9 @@ OUT, which must not exist yet, receives:
   ``suites/`` at one and at two workers, with its printed lines in
   ``stdout.txt``;
 * ``demos/<demo>.txt``: each demo's stdout;
-* ``exit_codes.txt``: the exit code of every run above, one per line.
+* ``exit_codes.txt``: the exit code of every run above, one per line;
+* ``cli/list.txt``: the stdout of ``qlab list``, every experiment with
+  its description.
 
 Run it on two checkouts and ``diff -r`` the two trees: an empty diff means
 every output kept its bytes.  BLAS runs on one thread, as in the
@@ -81,6 +83,12 @@ def _demo_runs(out: str) -> list:
     return codes
 
 
+def _list_experiments(out: str) -> None:
+    os.makedirs(out)
+    with open(os.path.join(out, "list.txt"), "w") as fh, redirect_stdout(fh):
+        cli.main(["list"])
+
+
 def main(argv) -> int:
     if len(argv) != 2:
         print("usage: python3 tools/snapshot_outputs.py OUT", file=sys.stderr)
@@ -90,6 +98,7 @@ def main(argv) -> int:
     codes = (_workload_runs(os.path.join(out, "workloads"))
              + _suite_runs(os.path.join(out, "suites"))
              + _demo_runs(os.path.join(out, "demos")))
+    _list_experiments(os.path.join(out, "cli"))
     with open(os.path.join(out, "exit_codes.txt"), "w") as fh:
         fh.write("".join(f"{line}\n" for line in codes))
     return 0
