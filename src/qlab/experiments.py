@@ -33,15 +33,16 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from itertools import islice, pairwise
+from itertools import pairwise
 from typing import Optional
 
 import numpy as np
 
 from .models import (LinearModel, MarkovFunctionalModel, Model, PastFixture,
                      Realization, _check_fixture, _e0_sums, _fir,
-                     _markov_steps, _powers, _stationary_states,
-                     e0_increment_series, sample, sample_quenched_paths)
+                     _increment_variance, _markov_steps, _power_table, _powers,
+                     _stationary_states, e0_increment_series, sample,
+                     sample_quenched_paths)
 from .paths import PathFunctional
 from .projections import (evaluate_martingale, martingale_increment,
                           sigma_squared)
@@ -181,9 +182,7 @@ def _reduce_linear_blocks(model: LinearModel, n: int, endpoint: bool, reduce,
 
 def _drifts(model: MarkovFunctionalModel, states, n: int) -> np.ndarray:
     """E0(S_k), k = 1..n, summed stepwise: one column per start state."""
-    drifts = np.empty((n, len(states)))
-    for row, v in zip(drifts, islice(_powers(model.transition, model.observable), 1, None)):
-        row[:] = v[states]
+    drifts = _power_table(model.transition, model.transition @ model.observable, n, states)
     return np.cumsum(drifts, axis=0, out=drifts)
 
 
@@ -510,15 +509,6 @@ class DoobReport:
     holds: bool
 
 
-def _occupations(P: np.ndarray, x: int, N: int) -> np.ndarray:
-    """Rows c_t = sum_{m<t} e_x P^m, t = 0..N: the expected visits to each
-    state in the first t steps from x, one power pass deep."""
-    C = np.zeros((N + 1, P.shape[0]))
-    for row, power in zip(C[1:], _powers(P.T, np.eye(P.shape[0])[x])):
-        row[:] = power
-    return np.cumsum(C, axis=0, out=C)
-
-
 def doob_bound_check(model: Model, fixture: PastFixture, N: int, reps: int,
                      stream: RandomStream) -> DoobReport:
     """Monte Carlo LHS vs exact RHS of the maximal inequality for S_k - E0(S_k).
@@ -533,9 +523,9 @@ def doob_bound_check(model: Model, fixture: PastFixture, N: int, reps: int,
 
     and ||M^(i)_t||_2^2 = c_t . u_i, with c_t = sum_{m<t} e_x P^m and
     u_i(a) = sum_b P(a, b) (v_i(b) - v_{i+1}(a))^2, the conditional variance
-    of one increment, formed as a sum of squares so that it cannot go
-    negative.  The right side takes exactly N terms; the left side is the
-    root of the mean of the squared ``sup-abs`` functional.
+    of one increment (``models._increment_variance``).  The right side
+    takes exactly N terms; the left side is the root of the mean of the
+    squared ``sup-abs`` functional.
     """
 
     if not isinstance(model, MarkovFunctionalModel):
@@ -553,10 +543,12 @@ def doob_bound_check(model: Model, fixture: PastFixture, N: int, reps: int,
     rel_se = se / (2.0 * mean) if mean > 0 else 0.0
 
     P, rhs = model.transition, 0.0
-    # term i pairs c_{N-i} with u_i, i = 0..N-1
-    for c, (v, v_next) in zip(_occupations(P, fixture.state, N)[:0:-1],
+    # row m of C is e_x P^m, and its cumsum's row t - 1 is c_t; term i
+    # pairs c_{N-i} with u_i, i = 0..N-1
+    C = _power_table(P.T, np.eye(model.n_states)[fixture.state], N, slice(None))
+    for c, (v, v_next) in zip(np.cumsum(C, axis=0, out=C)[::-1],
                               pairwise(_powers(P, model.observable))):
-        rhs += 2.0 * math.sqrt(c @ (P * (v[None, :] - v_next[:, None]) ** 2).sum(axis=1))
+        rhs += 2.0 * math.sqrt(c @ _increment_variance(P, v, v_next))
     return DoobReport(lhs=lhs, rhs=rhs, relative_se=rel_se,
                       holds=lhs <= rhs * (1.0 + 3.0 * rel_se))
 
@@ -581,7 +573,8 @@ def decomposition_identity_check(model: Model, fixture: PastFixture, n: int,
     The left side is the centered partial sum; the right side rebuilds it
     from the time-0 projection components shifted along the path.  Both
     are computed on a shared realization of 64 paths at every prefix
-    length up to n.
+    length up to n.  A Markov right side sums all n components, however
+    small the late ones, so the residual is rounding alone.
     """
 
     if n < 1:
@@ -597,14 +590,12 @@ def decomposition_identity_check(model: Model, fixture: PastFixture, n: int,
             rhs[:, i:] += model.coeffs[i] * E[:, : n - i]
         allowance = 1e-9 + n * model.tail_bound * model.sigma_eps
     else:
-        P, g = model.transition, model.observable
         states = real.states
-        scale = max(1.0, float(np.max(np.abs(g))))
-        for i, (v, v_next) in zip(range(n), pairwise(_powers(P, g))):
-            if np.max(np.abs(v)) < 1e-13 * scale:
-                break
-            inc = v[states[:, 1:]] - v_next[states[:, :-1]]
-            rhs[:, i:] += np.cumsum(inc, axis=1)[:, : n - i]
+        for i, (v, v_next) in zip(range(n), pairwise(_powers(model.transition,
+                                                             model.observable))):
+            # the cumsum of a prefix is the prefix of the cumsum
+            inc = v[states[:, 1 : n - i + 1]] - v_next[states[:, : n - i]]
+            rhs[:, i:] += np.cumsum(inc, axis=1)
         allowance = 1e-9
     residual = float(np.max(np.abs(lhs - rhs)))
     return IdentityReport(residual=residual, allowance=allowance, reps=reps)

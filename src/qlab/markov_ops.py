@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import _ATOL, MarkovFunctionalModel, _powers
+from .models import _ATOL, MarkovFunctionalModel, _power_table
 
 
 def _l1_norm(model: MarkovFunctionalModel, h: np.ndarray) -> float:
@@ -74,8 +74,8 @@ def _cesaro_means(model: MarkovFunctionalModel, h: np.ndarray, N: int) -> np.nda
     """Rows n = 1..N of (1/n) sum_{i<n} Q^i h, by iterated application."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    sums = np.cumsum(list(itertools.islice(_powers(model.transition, h), N)), axis=0)
-    return sums / np.arange(1, N + 1)[:, None]
+    sums = _power_table(model.transition, h, N, slice(None))
+    return np.cumsum(sums, axis=0, out=sums) / np.arange(1, N + 1)[:, None]
 
 
 def maximal_function(model: MarkovFunctionalModel, h, N: int) -> MaximalFunction:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -292,6 +291,21 @@ def _powers(P: np.ndarray, v: np.ndarray, pi: Optional[np.ndarray] = None):
             v -= float(pi @ v)
 
 
+def _power_table(A: np.ndarray, v: np.ndarray, rows: int, cols) -> np.ndarray:
+    """Rows (A^m v)[cols], m < rows, of one ``_powers`` pass in one preallocated
+    array; ``cols`` is an index, an index array or a slice."""
+    table = np.empty((rows,) + np.shape(v[cols]))
+    for m, power in zip(range(rows), _powers(A, v)):
+        table[m] = power[cols]
+    return table
+
+
+def _increment_variance(P: np.ndarray, u: np.ndarray, pu: np.ndarray) -> np.ndarray:
+    """sum_b P(a, b) (u(b) - pu(a))^2 per state a: with pu = P u, the variance of
+    u(W_1) - pu(W_0) given W_0 = a, as a sum of squares that cannot go negative."""
+    return (P * (u[None, :] - pu[:, None]) ** 2).sum(axis=1)
+
+
 def sample_fixture(model: Model, stream: RandomStream) -> PastFixture:
     """Draw a past from the stationary law restricted to the past."""
     if isinstance(model, LinearModel):
@@ -321,16 +335,14 @@ def e0_increment_series(model: Model, fixture: PastFixture, n: int) -> np.ndarra
     if n < 0:
         raise ValueError("n must be >= 0")
     _check_fixture(model, fixture)
-    out = np.zeros(n)
     if isinstance(model, LinearModel):
+        out = np.zeros(n)
         J = model.horizon
         for k in range(1, min(n, J) + 1):
             out[k - 1] = model.coeffs[k:] @ fixture.innovations[: J - k + 1]
         return out
-    powers = islice(_powers(model.transition, model.observable), 1, n + 1)
-    for k, v in enumerate(powers):
-        out[k] = v[fixture.state]
-    return out
+    return _power_table(model.transition, model.transition @ model.observable, n,
+                        fixture.state)
 
 
 def _e0_sums(model: Model, fixtures, Ns) -> np.ndarray:

@@ -4,11 +4,13 @@ The heart of the construction: the influence of the time-0 innovation on
 the time-k observable has an exact closed form for both model families,
 
 * linear:  |a_k| * sigma_eps,
-* markov:  sum_{x,y} pi(x) P(x,y) [ (P^k g)(y) - (P^{k+1} g)(x) ]^2,
+* markov:  the root of sum_{x,y} pi(x) P(x,y) [ (P^k g)(y) - (P^{k+1} g)(x) ]^2,
 
 and summability of those norms over k is what licenses the martingale
-approximation, its limit increment m, and the long-run variance.  Any
-finite computation of an infinite-sum criterion has to declare its
+approximation, its limit increment m, and the long-run variance.  A
+Markov norm and sigma^2 = |m|^2 are pi times the per-state variance of
+one increment, summed as squares (``models._increment_variance``).
+Any finite computation of an infinite-sum criterion has to declare its
 extrapolation rule; ours fits the observed decay (geometric and
 polynomial) over the tail of the computed range and extrapolates the
 better fit.  That fit gates the r = infinity increment of a linear model
@@ -27,7 +29,8 @@ from typing import Optional
 import numpy as np
 
 from .markov_ops import poisson_solve
-from .models import LinearModel, Model, Realization, _powers
+from .models import (LinearModel, Model, Realization, _increment_variance,
+                     _powers)
 
 SUMMABLE = "summable"
 DIVERGING = "diverging"
@@ -73,12 +76,9 @@ def projection_norms(model: Model, K: int) -> ProjectionSeries:
             bias[J + 1 :] = model.tail_bound * model.sigma_eps
         return ProjectionSeries(norms=norms, bias=bias)
     P, pi, g = model.transition, model.stationary, model.observable
-    norms = np.zeros(K + 1)
-    powers = pairwise(_powers(P, g - float(pi @ g), pi))
-    for k, (v, v_next) in zip(range(K + 1), powers):
-        diff = v[None, :] - v_next[:, None]  # (P^k g)(y) - (P^{k+1} g)(x)
-        norms[k] = np.sqrt(np.sum(pi[:, None] * P * diff**2))
-    return ProjectionSeries(norms=norms, bias=np.zeros(K + 1))
+    powers = islice(pairwise(_powers(P, g - float(pi @ g), pi)), K + 1)
+    norms = [math.sqrt(pi @ _increment_variance(P, v, v_next)) for v, v_next in powers]
+    return ProjectionSeries(norms=np.array(norms), bias=np.zeros(K + 1))
 
 
 @dataclass
@@ -90,34 +90,23 @@ class SummabilityReport:
     fitted_tail: float
 
 
-def _fit_tail(indices: np.ndarray, values: np.ndarray, K: int) -> dict:
-    """Fit log values against k (geometric) and log k (polynomial)."""
-    logs = np.log(values)
-    geo = np.polyfit(indices, logs, 1)
-    geo_sse = float(np.sum((np.polyval(geo, indices) - logs) ** 2))
-    positive = indices >= 1
-    out = {"geo_slope": float(geo[0]), "geo_intercept": float(geo[1]),
-           "geo_sse": geo_sse, "poly_exponent": None, "poly_intercept": None,
-           "poly_sse": np.inf}
-    if positive.sum() >= 2:
-        lk = np.log(indices[positive])
-        poly = np.polyfit(lk, logs[positive], 1)
-        out["poly_exponent"] = float(poly[0])
-        out["poly_intercept"] = float(poly[1])
-        out["poly_sse"] = float(np.sum((np.polyval(poly, lk) - logs[positive]) ** 2))
-    # extrapolated tails beyond K
-    q = math.exp(out["geo_slope"])
-    out["geo_tail"] = (math.exp(out["geo_intercept"] + out["geo_slope"] * (K + 1))
-                       / (1.0 - q) if q < 1 else math.inf)
-    p = out["poly_exponent"]
-    if p is not None and p < -1:
-        out["poly_tail"] = math.exp(out["poly_intercept"]) * (K + 1) ** (p + 1) / (-1 - p)
-    else:
-        out["poly_tail"] = math.inf
-    return out
+def _fit_tail(x: np.ndarray, logs: np.ndarray, K: int,
+              polynomial: bool) -> tuple[float, float]:
+    """Fit logs = slope * x + intercept by least squares, with x = k for a
+    geometric and x = log k for a polynomial decay; return the squared
+    error and the extrapolated sum of the terms k > K, inf if it diverges."""
+    slope, intercept = np.polyfit(x, logs, 1)
+    sse = float(np.sum((np.polyval((slope, intercept), x) - logs) ** 2))
+    if polynomial:      # the sum is taken as the integral from K + 1
+        return sse, (float(math.exp(intercept) * (K + 1) ** (slope + 1) / (-1 - slope))
+                     if slope < -1 else math.inf)
+    q = math.exp(slope)
+    return sse, math.exp(intercept + slope * (K + 1)) / (1.0 - q) if q < 1 else math.inf
 
 
 def _summability(values: np.ndarray, bias: np.ndarray) -> SummabilityReport:
+    """Partial sums of the terms k = 0..K with a verdict: the better fit's tail is
+    "summable" under TAIL_FRACTION of the sum, "diverging" if infinite."""
     sums = np.cumsum(values)
     report = partial(SummabilityReport, values, sums)
     K = values.size - 1
@@ -139,19 +128,16 @@ def _summability(values: np.ndarray, bias: np.ndarray) -> SummabilityReport:
     window = live[live.size // 2 :]
     if window.size < 3:
         return report(tail_fit="none", verdict=INCONCLUSIVE, fitted_tail=math.inf)
-    fit = _fit_tail(window, values[window], K)
-    geometric_wins = fit["geo_sse"] <= fit["poly_sse"]
-    tail_fit = "geometric" if geometric_wins else "polynomial"
-    fitted_tail = fit["geo_tail"] if geometric_wins else fit["poly_tail"]
-    if fitted_tail < TAIL_FRACTION * total:
-        verdict = SUMMABLE
-    elif geometric_wins and fit["geo_slope"] >= 0:
-        verdict = DIVERGING
-    elif not geometric_wins and fit["poly_exponent"] >= -1:
-        verdict = DIVERGING
-    else:
-        verdict = INCONCLUSIVE
-    return report(tail_fit=tail_fit, verdict=verdict, fitted_tail=float(fitted_tail))
+    # the window is the upper half of three or more live indices, so k >= 1
+    logs = np.log(values[window])
+    fits = {"geometric": _fit_tail(window, logs, K, polynomial=False),
+            "polynomial": _fit_tail(np.log(window), logs, K, polynomial=True)}
+    # min keeps the first of equal errors: a tie goes to the geometric fit
+    tail_fit = min(fits, key=lambda name: fits[name][0])
+    fitted_tail = fits[tail_fit][1]
+    verdict = (SUMMABLE if fitted_tail < TAIL_FRACTION * total
+               else DIVERGING if fitted_tail == math.inf else INCONCLUSIVE)
+    return report(tail_fit=tail_fit, verdict=verdict, fitted_tail=fitted_tail)
 
 
 def hannan_sum(series: ProjectionSeries) -> SummabilityReport:
@@ -254,18 +240,13 @@ def evaluate_martingale(approx: MartingaleApprox, realization: Realization,
     return np.cumsum(sums, axis=1, out=sums)[:, 1:]
 
 
-def _pair_variance(P: np.ndarray, pi: np.ndarray, u: np.ndarray) -> float:
-    """E over pi(x)P(x,y) of [u(y) - (Pu)(x)]^2, simplified exactly."""
-    pu = P @ u
-    return float(pi @ u**2 - pi @ pu**2)
-
-
 def sigma_squared(model: Model) -> float:
     """The limit of E(S_n^2)/n, equal to the squared norm of m."""
     approx = martingale_increment(model)
     if isinstance(model, LinearModel):
         return approx.c**2 * model.innovation.variance
-    return _pair_variance(model.transition, model.stationary, approx.g_hat)
+    return float(model.stationary @ _increment_variance(model.transition, approx.g_hat,
+                                                        approx.p_g_hat))
 
 
 def approximation_gap(model: Model, r: float) -> float:
@@ -274,5 +255,5 @@ def approximation_gap(model: Model, r: float) -> float:
     part = martingale_increment(model, r)
     if isinstance(model, LinearModel):
         return abs(full.c - part.c) * model.sigma_eps
-    delta = full.g_hat - part.g_hat
-    return float(np.sqrt(max(_pair_variance(model.transition, model.stationary, delta), 0.0)))
+    P, delta = model.transition, full.g_hat - part.g_hat
+    return math.sqrt(model.stationary @ _increment_variance(P, delta, P @ delta))

@@ -1,0 +1,39 @@
+import importlib.util
+import json
+import os
+
+from conftest import REPO_ROOT
+
+_spec = importlib.util.spec_from_file_location(
+    "compare_snapshots", os.path.join(REPO_ROOT, "tools", "compare_snapshots.py"))
+compare_snapshots = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_snapshots)
+
+
+def _tree(root, report: dict, norms: list) -> str:
+    os.makedirs(os.path.join(root, "run"))
+    with open(os.path.join(root, "run", "report.json"), "w") as fh:
+        json.dump(report, fh)
+    with open(os.path.join(root, "run", "series.csv"), "w") as fh:
+        fh.write("k,norm\n" + "".join(f"{k},{v!r}\n" for k, v in enumerate(norms)))
+    with open(os.path.join(root, "exit_codes.txt"), "w") as fh:
+        fh.write("run 0\n")
+    return str(root)
+
+
+def test_moved_floats_pass_and_show_their_size(tmp_path, capsys):
+    # sigma2 moves by one unit in the last place, a norm at the floor by 1e-17
+    old = _tree(tmp_path / "old", {"sigma2": 1.0, "verdict": "pass"}, [1.0, 3e-17])
+    new = _tree(tmp_path / "new", {"sigma2": 1.0 + 2**-52, "verdict": "pass"},
+                [1.0, 4e-17])
+    assert compare_snapshots.main(["compare", old, new]) == 0
+    out = capsys.readouterr().out
+    assert "run/report.json: max rel 2.22e-16" in out
+    assert "run/series.csv: max rel 0.00e+00 (|x| > 1e-15), max abs 1.00e-17" in out
+
+
+def test_changed_verdict_fails(tmp_path, capsys):
+    old = _tree(tmp_path / "old", {"sigma2": 2.5, "verdict": "pass"}, [1.0])
+    new = _tree(tmp_path / "new", {"sigma2": 2.5, "verdict": "fail"}, [1.0])
+    assert compare_snapshots.main(["compare", old, new]) == 1
+    assert "run/report.json: CHANGED /verdict: 'pass' -> 'fail'" in capsys.readouterr().out

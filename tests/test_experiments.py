@@ -531,11 +531,20 @@ def test_geometric_decomposition_within_declared_bias(rho_model):
     assert rep.verdict == "pass"
 
 
-def test_chain_decomposition_exact(two_state_chain):
-    rep = decomposition_identity_check(two_state_chain, PastFixture(state=1),
-                                       16, RandomStream(66, [3]))
-    assert rep.residual <= 1e-9
+def check_chain_decomposition_exact(chain, n: int, bound: float):
+    """The identity check from state 1 leaves a residual of at most ``bound``."""
+    rep = decomposition_identity_check(chain, PastFixture(state=1), n,
+                                       RandomStream(66, [3]))
+    assert rep.residual <= bound
     assert rep.verdict == "pass"
+
+
+def test_chain_decomposition_exact(two_state_chain):
+    # measured 3.6e-15 at n = 16 and 2.1e-14 at n = 64; each bound is about
+    # five times its measurement.  Cutting the right side off once |P^i g|
+    # falls under 1e-13 left 1.5e-12 at n = 64
+    check_chain_decomposition_exact(two_state_chain, 16, 2e-14)
+    check_chain_decomposition_exact(two_state_chain, 64, 1e-13)
 
 
 def test_internal_consistency_of_centered_statistics(two_state_chain):
@@ -629,7 +638,7 @@ def test_markov_strest_and_doob_store_no_paths(two_state_chain):
 
 def test_doob_table_grows_by_no_array_per_step(two_state_chain):
     # the exact right side tabulates c_t = sum_{m<t} e_x P^m, t <= N, in one
-    # (N + 1, S) array: from N = 2048 to 8192 the peak may grow by a few
+    # (N, S) array: from N = 2048 to 8192 the peak may grow by a few
     # floats per added step, not by one array object per step
     fx = PastFixture(state=0)
     doob_bound_check(two_state_chain, fx, 64, 2, RandomStream(68, [0]))

@@ -14,12 +14,14 @@ import numpy as np
 import pytest
 
 from qlab import PathFunctional, RandomStream
-from qlab import experiments, models
+from qlab import experiments, models, projections
 
-from test_experiments import (IID, check_doob_bound_by_enumeration,
+from test_experiments import (IID, check_chain_decomposition_exact,
+                              check_doob_bound_by_enumeration,
                               check_doob_rhs_per_term, check_endpoint_law_exactly_normal,
                               check_run_reports_as_fixtures_alone,
                               check_supremum_stores_no_paths)
+from test_projections import check_hannan_verdict, check_sigma_squared_exact
 from test_power_sequence import (check_blocks_jointly, check_draw_contract,
                                  check_fixtures_jointly)
 
@@ -184,14 +186,67 @@ def test_doob_bound_without_its_factor_2(monkeypatch):
 
 
 def test_occupations_from_p_not_its_transpose(three_state_chain, monkeypatch):
-    # the bug sums the columns P^m e_x of the powers for the rows e_x P^m
+    # the bug tabulates the columns P^m e_x of the powers for the rows
+    # e_x P^m: it powers P where doob passes the transposed view P^T (the
+    # drift's own table, of P, stays as it is)
     oracle = lambda: check_doob_rhs_per_term(three_state_chain, 8)
     oracle()
-    occupations = experiments._occupations
-    monkeypatch.setattr(experiments, "_occupations",
-                        lambda P, x, N: occupations(P.T, x, N))
+    power_table = experiments._power_table
+    monkeypatch.setattr(experiments, "_power_table", lambda A, *rest: power_table(
+        A.T if np.isfortran(A) else A, *rest))
     with pytest.raises(AssertionError):
         oracle()
+
+
+def test_increment_centered_on_the_next_state(three_state_chain, monkeypatch):
+    # the bug centers u(b) on pu(b), the next state's mean, not on pu(a)
+    oracle = lambda: check_sigma_squared_exact(three_state_chain, 1e-15)
+    oracle()
+    for module in (projections, experiments):
+        monkeypatch.setattr(module, "_increment_variance", lambda P, u, pu: (
+            P * (u[None, :] - pu[None, :]) ** 2).sum(axis=1))
+    with pytest.raises(AssertionError):
+        oracle()
+    with pytest.raises(AssertionError):
+        check_doob_rhs_per_term(three_state_chain, 8)
+
+
+@pytest.mark.parametrize("norms, verdict, tail_fit", [
+    (0.5 ** np.arange(21), "summable", "geometric"),
+    (1.0 / (np.arange(201) + 1.0), "diverging", "polynomial"),
+], ids=["geometric", "harmonic"])
+def test_tail_fit_with_the_larger_error(norms, verdict, tail_fit, monkeypatch):
+    # the bug keeps the fit with the larger squared error: it negates each
+    # fit's error before the smaller one is chosen
+    oracle = lambda: check_hannan_verdict(norms, np.full(norms.size, 1e-9),
+                                          verdict, tail_fit)
+    oracle()
+    fit_tail = projections._fit_tail
+
+    def larger_error(*args, **kwargs):
+        sse, tail = fit_tail(*args, **kwargs)
+        return -sse, tail
+
+    monkeypatch.setattr(projections, "_fit_tail", larger_error)
+    _fails_at("assert (rep.verdict, rep.tail_fit) == (verdict, tail_fit)", oracle)
+
+
+def test_identity_cut_off_below_1e_13(two_state_chain, monkeypatch):
+    # the bug stops the right side's power sequence once |P^i g| falls
+    # under 1e-13 times the scale of g, as an earlier identity check did
+    oracle = lambda: check_chain_decomposition_exact(two_state_chain, 64, 1e-13)
+    oracle()
+    powers = experiments._powers
+
+    def cut_off(P, v, pi=None):
+        scale = max(1.0, float(np.max(np.abs(v))))
+        for u in powers(P, v, pi):
+            yield u
+            if np.max(np.abs(u)) < 1e-13 * scale:
+                return
+
+    monkeypatch.setattr(experiments, "_powers", cut_off)
+    _fails_at("assert rep.residual <= bound", oracle)
 
 
 def test_drift_table_as_a_list_of_rows(two_state_chain, monkeypatch):

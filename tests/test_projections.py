@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -43,6 +44,13 @@ def test_norms_bias_marks_truncation(rho_model):
 
 # --- summability verdicts -----------------------------------------------------
 
+def check_hannan_verdict(norms, bias, verdict: str, tail_fit: str):
+    """``hannan_sum`` of the series reads ``verdict`` by the ``tail_fit`` rule."""
+    rep = hannan_sum(ProjectionSeries(norms=norms, bias=bias))
+    assert (rep.verdict, rep.tail_fit) == (verdict, tail_fit)
+    return rep
+
+
 def test_hannan_geometric_series():
     series = ProjectionSeries(norms=0.5 ** np.arange(61),
                               bias=np.zeros(61))
@@ -54,23 +62,18 @@ def test_hannan_geometric_series():
 def test_hannan_geometric_fit_on_live_tail():
     # all entries above the rounding floor, so the verdict comes from the
     # geometric extrapolation itself
-    series = ProjectionSeries(norms=0.5 ** np.arange(21),
-                              bias=np.full(21, 1e-9))
-    rep = hannan_sum(series)
-    assert rep.tail_fit == "geometric"
-    assert rep.verdict == "summable"
+    rep = check_hannan_verdict(0.5 ** np.arange(21), np.full(21, 1e-9),
+                               "summable", "geometric")
     assert rep.fitted_tail == pytest.approx(0.5**20, rel=0.05)
 
 
 def test_hannan_harmonic_series():
     norms = 1.0 / (np.arange(201) + 1.0)
-    rep = hannan_sum(ProjectionSeries(norms=norms, bias=np.full(201, 1e-9)))
+    rep = check_hannan_verdict(norms, np.full(201, 1e-9), "diverging", "polynomial")
     # oracle: the harmonic partial sum, about ln(201) + gamma = 5.88
     oracle = float(np.sum(norms))
     assert rep.partial_sums[-1] == pytest.approx(oracle)
     assert oracle > 5
-    assert rep.verdict == "diverging"
-    assert rep.tail_fit == "polynomial"
 
 
 def test_hannan_finite_support():
@@ -103,8 +106,7 @@ _K = np.arange(1001)
 ], ids=["geometric-0.99", "p1.1", "p1.5", "p2", "p2.5", "p3", "p0.5", "p1",
         "three-terms"])
 def test_hannan_verdicts_on_bias_free_series(norms, verdict, tail_fit):
-    rep = hannan_sum(ProjectionSeries(norms=norms, bias=np.zeros(norms.size)))
-    assert (rep.verdict, rep.tail_fit) == (verdict, tail_fit)
+    rep = check_hannan_verdict(norms, np.zeros(norms.size), verdict, tail_fit)
     if verdict == "inconclusive":
         assert rep.fitted_tail > 0
 
@@ -266,6 +268,25 @@ def test_sigma_squared_autocovariance_sum(which):
         float(pi @ (g * (np.linalg.matrix_power(chain.transition, k) @ g)))
         for k in range(1, 2000))
     assert sigma_squared(chain) == pytest.approx(oracle, rel=1e-9)
+
+
+def check_sigma_squared_exact(chain, rel: float):
+    """sigma_squared within ``rel`` of sum_a pi(a) sum_b P(a, b) (g_hat(b) -
+    (P g_hat)(a))^2, summed in Fraction arithmetic on the computed pi, P
+    and g_hat."""
+    P = [[Fraction(p) for p in row] for row in chain.transition.tolist()]
+    u = [Fraction(v) for v in martingale_increment(chain).g_hat.tolist()]
+    exact = Fraction(0)
+    for weight, row in zip(chain.stationary.tolist(), P):
+        pu = sum(p * v for p, v in zip(row, u))
+        exact += Fraction(weight) * sum(p * (v - pu) ** 2 for p, v in zip(row, u))
+    assert abs(Fraction(sigma_squared(chain)) - exact) <= rel * exact
+
+
+def test_sigma_squared_against_exact_sum_of_squares():
+    # measured 7.1e-17 relative; the bound is 14 times that.  The form
+    # pi(g_hat^2) - pi((P g_hat)^2) was 4.5e-14 off here, by cancellation
+    check_sigma_squared_exact(centered_chain(_lazy_cycle(64), np.arange(64) % 5), 1e-15)
 
 
 def test_sigma_squared_refusal():

@@ -1,0 +1,123 @@
+"""Compare two output trees written by ``tools/snapshot_outputs.py``.
+
+    python3 tools/compare_snapshots.py OLD NEW
+
+For each file that differs it prints one line:
+
+* a JSON or CSV file: the largest relative difference among numbers above
+  1e-15 in magnitude, and the largest absolute difference among numbers at
+  or below it, or the first value that changed and is not a number (a
+  verdict, a string, a key, a row or list length);
+* any other text file: how many lines differ.
+
+It exits 1 when a value that is not a number changes, when a file exists
+in one tree only, or when ``exit_codes.txt`` differs, and 0 otherwise: a
+change that moves only numbers, such as last-bit rounding, passes, and its
+sizes are printed for the reader to judge.
+"""
+
+import csv
+import io
+import json
+import math
+import os
+import sys
+
+FLOOR = 1e-15       # numbers at or below this size compare absolutely
+
+
+class ValueChanged(Exception):
+    """A value that is not a number differs between the trees."""
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _compare(old, new, where: str, diffs: dict) -> None:
+    """Walk two parsed values together; record the numbers' differences in
+    ``diffs`` and raise ValueChanged at anything else that differs."""
+    if _is_number(old) and _is_number(new):
+        if old == new:
+            return
+        if not (math.isfinite(old) and math.isfinite(new)):
+            raise ValueChanged(f"{where}: {old!r} -> {new!r}")
+        size = max(abs(old), abs(new))
+        key = "rel" if size > FLOOR else "abs"
+        gap = abs(old - new) / size if size > FLOOR else abs(old - new)
+        diffs[key] = max(diffs[key], gap)
+    elif isinstance(old, dict) and isinstance(new, dict):
+        if list(old) != list(new):
+            raise ValueChanged(f"{where}: keys {sorted(old)} -> {sorted(new)}")
+        for key in old:
+            _compare(old[key], new[key], f"{where}/{key}", diffs)
+    elif isinstance(old, list) and isinstance(new, list):
+        if len(old) != len(new):
+            raise ValueChanged(f"{where}: length {len(old)} -> {len(new)}")
+        for i, (a, b) in enumerate(zip(old, new)):
+            _compare(a, b, f"{where}[{i}]", diffs)
+    elif old != new or type(old) is not type(new):
+        raise ValueChanged(f"{where}: {old!r} -> {new!r}")
+
+
+def _cell(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _parse(path: str, text: str):
+    if path.endswith(".json"):
+        return json.loads(text)
+    return [[_cell(c) for c in row] for row in csv.reader(io.StringIO(text))]
+
+
+def _files(root: str) -> set:
+    return {os.path.relpath(os.path.join(top, name), root)
+            for top, _, names in os.walk(root) for name in names}
+
+
+def compare(old_root: str, new_root: str) -> int:
+    """Print one line per differing file; return the exit code."""
+    old_files, new_files = _files(old_root), _files(new_root)
+    failed = False
+    for path in sorted(old_files ^ new_files):
+        print(f"{path}: only in {'OLD' if path in old_files else 'NEW'}")
+        failed = True
+    for path in sorted(old_files & new_files):
+        with open(os.path.join(old_root, path), encoding="utf-8") as fh:
+            old = fh.read()
+        with open(os.path.join(new_root, path), encoding="utf-8") as fh:
+            new = fh.read()
+        if old == new:
+            continue
+        if path == "exit_codes.txt":
+            print(f"{path}: differs")
+            failed = True
+        elif path.endswith((".json", ".csv")):
+            diffs = {"rel": 0.0, "abs": 0.0}
+            try:
+                _compare(_parse(path, old), _parse(path, new), "", diffs)
+            except ValueChanged as change:
+                print(f"{path}: CHANGED {change}")
+                failed = True
+                continue
+            print(f"{path}: max rel {diffs['rel']:.2e} (|x| > {FLOOR:g}), "
+                  f"max abs {diffs['abs']:.2e} (|x| <= {FLOOR:g})")
+        else:
+            a, b = old.splitlines(), new.splitlines()
+            count = sum(x != y for x, y in zip(a, b)) + abs(len(a) - len(b))
+            print(f"{path}: {count} line(s) differ")
+    return 1 if failed else 0
+
+
+def main(argv) -> int:
+    if len(argv) != 3:
+        print("usage: python3 tools/compare_snapshots.py OLD NEW", file=sys.stderr)
+        return 2
+    return compare(argv[1], argv[2])
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
