@@ -41,8 +41,9 @@ def main():
         [rep] = quenched_wip_experiment(model, fixtures[:1], PathFunctional(kind),
                                         n, reps, [base.child(2)])
         print(f"  {kind:13s}: D = {rep.test_statistic:.4f}, "
-              f"p = {rep.p_value:.3f}, rule {rep.details['verdict_rule']} "
-              f"-> {rep.verdict}, reference = {rep.details['reference']}")
+              f"p = {rep.p_value:.3f}, rule {rep.check.rule} by margin "
+              f"{rep.check.margin:+.4f} -> {rep.verdict}, "
+              f"reference = {rep.details['reference']}")
 
     print("\nEvery functional has a closed-form limit CDF.  The three extrema")
     print("carry a ~0.58 sigma/sqrt(n) polygonal-grid bias and are judged by")

@@ -31,7 +31,7 @@ def main():
         rep = strest_experiment(model, fixture, math.inf, Ns, reps,
                                 base.child(branch, 1))
         row = ", ".join(f"R_{N} = {v:.5f}" for N, v in zip(Ns, rep.estimates))
-        print(f"  limit increment:      {row}   -> {rep.verdict}")
+        print(f"  limit increment:      {row}   -> {'pass' if rep.check.ok else 'fail'}")
         for order in (0, 2, 8):
             rep_r = strest_experiment(model, fixture, order, [1024], reps,
                                       base.child(branch, 2))

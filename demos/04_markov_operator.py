@@ -12,12 +12,18 @@ import os
 
 import numpy as np
 
-from qlab import (RandomStream, dual_operator, hopf_check, maximal_function,
-                  verify_dunford_schwartz, verify_markov_property, weak_l2_tail)
+from qlab import (RandomStream, dual_operator, duality_check, hopf_check,
+                  maximal_function, verify_dunford_schwartz, verify_markov_property,
+                  weak_l2_tail)
 from qlab.cli import load_model
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 MODEL = os.path.join(HERE, "..", "models", "markov_3state.json")
+
+
+def _decided(verdict) -> str:
+    return (f"{verdict.rule}, margin {verdict.margin:.3e} -> "
+            f"{'ok' if verdict.ok else 'VIOLATED'}")
 
 
 def main():
@@ -29,21 +35,18 @@ def main():
           np.round(model.stationary, 6))
 
     funcs = [rng.child(0, i).normal(model.n_states) for i in range(100)]
-    ds = verify_dunford_schwartz(model, funcs)
-    print(f"L1/Linf contraction over {ds.checked} random functions: "
-          f"{'ok' if ds.ok else ds.violations}")
+    print("L1/Linf contraction over 100 random functions:",
+          _decided(verify_dunford_schwartz(model, funcs)))
 
     T = dual_operator(model)
     h, k = rng.child(1).normal(3), rng.child(2).normal(3)
     lhs = float(pi @ ((P @ h) * k))
     rhs = float(pi @ (h * (T @ k)))
-    print(f"duality pairing <Qh,k> = {lhs:.12f} vs <h,Tk> = {rhs:.12f}")
+    print(f"duality pairing <Qh,k> = {lhs:.12f} vs <h,Tk> = {rhs:.12f}: "
+          f"{_decided(duality_check(model, [(h, k)]))}")
 
     mf = maximal_function(model, np.abs(model.observable), 1000)
-    hopf = hopf_check(model, mf)
-    print(f"maximal function (N = 1000): worst level product "
-          f"{hopf.worst_product:.6f} <= |h|_1 = {hopf.l1_norm:.6f} -> "
-          f"{'ok' if hopf.ok else 'VIOLATED'}")
+    print("maximal function (N = 1000):", _decided(hopf_check(model, mf)))
 
     print(f"weak-L2 tail of g: {weak_l2_tail(model.observable, model.stationary):.6f}")
 

@@ -15,7 +15,7 @@ from .experiments import (ExperimentReport, decomposition_identity_check,
                           strest_experiment, uncentered_drift_check,
                           worker_pool)
 from .markov_ops import (MaximalFunction, cesaro_average, dual_operator,
-                         hopf_check, maximal_function, poisson_solve,
+                         duality_check, hopf_check, maximal_function, poisson_solve,
                          verify_dunford_schwartz, verify_markov_property,
                          weak_l2_tail)
 from .models import (LinearModel, MarkovFunctionalModel, PastFixture,
@@ -28,7 +28,7 @@ from .projections import (HannanDivergesError, MartingaleApprox,
                           evaluate_martingale, hannan_sum,
                           martingale_increment, mw_criterion,
                           projection_norms, sigma_squared)
-from .stats import (brownian_inf_cdf, brownian_sup_abs_cdf, brownian_sup_cdf,
+from .stats import (Verdict, brownian_inf_cdf, brownian_sup_abs_cdf, brownian_sup_cdf,
                     ks_one_sample, normal_cdf, normal_reference)
 from .streams import InnovationDistribution, RandomStream, sample
 

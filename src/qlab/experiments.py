@@ -31,7 +31,7 @@ import os
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import pairwise
 from typing import Optional
@@ -46,8 +46,8 @@ from .models import (LinearModel, MarkovFunctionalModel, Model, PastFixture,
 from .paths import PathFunctional
 from .projections import (evaluate_martingale, martingale_increment,
                           sigma_squared)
-from .stats import (brownian_inf_cdf, brownian_sup_abs_cdf, brownian_sup_cdf,
-                    ks_one_sample, normal_reference)
+from .stats import (Verdict, brownian_inf_cdf, brownian_sup_abs_cdf,
+                    brownian_sup_cdf, ks_one_sample, normal_reference)
 from .streams import RandomStream
 
 BLOCK_REPS = 256          # replication block size; fixed, never tuned per run
@@ -82,7 +82,8 @@ class ExperimentReport:
     std_error: float
     test_statistic: Optional[float]
     p_value: Optional[float]
-    verdict: str
+    verdict: str             # "pass" | "fail" | "degenerate"
+    check: Verdict
     details: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -356,27 +357,25 @@ def _wip_report(model: Model, fixture: PastFixture, functional: PathFunctional,
                 n=n, reps=reps, seed_path=_seed_path(stream),
                 estimate=float(values.mean()),
                 std_error=float(values.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0)
-    if sigma2 <= DEGENERATE_VARIANCE:
-        if sample_sink is not None:
-            sample_sink["values"] = values
-            sample_sink["ref_cdf"] = lambda t: np.where(np.asarray(t) >= 0, 1.0, 0.0)
+    # no KS test is run against a degenerate limit, the point mass at 0
+    degenerate = Verdict.at_most(f"degenerate: sigma2 <= {DEGENERATE_VARIANCE:g}", sigma2,
+                                 DEGENERATE_VARIANCE)
+    ref_kind, ref = (("point-mass", lambda t: np.where(np.asarray(t) >= 0, 1.0, 0.0))
+                     if degenerate.ok else _limit_law(functional.kind, sigma2, n))
+    if sample_sink is not None:
+        sample_sink.update(values=values, ref_cdf=ref)
+    if degenerate.ok:
         return ExperimentReport(**base, test_statistic=None, p_value=None,
-                                verdict="degenerate",
+                                verdict="degenerate", check=degenerate,
                                 details={"sigma2": sigma2,
                                          "max_abs_value": float(np.max(np.abs(values)))})
-    ref_kind, ref = _limit_law(functional.kind, sigma2, n)
     d, p = ks_one_sample(values, ref)
-    if sample_sink is not None:
-        sample_sink["values"] = values
-        sample_sink["ref_cdf"] = ref
-    if functional.kind in EXTREMA:
-        passed, rule = d <= d_threshold, f"D<={d_threshold}"
-    else:
-        passed, rule = p > alpha, f"p>{alpha}"
+    check = (Verdict.at_most(f"D<={d_threshold}", d, d_threshold) if functional.kind in EXTREMA
+             else Verdict.above(f"p>{alpha}", p, alpha))
     return ExperimentReport(**base, test_statistic=float(d), p_value=float(p),
-                            verdict="pass" if passed else "fail",
+                            verdict="pass" if check.ok else "fail", check=check,
                             details={"sigma2": sigma2, "alpha": alpha,
-                                     "reference": ref_kind, "verdict_rule": rule})
+                                     "reference": ref_kind})
 
 
 # --- martingale approximation rate ---------------------------------------
@@ -393,19 +392,7 @@ class StrestReport:
     model_digest: str
     fixture_digest: str
     seed_path: list
-
-    @property
-    def verdict(self) -> str:
-        est = self.estimates
-        if max(est) <= 1e-12:
-            return "pass"
-        decreasing = all(b < a for a, b in zip(est, est[1:]))
-        halved = est[-1] < est[0] / 2
-        return "pass" if (decreasing and halved) else "fail"
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "experiment": "strest", "verdict": self.verdict,
-                "r": self.r if self.r != math.inf else "inf"}
+    check: Verdict
 
 
 def _horizons(Ns) -> list:
@@ -450,12 +437,20 @@ def strest_experiment(model: Model, fixture: PastFixture, r: float,
     [mat] = _replicate(model, [fixture], [stream], Ns[-1], reps,
                        partial(_strest_of, approx, Ns))
     scaled = mat / np.asarray(Ns, dtype=float)[None, :]
+    est = [float(v) for v in scaled.mean(axis=0)]
+    # estimates that are all rounding pass; otherwise each must fall strictly
+    # below the one before, and the last below half the first: the smallest
+    # such difference is positive (a difference is 0 only for equal floats)
+    check = Verdict.at_most("max estimate <= 1e-12", max(est), 1e-12)
+    if not check.ok:
+        check = Verdict.above("min(each drop in N, first / 2 - last) > 0",
+                              min([a - b for a, b in pairwise(est)] + [est[0] / 2 - est[-1]]), 0.0)
     return StrestReport(
-        Ns=Ns,
-        estimates=[float(v) for v in scaled.mean(axis=0)],
+        Ns=Ns, estimates=est,
         std_errors=[float(v) for v in scaled.std(axis=0, ddof=1) / math.sqrt(reps)],
         r=r, reps=reps, model_digest=digest_of(model),
-        fixture_digest=digest_of(fixture), seed_path=_seed_path(stream))
+        fixture_digest=digest_of(fixture), seed_path=_seed_path(stream),
+        check=check)
 
 
 # --- drift of the uncentered sums ----------------------------------------
@@ -464,11 +459,12 @@ def strest_experiment(model: Model, fixture: PastFixture, r: float,
 class DriftReport:
     Ns: list
     table: np.ndarray          # |E0(S_N)| / sqrt(N), one row per fixture
-    verdicts: list
+    checks: list               # one Verdict per fixture
+    verdicts: list             # "vanishing" | "not-vanishing", one per fixture
 
     @property
     def verdict(self) -> str:
-        return "pass" if all(v == "vanishing" for v in self.verdicts) else "fail"
+        return "pass" if all(c.ok for c in self.checks) else "fail"
 
 
 def uncentered_drift_check(model: Model, fixtures, Ns) -> DriftReport:
@@ -479,11 +475,12 @@ def uncentered_drift_check(model: Model, fixtures, Ns) -> DriftReport:
     the cost grows only like log N and no series up to max(Ns) is held.
 
     A fixture is marked vanishing when the ratio at the largest N has
-    dropped to a quarter of the smallest-N ratio or both are below 1e-6.
-    A drift that converges to a constant has its ratio fall by
-    sqrt(N_max/N_min), so Ns must span at least 16-fold or a valid model
-    would fail.  At exactly 16-fold the quarter is attained exactly, so
-    the comparison carries a relative slack of 1e-9.
+    dropped to a quarter of the smallest-N ratio or both are below 1e-6;
+    its check is the quarter rule's unless only the other passes.  A drift
+    that converges to a constant has its ratio fall by sqrt(N_max/N_min),
+    so Ns must span at least 16-fold or a valid model would fail.  At
+    exactly 16-fold the quarter is attained exactly, so the comparison
+    carries a relative slack of 1e-9.
     """
 
     Ns = _horizons(Ns)
@@ -491,12 +488,15 @@ def uncentered_drift_check(model: Model, fixtures, Ns) -> DriftReport:
         raise ValueError("drift needs Ns spanning at least 16-fold "
                          "(largest >= 16 x smallest)")
     table = np.abs(_e0_sums(model, list(fixtures), Ns)) / np.sqrt(Ns)
-    verdicts = []
+    checks = []
     for ratios in table:
-        small = ratios[0] < 1e-6 and ratios[-1] < 1e-6
-        quartered = ratios[-1] <= 0.25 * ratios[0] * (1.0 + 1e-9)
-        verdicts.append("vanishing" if (small or quartered) else "not-vanishing")
-    return DriftReport(Ns=Ns, table=table, verdicts=verdicts)
+        quartered = Verdict.at_most("ratio at N_max <= a quarter of it at N_min",
+                                    ratios[-1], 0.25 * ratios[0] * (1.0 + 1e-9))
+        small = Verdict.above("1e-6 - the larger ratio > 0",
+                              1e-6 - max(ratios[0], ratios[-1]), 0.0)
+        checks.append(small if small.ok and not quartered.ok else quartered)
+    return DriftReport(Ns, table, checks,
+                       ["vanishing" if c.ok else "not-vanishing" for c in checks])
 
 
 # --- conditional Doob-type bound (Markov models) --------------------------
@@ -506,7 +506,7 @@ class DoobReport:
     lhs: float
     rhs: float
     relative_se: float
-    holds: bool
+    check: Verdict           # lhs against rhs with a 3-standard-error slack
 
 
 def doob_bound_check(model: Model, fixture: PastFixture, N: int, reps: int,
@@ -550,7 +550,8 @@ def doob_bound_check(model: Model, fixture: PastFixture, N: int, reps: int,
                               pairwise(_powers(P, model.observable))):
         rhs += 2.0 * math.sqrt(c @ _increment_variance(P, v, v_next))
     return DoobReport(lhs=lhs, rhs=rhs, relative_se=rel_se,
-                      holds=lhs <= rhs * (1.0 + 3.0 * rel_se))
+                      check=Verdict.at_most("lhs <= rhs (1 + 3 relative_se)", lhs,
+                                            rhs * (1.0 + 3.0 * rel_se)))
 
 
 # --- exact decomposition identity -----------------------------------------
@@ -560,10 +561,7 @@ class IdentityReport:
     residual: float
     allowance: float
     reps: int
-
-    @property
-    def verdict(self) -> str:
-        return "pass" if self.residual <= self.allowance else "fail"
+    check: Verdict
 
 
 def decomposition_identity_check(model: Model, fixture: PastFixture, n: int,
@@ -598,7 +596,8 @@ def decomposition_identity_check(model: Model, fixture: PastFixture, n: int,
             rhs[:, i:] += np.cumsum(inc, axis=1)
         allowance = 1e-9
     residual = float(np.max(np.abs(lhs - rhs)))
-    return IdentityReport(residual=residual, allowance=allowance, reps=reps)
+    return IdentityReport(residual, allowance, reps,
+                          Verdict.at_most("residual <= allowance", residual, allowance))
 
 
 # --- Monte Carlo estimator of the projection norms ------------------------

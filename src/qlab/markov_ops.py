@@ -10,11 +10,13 @@ matrix arithmetic rather than statistically.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .models import _ATOL, MarkovFunctionalModel, _power_table
+from .stats import Verdict
 
 
 def _l1_norm(model: MarkovFunctionalModel, h: np.ndarray) -> float:
@@ -27,34 +29,25 @@ def dual_operator(model: MarkovFunctionalModel) -> np.ndarray:
     return (model.transition.T * pi[None, :]) / pi[:, None]
 
 
-@dataclass
-class ContractionReport:
-    ok: bool
-    violations: list = field(default_factory=list)
-    checked: int = 0
+def duality_check(model: MarkovFunctionalModel, pairs) -> Verdict:
+    """Check <Qh, k>_pi = <h, Tk>_pi over (h, k) pairs, T the dual operator."""
+    P, pi, T = model.transition, model.stationary, dual_operator(model)
+    error = max([abs(float(pi @ ((P @ h) * k)) - float(pi @ (h * (T @ k))))
+                 for h, k in pairs], default=0.0)
+    return Verdict.at_most(f"max |<Qh,k> - <h,Tk>| <= {_ATOL:g}", error, _ATOL)
 
 
-def verify_dunford_schwartz(model: MarkovFunctionalModel,
-                            test_functions) -> ContractionReport:
-    """Check that both the L1(pi) and the sup norm never increase under Q."""
+def verify_dunford_schwartz(model: MarkovFunctionalModel, test_functions) -> Verdict:
+    """Check that neither the L1(pi) nor the sup norm of any test function
+    grows under Q beyond the tolerance; returns the comparison with the
+    smallest margin."""
     funcs = [np.asarray(h, dtype=float) for h in test_functions]
     if not funcs:
         raise ValueError("need at least one test function")
-    report = ContractionReport(ok=True)
-    for idx, h in enumerate(funcs):
-        qh = model.transition @ h
-        l1_before, l1_after = _l1_norm(model, h), _l1_norm(model, qh)
-        sup_before = float(np.max(np.abs(h)))
-        sup_after = float(np.max(np.abs(qh)))
-        report.checked += 1
-        if l1_after > l1_before + _ATOL or sup_after > sup_before + _ATOL:
-            report.ok = False
-            report.violations.append({
-                "index": idx,
-                "l1_before": l1_before, "l1_after": l1_after,
-                "sup_before": sup_before, "sup_after": sup_after,
-            })
-    return report
+    norms = {"L1(pi)": partial(_l1_norm, model), "sup": lambda h: float(np.max(np.abs(h)))}
+    return min((Verdict.at_most(f"{name} norm of Qh <= norm of h + {_ATOL:g}",
+                                norm(model.transition @ h), norm(h) + _ATOL)
+                for h in funcs for name, norm in norms.items()), key=lambda v: v.margin)
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,25 +77,14 @@ def maximal_function(model: MarkovFunctionalModel, h, N: int) -> MaximalFunction
     return MaximalFunction(values=_cesaro_means(model, np.abs(h), N).max(axis=0), base=h)
 
 
-@dataclass
-class HopfReport:
-    ok: bool
-    l1_norm: float
-    worst_level: float
-    worst_product: float
-
-
-def hopf_check(model: MarkovFunctionalModel, maximal: MaximalFunction) -> HopfReport:
-    """Evaluate x * pi(h* > x) <= |h|_1 at every attained level of h*."""
-    l1 = _l1_norm(model, maximal.base)
-    levels = np.unique(maximal.values)
+def hopf_check(model: MarkovFunctionalModel, maximal: MaximalFunction) -> Verdict:
+    """Check x * pi(h* > x) <= |h|_1 at every attained level x of h*: the
+    statistic is the largest product, the threshold |h|_1 plus the tolerance."""
     pi = model.stationary
-    products = np.array(
-        [lvl * float(pi[maximal.values > lvl].sum()) for lvl in levels])
-    worst = int(np.argmax(products)) if products.size else 0
-    ok = bool(np.all(products <= l1 + _ATOL))
-    return HopfReport(ok=ok, l1_norm=l1, worst_level=float(levels[worst]),
-                      worst_product=float(products[worst]))
+    products = [lvl * float(pi[maximal.values > lvl].sum())
+                for lvl in np.unique(maximal.values)]
+    return Verdict.at_most(f"max x pi(h* > x) <= |h|_1 + {_ATOL:g}", max(products),
+                           _l1_norm(model, maximal.base) + _ATOL)
 
 
 def weak_l2_tail(values, weights) -> float:
@@ -138,6 +120,7 @@ def _path_weights(model: MarkovFunctionalModel, length: int):
 class MarkovPropertyReport:
     max_discrepancy: float
     per_n: dict
+    check: Verdict
 
 
 def verify_markov_property(model: MarkovFunctionalModel, n_max: int) -> MarkovPropertyReport:
@@ -162,8 +145,9 @@ def verify_markov_property(model: MarkovFunctionalModel, n_max: int) -> MarkovPr
         # Q applied to the indicator of y, read at the last state of the head
         rhs = (w_head[:, None] * model.transition[paths_head[:, -1]]).ravel()
         per_n[n] = float(np.max(np.abs(w_full - rhs)))
-    return MarkovPropertyReport(max_discrepancy=max(per_n.values(), default=0.0),
-                                per_n=per_n)
+    worst = max(per_n.values(), default=0.0)
+    return MarkovPropertyReport(worst, per_n, Verdict.at_most(
+        f"Markov property discrepancy <= {_ATOL:g}", worst, _ATOL))
 
 
 def poisson_solve(model: MarkovFunctionalModel) -> np.ndarray:
@@ -171,7 +155,8 @@ def poisson_solve(model: MarkovFunctionalModel) -> np.ndarray:
 
     Construction proved the chain primitive, so the kernel of I - P is the
     constants, and g centered against pi, so the system is solvable; a
-    residual above 1e-10 still raises.
+    residual above 1e-12 (|g|_inf + |g_hat|_inf) still raises, about fifty
+    times the most measured on near-decomposable 6-state chains.
     """
 
     g, pi = model.observable, model.stationary
@@ -180,8 +165,9 @@ def poisson_solve(model: MarkovFunctionalModel) -> np.ndarray:
     rhs = np.concatenate([g, [0.0]])
     g_hat, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
     residual = float(np.max(np.abs(A @ g_hat - g)))
-    if residual > 1e-10:
-        raise ValueError(f"poisson residual {residual:.2e} exceeds 1e-10")
+    scale = float(np.max(np.abs(g)) + np.max(np.abs(g_hat)))
+    if residual > 1e-12 * scale:
+        raise ValueError(f"poisson residual {residual:.2e} exceeds 1e-12 x {scale:.2e}")
     return g_hat
 
 

@@ -31,6 +31,7 @@ import numpy as np
 from .markov_ops import poisson_solve
 from .models import (LinearModel, Model, Realization, _increment_variance,
                      _powers)
+from .stats import Verdict
 
 SUMMABLE = "summable"
 DIVERGING = "diverging"
@@ -88,56 +89,64 @@ class SummabilityReport:
     tail_fit: str            # "geometric" | "polynomial" | "none"
     verdict: str             # "summable" | "diverging" | "inconclusive"
     fitted_tail: float
+    check: Verdict           # fails exactly when the verdict is "diverging"
 
 
 def _fit_tail(x: np.ndarray, logs: np.ndarray, K: int,
-              polynomial: bool) -> tuple[float, float]:
+              polynomial: bool) -> tuple[float, float, Verdict]:
     """Fit logs = slope * x + intercept by least squares, with x = k for a
     geometric and x = log k for a polynomial decay; return the squared
-    error and the extrapolated sum of the terms k > K, inf if it diverges."""
+    error, the extrapolated sum of the terms k > K, and the decay check
+    (q = e^slope < 1, or a power -slope > 1) whose failure makes it inf."""
     slope, intercept = np.polyfit(x, logs, 1)
     sse = float(np.sum((np.polyval((slope, intercept), x) - logs) ** 2))
     if polynomial:      # the sum is taken as the integral from K + 1
+        decay = Verdict.above("polynomial decay power > 1", -slope, 1.0)
         return sse, (float(math.exp(intercept) * (K + 1) ** (slope + 1) / (-1 - slope))
-                     if slope < -1 else math.inf)
+                     if decay.ok else math.inf), decay
     q = math.exp(slope)
-    return sse, math.exp(intercept + slope * (K + 1)) / (1.0 - q) if q < 1 else math.inf
+    # 1 - q rounds to 0 only at q = 1, so its sign is that of 1 - q exactly
+    decay = Verdict.above("geometric decay 1 - q > 0", 1.0 - q, 0.0)
+    return sse, (math.exp(intercept + slope * (K + 1)) / (1.0 - q)
+                 if decay.ok else math.inf), decay
 
 
 def _summability(values: np.ndarray, bias: np.ndarray) -> SummabilityReport:
     """Partial sums of the terms k = 0..K with a verdict: the better fit's tail is
-    "summable" under TAIL_FRACTION of the sum, "diverging" if infinite."""
+    "summable" under TAIL_FRACTION of the sum, "diverging" if its decay check
+    fails.  Every other check passes: a slow chain's norms may not settle by K."""
     sums = np.cumsum(values)
     report = partial(SummabilityReport, values, sums)
     K = values.size - 1
     total = float(sums[-1])
+    # entries at the rounding floor cannot carry decay information
+    floor = float(values.max()) * 1e-14
+    live = np.flatnonzero(values > floor)
+    past = values[live[-1] + 1 :] if live.size else values
+    settled = Verdict.at_most("tail terms <= 1e-14 x largest term", past.max(initial=0.0),
+                              floor)
+    # a series of exact support is summable outright, and so is one whose
+    # tail is all below the floor and declared bias free: its raw remainder
+    # is reported as the tail
     nonzero = np.flatnonzero(values > 0)
     exact_support = (nonzero.size == 0
                      or (nonzero[-1] < K and np.all(bias[nonzero[-1] + 1 :] == 0)))
-    if exact_support:
-        return report(tail_fit="none", verdict=SUMMABLE, fitted_tail=0.0)
-    # entries at the rounding floor cannot carry decay information; a tail
-    # that is entirely below the floor (and declared bias free) is summable
-    # outright, with the raw remainder reported as the tail
-    floor = float(values.max()) * 1e-14
-    live = np.flatnonzero(values > floor)
-    if (live.size and live[-1] < K and np.all(values[live[-1] + 1 :] <= floor)
-            and np.all(bias[live[-1] + 1 :] == 0)):
-        return report(tail_fit="none", verdict=SUMMABLE,
-                      fitted_tail=float(values[live[-1] + 1 :].sum()))
+    if exact_support or (live.size and live[-1] < K and np.all(bias[live[-1] + 1 :] == 0)):
+        return report("none", SUMMABLE, 0.0 if exact_support else float(past.sum()), settled)
     window = live[live.size // 2 :]
     if window.size < 3:
-        return report(tail_fit="none", verdict=INCONCLUSIVE, fitted_tail=math.inf)
+        return report("none", INCONCLUSIVE, math.inf,
+                      Verdict.at_most("live terms in the fit window <= 2", window.size, 2))
     # the window is the upper half of three or more live indices, so k >= 1
     logs = np.log(values[window])
     fits = {"geometric": _fit_tail(window, logs, K, polynomial=False),
             "polynomial": _fit_tail(np.log(window), logs, K, polynomial=True)}
     # min keeps the first of equal errors: a tie goes to the geometric fit
     tail_fit = min(fits, key=lambda name: fits[name][0])
-    fitted_tail = fits[tail_fit][1]
+    _, fitted_tail, decay = fits[tail_fit]
     verdict = (SUMMABLE if fitted_tail < TAIL_FRACTION * total
-               else DIVERGING if fitted_tail == math.inf else INCONCLUSIVE)
-    return report(tail_fit=tail_fit, verdict=verdict, fitted_tail=fitted_tail)
+               else INCONCLUSIVE if decay.ok else DIVERGING)
+    return report(tail_fit, verdict, fitted_tail, decay)
 
 
 def hannan_sum(series: ProjectionSeries) -> SummabilityReport:

@@ -1,4 +1,4 @@
-"""One-sample Kolmogorov-Smirnov tests and reference laws.
+"""One-sample Kolmogorov-Smirnov tests, reference laws and the verdict record.
 
 p-values use the asymptotic Kolmogorov distribution
 (``scipy.special.kolmogorov``).  That is accurate for the sample sizes the
@@ -7,10 +7,35 @@ experiments use (M >= 1000) and a documented bias source below M = 100.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy.special import kolmogorov, ndtr
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """One decided check: ``statistic`` against ``threshold`` by ``rule``, which
+    ``at_most`` passes when statistic <= threshold and ``above`` when
+    statistic > threshold.  ``margin`` is positive on the passing side; ``ok``
+    is stored, not read from its sign, since only ``at_most`` passes a 0."""
+
+    rule: str
+    statistic: float
+    threshold: float
+    margin: float
+    ok: bool
+
+    @classmethod
+    def at_most(cls, rule: str, statistic, threshold) -> "Verdict":
+        s, t = float(statistic), float(threshold)
+        return cls(rule, s, t, t - s, s <= t)
+
+    @classmethod
+    def above(cls, rule: str, statistic, threshold) -> "Verdict":
+        s, t = float(statistic), float(threshold)
+        return cls(rule, s, t, s - t, s > t)
 
 
 def normal_cdf(z):

@@ -263,44 +263,74 @@ _TOP = {"config", "config_digest", "model_digest", "reports", "seed", "seed_path
         "verdict"}
 _CONFIG = {"K", "Ns", "alpha", "d_threshold", "experiment", "fixtures", "functional",
            "model", "n", "r", "reps", "seed"}
+_VERDICT = {"rule", "statistic", "threshold", "margin", "ok"}
+_FIXTURE_REPORT = {"details", "estimate", "experiment", "fixture_digest", "model_digest",
+                   "n", "p_value", "reps", "seed_path", "statistic", "std_error",
+                   "test_statistic", "verdict", "check"}
 
 
-@pytest.mark.parametrize("args, top, first", [
+def _verdicts(node) -> list:
+    """Every Verdict in a parsed report: the value of each ``check`` key and
+    each entry of each ``checks`` list, at any depth."""
+    if isinstance(node, list):
+        return [v for entry in node for v in _verdicts(entry)]
+    if not isinstance(node, dict):
+        return []
+    found = [node["check"]] if "check" in node else []
+    found += node.get("checks", [])
+    return found + [v for key, value in node.items() if key not in ("check", "checks")
+                    for v in _verdicts(value)]
+
+
+# one run of each of the 13 experiments: its top-level keys, the keys of its
+# first report and how many Verdicts the report holds
+@pytest.mark.parametrize("args, top, first, count", [
     (["doob", "--model", "markov_2state.json", "--n", "8", "--reps", "8",
       "--fixtures", "1"], _TOP,
-     {"fixture", "holds", "lhs", "relative_se", "rhs"}),
+     {"check", "fixture", "lhs", "relative_se", "rhs"}, 1),
     (["hannan", "--model", "markov_2state.json", "--K", "64"], _TOP,
-     {"fitted_tail", "partial_sum", "tail_fit", "verdict"}),
+     {"check", "fitted_tail", "partial_sum", "tail_fit", "verdict"}, 1),
     (["hopf", "--model", "markov_2state.json"], _TOP | {"truncation"},
-     {"function", "l1_norm", "ok", "worst_level", "worst_product"}),
+     {"check", "function"}, 21),
     (["markov-check", "--model", "markov_2state.json"], _TOP,
-     {"cesaro_error_at_1000", "duality_max_error", "dunford_schwartz",
-      "markov_property_max_discrepancy"}),
+     {"cesaro_error_at_1000", "checks"}, 3),
     (["strest", "--model", "linear_identity.json", "--reps", "8", "--fixtures", "1",
       "--Ns", "4,8"], _TOP,
-     {"Ns", "estimates", "experiment", "fixture_digest", "model_digest", "r", "reps",
-      "seed_path", "std_errors", "verdict"}),
+     {"Ns", "check", "estimates", "experiment", "fixture_digest", "model_digest", "r",
+      "reps", "seed_path", "std_errors"}, 1),
+    # a sampling run is decided by one more Verdict: its fraction of failed fixtures
     (["quenched-clt", "--model", "linear_rho05.json", "--n", "16", "--reps", "20",
-      "--fixtures", "1"], _TOP | {"pass_fraction", "required_fraction"},
-     {"details", "estimate", "experiment", "fixture_digest", "model_digest", "n",
-      "p_value", "reps", "seed_path", "statistic", "std_error", "test_statistic",
-      "verdict"}),
+      "--fixtures", "1"], _TOP | {"check"}, _FIXTURE_REPORT, 2),
     (["identity", "--model", "markov_2state.json", "--n", "8", "--fixtures", "1"], _TOP,
-     {"allowance", "fixture", "residual", "verdict"}),
-    (["sigma2", "--model", "linear_rho05.json"], _TOP, {"sigma2", "verdict"}),
+     {"allowance", "check", "fixture", "reps", "residual"}, 1),
+    (["sigma2", "--model", "linear_rho05.json"], _TOP, {"sigma2", "verdict"}, 0),
+    (["quenched-wip", "--model", "markov_2state.json", "--functional", "supremum",
+      "--n", "16", "--reps", "2000", "--fixtures", "2"], _TOP | {"check"},
+     _FIXTURE_REPORT, 3),
+    (["drift", "--model", "markov_2state.json", "--fixtures", "2", "--Ns", "16,256"],
+     _TOP, {"Ns", "checks", "ratios", "verdicts"}, 2),
+    (["project-norms", "--model", "markov_2state.json", "--K", "8"], _TOP,
+     {"K", "partial_sum", "verdict"}, 0),
+    (["mw", "--model", "markov_3state.json", "--K", "8"], _TOP,
+     {"check", "partial_sum", "verdict"}, 1),
+    (["weak-l2", "--model", "markov_2state.json"], _TOP, {"verdict", "weak_l2_tail"}, 0),
 ], ids=["doob", "hannan", "hopf", "markov-check", "strest", "quenched-clt", "identity",
-        "sigma2"])
-def test_report_schema(args, top, first, tmp_path):
+        "sigma2", "quenched-wip", "drift", "project-norms", "mw", "weak-l2"])
+def test_report_schema(args, top, first, count, tmp_path):
     out = tmp_path / "o"
     args = [_model(a) if a.endswith(".json") else a for a in args]
-    assert main([*args, "--seed", "1", "--out", str(out)]) == 0
+    code = main([*args, "--seed", "1", "--out", str(out)])
     report = json.loads((out / "report.json").read_text())
     assert set(report) == top
     assert set(report["config"]) == _CONFIG
     assert set(report["reports"][0]) == first
-    if "dunford_schwartz" in first:
-        assert set(report["reports"][0]["dunford_schwartz"]) == {"checked", "ok",
-                                                                 "violations"}
+    verdicts = _verdicts(report)
+    assert len(verdicts) == count
+    assert all(set(v) == _VERDICT for v in verdicts)
+    # the top-level Verdict of a sampling run decides it; elsewhere every one does
+    deciding = [report["check"]] if "check" in report else verdicts
+    assert code == (0 if all(v["ok"] for v in deciding) else 2)
+    assert report["verdict"] == ("pass" if code == 0 else "fail")
 
 
 def test_doob_iid_chain_holds(tmp_path):

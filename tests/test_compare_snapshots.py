@@ -37,3 +37,16 @@ def test_changed_verdict_fails(tmp_path, capsys):
     new = _tree(tmp_path / "new", {"sigma2": 2.5, "verdict": "fail"}, [1.0])
     assert compare_snapshots.main(["compare", old, new]) == 1
     assert "run/report.json: CHANGED /verdict: 'pass' -> 'fail'" in capsys.readouterr().out
+
+
+def test_changed_keys_are_listed_and_shared_values_still_compared(tmp_path, capsys):
+    # a key is swapped for another; the shared keys' values are compared
+    # all the same, so a moved float and a changed verdict after it both show
+    old = _tree(tmp_path / "old", {"holds": True, "sigma2": 1.0, "verdict": "pass"}, [1.0])
+    new = _tree(tmp_path / "new", {"check": {"ok": True}, "sigma2": 1.0 + 2**-52,
+                                   "verdict": "fail"}, [1.0])
+    assert compare_snapshots.main(["compare", old, new]) == 1
+    out = capsys.readouterr().out
+    assert "run/report.json: CHANGED /: keys added ['check'], removed ['holds']" in out
+    assert "run/report.json: CHANGED /verdict: 'pass' -> 'fail'" in out
+    assert "run/report.json: max rel 2.22e-16" in out

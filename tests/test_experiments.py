@@ -11,7 +11,7 @@ from scipy.special import ndtr, ndtri
 from scipy.stats import ks_2samp
 
 from qlab import (MarkovFunctionalModel, PastFixture, PathFunctional,
-                  RandomStream, brownian_inf_cdf, brownian_sup_abs_cdf,
+                  RandomStream, Verdict, brownian_inf_cdf, brownian_sup_abs_cdf,
                   brownian_sup_cdf, decomposition_identity_check, doob_bound_check,
                   e0_increment_series, ks_one_sample, normal_cdf,
                   normal_reference, quenched_wip_experiment, sample_fixture,
@@ -25,6 +25,7 @@ from conftest import MODELS_DIR, centered_chain
 
 ENDPOINT = PathFunctional("endpoint")
 SUPREMUM = PathFunctional("supremum")
+PASS = Verdict.above("p>0.01", 0.5, 0.01)
 
 
 @pytest.fixture(scope="module")
@@ -37,9 +38,9 @@ def zero_chain():
 
 def test_report_field_invariants():
     with pytest.raises(ValueError):
-        ExperimentReport("e", "s", "m", None, 1, 1, [0], 0.0, -1.0, None, None, "pass")
+        ExperimentReport("e", "s", "m", None, 1, 1, [0], 0.0, -1.0, None, None, "pass", PASS)
     with pytest.raises(ValueError):
-        ExperimentReport("e", "s", "m", None, 1, 1, [0], 0.0, 0.0, 0.1, 1.5, "pass")
+        ExperimentReport("e", "s", "m", None, 1, 1, [0], 0.0, 0.0, 0.1, 1.5, "pass", PASS)
 
 
 # --- CLT and WIP --------------------------------------------------------------
@@ -131,7 +132,7 @@ def test_time_integral_against_brownian_mc(rho_model):
     [rep] = quenched_wip_experiment(rho_model, [fx], PathFunctional("time-integral"),
                                     512, 5000, [RandomStream(61, [7])], sample_sink=sink)
     assert rep.details["reference"] == "trapezoid-normal"
-    assert rep.details["verdict_rule"] == "p>0.01"
+    assert rep.check.rule == "p>0.01"
     assert rep.p_value > 0.01
     sim = _polygonal_brownian(_trapezoid, math.sqrt(sigma_squared(rho_model)), 512,
                               100_000, RandomStream(61, [7, 1]))
@@ -240,7 +241,7 @@ def test_extrema_judged_by_distance_threshold(identity_model):
         [rep] = quenched_wip_experiment(identity_model, [fx], PathFunctional(kind),
                                         4096, 5000, [RandomStream(62, [3])])
         assert rep.details["reference"] == reference
-        assert rep.details["verdict_rule"] == "D<=0.03"
+        assert rep.check.rule == "D<=0.03"
         assert rep.verdict == "pass"
 
 
@@ -298,7 +299,7 @@ def test_strest_identity_model_exactly_zero(identity_model):
     rep = strest_experiment(identity_model, fx, math.inf, [64, 256, 1024], 100,
                             RandomStream(63, [0]))
     assert rep.estimates == [0.0, 0.0, 0.0]
-    assert rep.verdict == "pass"
+    assert rep.check.ok
 
 
 def test_strest_decay_geometric_model(rho_model):
@@ -307,7 +308,7 @@ def test_strest_decay_geometric_model(rho_model):
                             RandomStream(63, [2]))
     assert rep.estimates[0] > rep.estimates[1] > rep.estimates[2]
     assert rep.estimates[2] < rep.estimates[0] / 2
-    assert rep.verdict == "pass"
+    assert rep.check.ok
 
 
 def test_strest_nonincreasing_in_truncation_order(rho_model):
@@ -378,7 +379,7 @@ def test_doob_zero_observable(zero_chain):
     rep = doob_bound_check(zero_chain, PastFixture(state=0), 64, 200,
                            RandomStream(65, [0]))
     assert rep.lhs == 0.0 and rep.rhs == 0.0
-    assert rep.holds
+    assert rep.check.ok
 
 
 def test_doob_single_step(two_state_chain):
@@ -388,13 +389,13 @@ def test_doob_single_step(two_state_chain):
     # and at N = 1 the bound is exactly twice it
     assert rep.lhs == pytest.approx(math.sqrt(0.84), abs=0.05)
     assert rep.rhs == pytest.approx(2 * math.sqrt(0.84), rel=1e-12)
-    assert rep.holds
+    assert rep.check.ok
 
 
 def test_doob_two_state_chain_full(two_state_chain):
     rep = doob_bound_check(two_state_chain, PastFixture(state=0), 1024, 10_000,
                            RandomStream(65, [2]))
-    assert rep.holds
+    assert rep.check.ok
 
 
 def test_doob_rejects_linear_models(rho_model):
@@ -528,7 +529,7 @@ def test_geometric_decomposition_within_declared_bias(rho_model):
     rep = decomposition_identity_check(rho_model, fx, 64, RandomStream(66, [2]))
     assert rep.allowance == pytest.approx(1e-9 + 64 * 0.5**40, rel=1e-12)
     assert rep.residual <= rep.allowance
-    assert rep.verdict == "pass"
+    assert rep.check.ok
 
 
 def check_chain_decomposition_exact(chain, n: int, bound: float):
@@ -536,7 +537,7 @@ def check_chain_decomposition_exact(chain, n: int, bound: float):
     rep = decomposition_identity_check(chain, PastFixture(state=1), n,
                                        RandomStream(66, [3]))
     assert rep.residual <= bound
-    assert rep.verdict == "pass"
+    assert rep.check.ok
 
 
 def test_chain_decomposition_exact(two_state_chain):

@@ -13,17 +13,19 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qlab import PathFunctional, RandomStream
-from qlab import experiments, models, projections
+from qlab import PathFunctional, RandomStream, Verdict, poisson_solve
+from qlab import experiments, markov_ops, models, projections
 
 from test_experiments import (IID, check_chain_decomposition_exact,
                               check_doob_bound_by_enumeration,
                               check_doob_rhs_per_term, check_endpoint_law_exactly_normal,
                               check_run_reports_as_fixtures_alone,
                               check_supremum_stores_no_paths)
+from test_markov_ops import check_duality
 from test_projections import check_hannan_verdict, check_sigma_squared_exact
 from test_power_sequence import (check_blocks_jointly, check_draw_contract,
                                  check_fixtures_jointly)
+from test_verdicts import check_nine_of_ten_fixtures_pass, check_p_at_alpha_fails
 
 REPS = 4 * 256 + 37
 
@@ -224,8 +226,8 @@ def test_tail_fit_with_the_larger_error(norms, verdict, tail_fit, monkeypatch):
     fit_tail = projections._fit_tail
 
     def larger_error(*args, **kwargs):
-        sse, tail = fit_tail(*args, **kwargs)
-        return -sse, tail
+        sse, *tail_and_decay = fit_tail(*args, **kwargs)
+        return -sse, *tail_and_decay
 
     monkeypatch.setattr(projections, "_fit_tail", larger_error)
     _fails_at("assert (rep.verdict, rep.tail_fit) == (verdict, tail_fit)", oracle)
@@ -259,3 +261,51 @@ def test_drift_table_as_a_list_of_rows(two_state_chain, monkeypatch):
         [v[states] for v in islice(powers(model.transition, model.observable), 1, n + 1)],
         axis=0))
     _fails_at("assert peak < FOLD_SLACK * _fold_bytes(n, chains)", oracle)
+
+
+def test_strict_rule_made_inclusive(rho_model, monkeypatch):
+    # the bug passes a statistic equal to its threshold under "above", so a
+    # p-value equal to alpha passes
+    oracle = lambda: check_p_at_alpha_fails(rho_model, monkeypatch)
+    oracle()
+    monkeypatch.setattr(Verdict, "above", classmethod(
+        lambda cls, rule, s, t: cls(rule, float(s), float(t), s - t, s >= t)))
+    _fails_at('assert (at.verdict, at.check.margin) == ("fail", 0.0)', oracle)
+
+
+def test_inclusive_rule_made_strict(tmp_path, monkeypatch):
+    # the bug fails a statistic equal to its threshold under "at_most", so a
+    # run with exactly one failing fixture of ten fails
+    oracle = lambda: check_nine_of_ten_fixtures_pass(tmp_path, monkeypatch)
+    oracle()
+    monkeypatch.setattr(Verdict, "at_most", classmethod(
+        lambda cls, rule, s, t: cls(rule, float(s), float(t), t - s, s < t)))
+    _fails_at("assert run(config) == code", oracle)
+
+
+def test_poisson_solution_perturbed(two_state_chain, monkeypatch):
+    # the bug moves one entry of g_hat by 1e-11 of its largest, which leaves
+    # a residual of 5.0e-12: under the absolute bound of 1e-10 the check
+    # once had, and 1.9 times the relative one
+    poisson_solve(two_state_chain)
+    lstsq = np.linalg.lstsq
+
+    def perturbed(*args, **kwargs):
+        x, *rest = lstsq(*args, **kwargs)
+        x[0] += 1e-11 * np.max(np.abs(x))
+        return (x, *rest)
+
+    monkeypatch.setattr(np.linalg, "lstsq", perturbed)
+    with pytest.raises(ValueError, match="poisson residual"):
+        poisson_solve(two_state_chain)
+
+
+def test_dual_operator_without_its_weights(three_state_chain, monkeypatch):
+    # the bug takes P's transpose for the pi-adjoint, which is the dual only
+    # of a doubly stochastic chain; the 3-state chain is not one
+    pairs = [(RandomStream(73, [i, 0]).normal(3), RandomStream(73, [i, 1]).normal(3))
+             for i in range(5)]
+    oracle = lambda: check_duality(three_state_chain, pairs)
+    oracle()
+    monkeypatch.setattr(markov_ops, "dual_operator", lambda model: model.transition.T)
+    _fails_at("assert duality_check(chain, pairs).ok", oracle)

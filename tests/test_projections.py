@@ -48,6 +48,7 @@ def check_hannan_verdict(norms, bias, verdict: str, tail_fit: str):
     """``hannan_sum`` of the series reads ``verdict`` by the ``tail_fit`` rule."""
     rep = hannan_sum(ProjectionSeries(norms=norms, bias=bias))
     assert (rep.verdict, rep.tail_fit) == (verdict, tail_fit)
+    assert rep.check.ok == (verdict != "diverging")
     return rep
 
 

@@ -6,8 +6,10 @@ For each file that differs it prints one line:
 
 * a JSON or CSV file: the largest relative difference among numbers above
   1e-15 in magnitude, and the largest absolute difference among numbers at
-  or below it, or the first value that changed and is not a number (a
-  verdict, a string, a key, a row or list length);
+  or below it; before it, one line for each value that changed and is not
+  a number (a verdict, a string, a row or list length), and for each
+  object whose keys changed, the keys added and removed.  The values of
+  the keys that both trees share are still compared;
 * any other text file: how many lines differ.
 
 It exits 1 when a value that is not a number changes, when a file exists
@@ -26,38 +28,40 @@ import sys
 FLOOR = 1e-15       # numbers at or below this size compare absolutely
 
 
-class ValueChanged(Exception):
-    """A value that is not a number differs between the trees."""
-
-
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _compare(old, new, where: str, diffs: dict) -> None:
+def _compare(old, new, where: str, diffs: dict, changes: list) -> None:
     """Walk two parsed values together; record the numbers' differences in
-    ``diffs`` and raise ValueChanged at anything else that differs."""
+    ``diffs`` and every other difference in ``changes``."""
     if _is_number(old) and _is_number(new):
         if old == new:
             return
         if not (math.isfinite(old) and math.isfinite(new)):
-            raise ValueChanged(f"{where}: {old!r} -> {new!r}")
+            changes.append(f"{where}: {old!r} -> {new!r}")
+            return
         size = max(abs(old), abs(new))
         key = "rel" if size > FLOOR else "abs"
         gap = abs(old - new) / size if size > FLOOR else abs(old - new)
         diffs[key] = max(diffs[key], gap)
     elif isinstance(old, dict) and isinstance(new, dict):
-        if list(old) != list(new):
-            raise ValueChanged(f"{where}: keys {sorted(old)} -> {sorted(new)}")
+        added, removed = sorted(set(new) - set(old)), sorted(set(old) - set(new))
+        if added or removed:
+            changes.append(f"{where or '/'}: keys added {added}, removed {removed}")
+        elif list(old) != list(new):
+            changes.append(f"{where}: key order {list(old)} -> {list(new)}")
         for key in old:
-            _compare(old[key], new[key], f"{where}/{key}", diffs)
+            if key in new:
+                _compare(old[key], new[key], f"{where}/{key}", diffs, changes)
     elif isinstance(old, list) and isinstance(new, list):
         if len(old) != len(new):
-            raise ValueChanged(f"{where}: length {len(old)} -> {len(new)}")
+            changes.append(f"{where}: length {len(old)} -> {len(new)}")
+            return
         for i, (a, b) in enumerate(zip(old, new)):
-            _compare(a, b, f"{where}[{i}]", diffs)
+            _compare(a, b, f"{where}[{i}]", diffs, changes)
     elif old != new or type(old) is not type(new):
-        raise ValueChanged(f"{where}: {old!r} -> {new!r}")
+        changes.append(f"{where}: {old!r} -> {new!r}")
 
 
 def _cell(text: str):
@@ -96,13 +100,11 @@ def compare(old_root: str, new_root: str) -> int:
             print(f"{path}: differs")
             failed = True
         elif path.endswith((".json", ".csv")):
-            diffs = {"rel": 0.0, "abs": 0.0}
-            try:
-                _compare(_parse(path, old), _parse(path, new), "", diffs)
-            except ValueChanged as change:
+            diffs, changes = {"rel": 0.0, "abs": 0.0}, []
+            _compare(_parse(path, old), _parse(path, new), "", diffs, changes)
+            for change in changes:
                 print(f"{path}: CHANGED {change}")
-                failed = True
-                continue
+            failed = failed or bool(changes)
             print(f"{path}: max rel {diffs['rel']:.2e} (|x| > {FLOOR:g}), "
                   f"max abs {diffs['abs']:.2e} (|x| <= {FLOOR:g})")
         else:
