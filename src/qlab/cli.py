@@ -60,6 +60,9 @@ class RunConfig:
     name: str = ""
 
     def __post_init__(self):
+        """Refuse what only the CLI can check; the library refuses the rest."""
+        if self.r == "inf":
+            self.r = math.inf
         if self.seed is None:
             raise CLIError("invalid config: seed is required (no clock default)")
         for f in fields(self):
@@ -71,30 +74,12 @@ class RunConfig:
             raise CLIError(f"unknown experiment name: {self.experiment!r}")
         if not self.model_path:
             raise CLIError("invalid config: missing --model")
-        for label, value in (("n", self.n), ("reps", self.reps),
-                             ("fixtures", self.fixtures), ("workers", self.workers)):
-            if value < 1:
-                raise CLIError(f"invalid config: {label} must be >= 1")
-        if self.seed < 0:
-            raise CLIError("invalid config: seed must be a nonnegative integer")
-        if not 0 < self.alpha < 1:
-            raise CLIError("invalid config: alpha must lie in (0, 1)")
-        if not 0 < self.d_threshold <= 1:
-            raise CLIError("invalid config: d_threshold must lie in (0, 1]")
-        if self.K < 0:
-            raise CLIError("invalid config: K must be >= 0")
-        if self.r != math.inf and (type(self.r) is not int or self.r < 0):
-            raise CLIError("invalid config: r must be a nonnegative integer or 'inf'")
-        if not self.Ns or any(type(v) is not int or v < 1 for v in self.Ns):
-            raise CLIError("invalid config: Ns must be positive integers")
-        if len(set(self.Ns)) < len(self.Ns):
-            raise CLIError("invalid config: Ns must not repeat a horizon")
-        if self.experiment == "drift" and max(self.Ns) < 16 * min(self.Ns):
-            raise CLIError("invalid config: drift needs Ns spanning at least "
-                           "16-fold (largest >= 16 x smallest)")
-        if self.experiment == "quenched-clt" and self.functional != "endpoint":
-            raise CLIError("invalid config: quenched-clt tests the endpoint only; "
-                           f"use quenched-wip for functional {self.functional!r}")
+        if min(self.fixtures, self.workers) < 1:
+            raise CLIError("invalid config: fixtures and workers must be >= 1")
+        if any(type(v) is not int for v in self.Ns):
+            raise CLIError("invalid config: Ns must be integers")
+        if self.r != math.inf and type(self.r) is not int:
+            raise CLIError("invalid config: r must be an integer or 'inf'")
 
     def describe(self) -> dict:
         """The fields that decide the results, by name; the model by file name."""
@@ -165,17 +150,14 @@ def _write_csv(path: str, header: str, rows):
                               for v in row) + "\n")
 
 
-def _sample_outputs(out_dir: str, values: np.ndarray, ref_cdf):
-    _write_csv(os.path.join(out_dir, "sample.csv"), "replication,value",
-               ((i, float(v)) for i, v in enumerate(values)))
-    xs = np.sort(values)
-    ecdf = np.arange(1, xs.size + 1) / xs.size
-    ref = np.asarray(ref_cdf(xs), dtype=float)
-    _write_csv(os.path.join(out_dir, "cdf.csv"), "x,ecdf,ref_cdf",
-               ((float(x), float(e), float(r)) for x, e, r in zip(xs, ecdf, ref)))
+def _series_file(first: int, norms, bias) -> list:
+    return [("series.csv", "k,norm,bias",
+             ((k, float(a), float(b)) for k, (a, b) in enumerate(zip(norms, bias), first)))]
 
 
 # --- experiment runners ---------------------------------------------------
+# each returns the report's payload, the Verdicts that decide the run and
+# the CSV files to write, as (file name, header, rows)
 
 def _sampled_fixtures(model, base, count):
     return [sample_fixture(model, base.child(0, i)) for i in range(count)]
@@ -189,17 +171,34 @@ def _run_wip(config: RunConfig, model, base):
                                       [base.child(1, i) for i in range(len(fixtures))],
                                       alpha=config.alpha, d_threshold=config.d_threshold,
                                       sample_sink=first_sample)
+    failed = sum(not report.check.ok for report in reports) / len(reports)
+    check = Verdict.at_most(f"failed fraction <= {FAIL_FRACTION}", failed, FAIL_FRACTION)
     payload = {"reports": [{**asdict(report), "experiment": config.experiment}
-                           for report in reports]}
-    return payload, [report.check for report in reports], first_sample
+                           for report in reports], "check": asdict(check)}
+    values = first_sample["values"]
+    xs = np.sort(values)
+    ecdf = np.arange(1, xs.size + 1) / xs.size
+    ref = np.asarray(first_sample["ref_cdf"](xs), dtype=float)
+    return payload, [check], [
+        ("sample.csv", "replication,value", ((i, float(v)) for i, v in enumerate(values))),
+        ("cdf.csv", "x,ecdf,ref_cdf",
+         ((float(x), float(e), float(r)) for x, e, r in zip(xs, ecdf, ref)))]
+
+
+def _run_clt(config: RunConfig, model, base):
+    if config.functional != "endpoint":
+        raise CLIError("invalid config: quenched-clt tests the endpoint only; "
+                       f"use quenched-wip for functional {config.functional!r}")
+    return _run_wip(config, model, base)
 
 
 def _run_strest(config: RunConfig, model, base):
     fixtures = _sampled_fixtures(model, base, config.fixtures)
     reports = [strest_experiment(model, fixture, config.r, config.Ns, config.reps,
                                  base.child(1, i)) for i, fixture in enumerate(fixtures)]
-    return ({"reports": [{**asdict(report), "experiment": "strest", "r": config.describe()["r"]}
-                         for report in reports]}, [report.check for report in reports], None)
+    return ({"reports": [{**asdict(report), "experiment": config.experiment,
+                          "r": config.describe()["r"]} for report in reports]},
+            [report.check for report in reports], [])
 
 
 def _run_drift(config: RunConfig, model, base):
@@ -208,50 +207,55 @@ def _run_drift(config: RunConfig, model, base):
     payload = {"Ns": report.Ns,
                "ratios": [[float(v) for v in row] for row in report.table],
                "verdicts": report.verdicts, "checks": [asdict(c) for c in report.checks]}
-    return {"reports": [payload]}, report.checks, None
+    return {"reports": [payload]}, report.checks, []
 
 
-def _run_per_fixture(config: RunConfig, model, base):
-    """``doob`` or ``identity``: one check per sampled fixture."""
+def _per_fixture(config: RunConfig, model, base, check, *args):
     fixtures = _sampled_fixtures(model, base, config.fixtures)
-    reports = [doob_bound_check(model, fixture, config.n, config.reps, base.child(1, i))
-               if config.experiment == "doob" else
-               decomposition_identity_check(model, fixture, config.n, base.child(1, i))
+    reports = [check(model, fixture, *args, base.child(1, i))
                for i, fixture in enumerate(fixtures)]
     return ({"reports": [{"fixture": fixture.describe(), **asdict(report)}
                          for fixture, report in zip(fixtures, reports)]},
-            [report.check for report in reports], None)
+            [report.check for report in reports], [])
 
 
-def _run_series(config: RunConfig, model, base):
-    which = config.experiment
+def _run_doob(config: RunConfig, model, base):
+    return _per_fixture(config, model, base, doob_bound_check, config.n, config.reps)
+
+
+def _run_identity(config: RunConfig, model, base):
+    return _per_fixture(config, model, base, decomposition_identity_check, config.n)
+
+
+def _run_project_norms(config: RunConfig, model, base):
     series = projection_norms(model, config.K)
-    rows = list(zip(range(config.K + 1),
-                    (float(v) for v in series.norms),
-                    (float(v) for v in series.bias)))
-    rep = None
-    if which == "project-norms":
-        block = {"partial_sum": float(series.norms.sum()), "K": config.K,
-                 "verdict": "computed"}
-    elif which == "hannan":
-        rep = hannan_sum(series)
-        block = {"partial_sum": float(rep.partial_sums[-1]),
-                 "tail_fit": rep.tail_fit, "fitted_tail": rep.fitted_tail,
-                 "verdict": rep.verdict, "check": asdict(rep.check)}
-    elif which == "mw":
-        rep = mw_criterion(model, max(config.K, 1))
-        rows = list(zip(range(1, rep.terms.size + 1),
-                        (float(v) for v in rep.terms),
-                        (0.0 for _ in rep.terms)))
-        block = {"partial_sum": float(rep.partial_sums[-1]),
-                 "verdict": rep.verdict, "check": asdict(rep.check)}
-    else:  # sigma2
-        block = {"sigma2": sigma_squared(model), "verdict": "computed"}
-    return {"reports": [block], "csv_rows": rows}, [rep.check] if rep else [], None
+    block = {"partial_sum": float(series.norms.sum()), "K": config.K, "verdict": "computed"}
+    return {"reports": [block]}, [], _series_file(0, series.norms, series.bias)
+
+
+def _run_hannan(config: RunConfig, model, base):
+    series = projection_norms(model, config.K)
+    rep = hannan_sum(series)
+    block = {"partial_sum": float(rep.partial_sums[-1]), "tail_fit": rep.tail_fit,
+             "fitted_tail": rep.fitted_tail, "verdict": rep.verdict, "check": asdict(rep.check)}
+    return {"reports": [block]}, [rep.check], _series_file(0, series.norms, series.bias)
+
+
+def _run_mw(config: RunConfig, model, base):
+    rep = mw_criterion(model, config.K)
+    block = {"partial_sum": float(rep.partial_sums[-1]), "verdict": rep.verdict,
+             "check": asdict(rep.check)}
+    return {"reports": [block]}, [rep.check], _series_file(1, rep.terms, np.zeros_like(rep.terms))
+
+
+def _run_sigma2(config: RunConfig, model, base):
+    series = projection_norms(model, config.K)
+    block = {"sigma2": sigma_squared(model), "verdict": "computed"}
+    return {"reports": [block]}, [], _series_file(0, series.norms, series.bias)
 
 
 def _run_markov_check(config: RunConfig, model, base):
-    _require_markov(model, "markov-check")
+    _require_markov(model, config.experiment)
     S = model.n_states
     rng = base.child(0)
     funcs = [rng.normal(S) for _ in range(100)]
@@ -262,29 +266,29 @@ def _run_markov_check(config: RunConfig, model, base):
     payload = {"checks": [asdict(c) for c in checks],
                "cesaro_error_at_1000": float(np.max(np.abs(
                    ces - float(model.stationary @ model.observable))))}
-    return {"reports": [payload]}, checks, None
+    return {"reports": [payload]}, checks, []
 
 
 def _run_hopf(config: RunConfig, model, base):
-    _require_markov(model, "hopf")
+    _require_markov(model, config.experiment)
     N = 1000
     rng = base.child(0)
     functions = [np.abs(model.observable)] + [rng.normal(model.n_states)
                                               for _ in range(20)]
     checks = [hopf_check(model, maximal_function(model, h, N)) for h in functions]
     reports = [{"function": idx, "check": asdict(c)} for idx, c in enumerate(checks)]
-    return {"reports": reports, "truncation": N}, checks, None
+    return {"reports": reports, "truncation": N}, checks, []
 
 
 def _run_weak_l2(config: RunConfig, model, base):
-    _require_markov(model, "weak-l2")
+    _require_markov(model, config.experiment)
     value = weak_l2_tail(model.observable, model.stationary)
-    return {"reports": [{"weak_l2_tail": value, "verdict": "computed"}]}, [], None
+    return {"reports": [{"weak_l2_tail": value, "verdict": "computed"}]}, [], []
 
 
 EXPERIMENTS = {
     "quenched-clt": ("KS of the centered endpoint law against its normal limit",
-                     _run_wip),
+                     _run_clt),
     "quenched-wip": ("KS of a path functional against its Brownian limit",
                      _run_wip),
     "strest": ("decay of the maximal squared martingale-approximation error",
@@ -292,12 +296,12 @@ EXPERIMENTS = {
     "drift": ("exact vanishing check of the conditional drift over sqrt(N)",
               _run_drift),
     "doob": ("Monte Carlo maximum of the centered sum vs its exact Doob bound (markov)",
-             _run_per_fixture),
-    "identity": ("pathwise check of the centered-sum decomposition", _run_per_fixture),
-    "project-norms": ("closed-form projection norms as CSV", _run_series),
-    "hannan": ("projection-norm summability verdict", _run_series),
-    "mw": ("summability of conditional norms over sqrt(n)", _run_series),
-    "sigma2": ("long-run variance from the martingale increment", _run_series),
+             _run_doob),
+    "identity": ("pathwise check of the centered-sum decomposition", _run_identity),
+    "project-norms": ("closed-form projection norms as CSV", _run_project_norms),
+    "hannan": ("projection-norm summability verdict", _run_hannan),
+    "mw": ("summability of conditional norms over sqrt(n)", _run_mw),
+    "sigma2": ("long-run variance from the martingale increment", _run_sigma2),
     "markov-check": ("operator contraction, duality and Markov property (markov)",
                      _run_markov_check),
     "hopf": ("maximal-function level inequality in exact arithmetic (markov)",
@@ -314,21 +318,16 @@ def list_experiments() -> list[tuple[str, str]]:
 def run(config: RunConfig, base_path=()) -> int:
     """Execute one configured experiment, writing artifacts to config.out."""
     model = load_model(config.model_path)
-    base = RandomStream(config.seed, base_path)
     _, runner = EXPERIMENTS[config.experiment]
     try:
+        base = RandomStream(config.seed, base_path)
         with worker_pool(config.workers):
-            payload, checks, sample_sink = runner(config, model, base)
+            payload, checks, files = runner(config, model, base)
     except ValueError as exc:   # HannanDivergesError and every library refusal
         raise CLIError(f"experiment refused: {exc}") from exc
-    if runner is _run_wip:      # a sampling run is decided by its fixtures' fraction
-        failed = sum(not check.ok for check in checks) / len(checks)
-        checks = [Verdict.at_most(f"failed fraction <= {FAIL_FRACTION}", failed, FAIL_FRACTION)]
-        payload["check"] = asdict(checks[0])
     passed = all(check.ok for check in checks)
     try:
         os.makedirs(config.out, exist_ok=True)
-        csv_rows = payload.pop("csv_rows", None)
         document = {
             "config": config.describe(),
             "config_digest": digest_of(config.describe()),
@@ -339,10 +338,8 @@ def run(config: RunConfig, base_path=()) -> int:
             **payload,
         }
         _write_json(os.path.join(config.out, "report.json"), document)
-        if csv_rows is not None:
-            _write_csv(os.path.join(config.out, "series.csv"), "k,norm,bias", csv_rows)
-        if sample_sink is not None:
-            _sample_outputs(config.out, sample_sink["values"], sample_sink["ref_cdf"])
+        for name, header, rows in files:
+            _write_csv(os.path.join(config.out, name), header, rows)
     except OSError as exc:
         raise CLIError(f"cannot write outputs under {config.out!r}: {exc}") from exc
     return 0 if passed else 2
@@ -376,8 +373,6 @@ def run_suite(suite_path: str, out_root: str, workers: int = 1) -> int:
         seed = entry.pop("seed", default_seed)
         if seed is None:
             raise CLIError(f"suite run {name!r}: no seed given and no suite default")
-        if entry.get("r") == "inf":
-            entry["r"] = math.inf
         model_path = entry.pop("model", "")
         if not isinstance(name, str) or not isinstance(model_path, str):
             raise CLIError(f"suite run {index}: name and model must be strings")
@@ -405,6 +400,14 @@ class _Parser(argparse.ArgumentParser):
         raise CLIError(f"invalid arguments: {message}")
 
 
+def _int_list(text: str) -> list:
+    return [int(v) for v in text.split(",") if v]
+
+
+def _int_or_inf(text: str):
+    return text if text == "inf" else int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     # a flag left out stays out of the namespace, so RunConfig's default holds
     parser = _Parser(prog="qlab", argument_default=argparse.SUPPRESS,
@@ -416,8 +419,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--reps", type=int)
     parser.add_argument("--fixtures", type=int)
     parser.add_argument("--functional", choices=FUNCTIONAL_KINDS)
-    parser.add_argument("--Ns", help="comma-separated horizons for strest/drift")
-    parser.add_argument("--r", help="martingale truncation order (integer or 'inf')")
+    parser.add_argument("--Ns", type=_int_list,
+                        help="comma-separated horizons for strest/drift")
+    parser.add_argument("--r", type=_int_or_inf,
+                        help="martingale truncation order (integer or 'inf')")
     parser.add_argument("--K", type=int, help="projection horizon")
     parser.add_argument("--alpha", type=float)
     parser.add_argument("--d-threshold", type=float,
@@ -441,13 +446,6 @@ def main(argv=None) -> int:
             return run_suite(args["suite"], args.get("out", RunConfig.out),
                              workers=args.get("workers", RunConfig.workers))
         args.pop("suite", None)
-        try:
-            if "Ns" in args:
-                args["Ns"] = [int(v) for v in args["Ns"].split(",") if v]
-            if "r" in args:
-                args["r"] = math.inf if args["r"] == "inf" else int(args["r"])
-        except ValueError as exc:
-            raise CLIError(f"invalid --Ns or --r: {exc}") from exc
         return run(RunConfig(**{"model_path": "", "seed": None, **args}))
     except CLIError as exc:
         print(f"qlab: {exc}", file=sys.stderr)

@@ -340,6 +340,8 @@ def quenched_wip_experiment(model: Model, fixtures: Sequence[PastFixture],
     reference CDF for plotting dumps.
     """
 
+    if not (0 < alpha < 1 and 0 < d_threshold <= 1):
+        raise ValueError("alpha must lie in (0, 1) and d_threshold in (0, 1]")
     sigma2 = sigma_squared(model)
     samples = sample_path_functional(model, fixtures, functional, n, reps, streams)
     return [_wip_report(model, fx, functional, n, reps, st, values, sigma2,
@@ -396,11 +398,11 @@ class StrestReport:
 
 
 def _horizons(Ns) -> list:
-    """``Ns`` sorted, once each is checked positive and none repeats: a
-    tie would fail the strictly decreasing estimates of a valid model."""
+    """``Ns`` sorted, once checked to be two or more positive horizons, none
+    repeated: a decay compares two, and a tie would fail a valid model."""
     Ns = sorted(int(N) for N in Ns)
-    if not Ns or Ns[0] < 1:
-        raise ValueError("Ns must be positive integers")
+    if len(Ns) < 2 or Ns[0] < 1:
+        raise ValueError("Ns must be two or more positive integers: a decay needs two")
     if len(set(Ns)) < len(Ns):
         raise ValueError("Ns must not repeat a horizon")
     return Ns

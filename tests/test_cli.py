@@ -226,6 +226,9 @@ with open(_model("linear_rho05.json")) as _fh:
     ["strest", "--model", "linear_rho05.json", "--fixtures", "1", "--reps", "200",
      "--Ns", "256,256,1024"],
     ["drift", "--model", "markov_2state.json", "--fixtures", "2", "--Ns", "256,256,4096"],
+    ["strest", "--model", "linear_rho05.json", "--Ns", "256", "--reps", "200",
+     "--fixtures", "1"],
+    ["mw", "--model", "markov_3state.json", "--K", "0"],
 ], ids=["unknown-suite-key", "bad-Ns", "negative-K", "negative-r", "tiny-reps",
         "alpha-above-one", "n-not-int", "alpha-not-float", "unknown-functional",
         "unknown-flag", "negative-d-threshold", "suite-seed-string",
@@ -235,7 +238,7 @@ with open(_model("linear_rho05.json")) as _fh:
         "clt-non-endpoint-functional", "model-tail-inf", "model-coeff-bool",
         "model-coeff-string", "model-P-string", "model-g-bool", "model-tail-string",
         "model-variance-bool", "drift-Ns-4-fold", "drift-single-N",
-        "strest-Ns-repeated", "drift-Ns-repeated"])
+        "strest-Ns-repeated", "drift-Ns-repeated", "strest-single-N", "mw-K-zero"])
 def test_invalid_input_exits_three_with_one_line(args, tmp_path):
     def resolve(arg):
         if isinstance(arg, bytes):
@@ -331,6 +334,53 @@ def test_report_schema(args, top, first, count, tmp_path):
     deciding = [report["check"]] if "check" in report else verdicts
     assert code == (0 if all(v["ok"] for v in deciding) else 2)
     assert report["verdict"] == ("pass" if code == 0 else "fail")
+
+
+# one small run of each experiment, and a value out of range in a field that
+# experiment does not read: the value changes neither the exit code nor a refusal
+@pytest.mark.parametrize("args, ignored", [
+    (["quenched-clt", "--model", "linear_rho05.json", "--n", "16", "--reps", "20",
+      "--fixtures", "1"], ["--K", "-1"]),
+    (["quenched-wip", "--model", "markov_2state.json", "--functional", "supremum",
+      "--n", "16", "--reps", "20", "--fixtures", "1"], ["--Ns", "256,256"]),
+    (["strest", "--model", "linear_identity.json", "--reps", "8", "--fixtures", "1",
+      "--Ns", "4,8"], ["--n", "0"]),
+    (["drift", "--model", "markov_2state.json", "--fixtures", "2", "--Ns", "16,256"],
+     ["--alpha", "2"]),
+    (["doob", "--model", "markov_2state.json", "--n", "8", "--reps", "8",
+      "--fixtures", "1"], ["--K", "-1"]),
+    (["identity", "--model", "markov_2state.json", "--n", "8", "--fixtures", "1"],
+     ["--reps", "0"]),
+    (["project-norms", "--model", "markov_2state.json", "--K", "8"], ["--n", "0"]),
+    (["hannan", "--model", "markov_2state.json", "--K", "64"], ["--reps", "0"]),
+    (["mw", "--model", "markov_3state.json", "--K", "8"], ["--d-threshold", "2"]),
+    (["sigma2", "--model", "linear_rho05.json"], ["--Ns", "256,256"]),
+    (["markov-check", "--model", "markov_2state.json"], ["--r", "-1"]),
+    (["hopf", "--model", "markov_2state.json"], ["--n", "0"]),
+    (["weak-l2", "--model", "markov_2state.json"], ["--alpha", "0"]),
+], ids=["quenched-clt", "quenched-wip", "strest", "drift", "doob", "identity",
+        "project-norms", "hannan", "mw", "sigma2", "markov-check", "hopf", "weak-l2"])
+def test_a_field_the_experiment_does_not_read_is_never_refused(args, ignored, tmp_path):
+    args = [_model(a) if a.endswith(".json") else a for a in args]
+    codes = [main([*args, *extra, "--seed", "1", "--out", str(tmp_path / str(i))])
+             for i, extra in enumerate([[], ignored])]
+    assert codes[0] == codes[1] != 3
+
+
+def test_r_inf_reads_the_same_from_a_flag_and_a_suite_entry(tmp_path):
+    run = {"experiment": "strest", "model": _model("linear_identity.json"), "reps": 8,
+           "fixtures": 1, "Ns": [4, 8]}
+    args = ["strest", "--model", run["model"], "--reps", "8", "--fixtures", "1",
+            "--Ns", "4,8", "--seed", "1"]
+    assert main([*args, "--out", str(tmp_path / "default")]) == 0
+    assert main([*args, "--r", "inf", "--out", str(tmp_path / "flag")]) == 0
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"seed": 1, "runs": [{**run, "name": "entry", "r": "inf"}]}))
+    assert main(["run-all", "--suite", str(suite), "--out", str(tmp_path)]) == 0
+    reports = [json.loads((tmp_path / name / "report.json").read_text())
+               for name in ("default", "flag", "entry")]
+    assert reports[0]["config"] == reports[1]["config"] == reports[2]["config"]
+    assert {report["reports"][0]["r"] for report in reports} == {"inf"}
 
 
 def test_doob_iid_chain_holds(tmp_path):

@@ -94,6 +94,6 @@ def test_drift_cost_does_not_grow_with_N(two_state_chain, identity_model):
 @pytest.mark.parametrize("Ns", [[256], [256, 1024], [1, 15]])
 def test_drift_refuses_Ns_spanning_less_than_16_fold(two_state_chain, Ns):
     # a bounded drift's ratio falls only by sqrt(N_max / N_min), so a span
-    # under 16-fold would fail a valid model
-    with pytest.raises(ValueError, match="16-fold"):
+    # under 16-fold would fail a valid model; one horizon spans nothing
+    with pytest.raises(ValueError, match="16-fold|two or more"):
         uncentered_drift_check(two_state_chain, [PastFixture(state=0)], Ns)

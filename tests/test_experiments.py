@@ -114,6 +114,20 @@ def test_empty_sample_rejected(rho_model):
         quenched_wip_experiment(rho_model, [fx], ENDPOINT, 64, 0, [RandomStream(61, [4])])
 
 
+@pytest.mark.parametrize("alpha, d_threshold", [
+    (2.0, 0.03), (0.0, 0.03), (1.0, 0.03), (math.nan, 0.03),
+    (0.01, -1.0), (0.01, 0.0), (0.01, 1.5)])
+def test_alpha_and_d_threshold_refused_before_any_draw(rho_model, monkeypatch, alpha,
+                                                       d_threshold):
+    # alpha = 2 would fail every p-value, and so every fixture of a valid model
+    fx = sample_fixture(rho_model, RandomStream(61, [3]))
+    monkeypatch.setattr(experiments, "sample_path_functional",
+                        lambda *args: pytest.fail("drew a sample"))
+    with pytest.raises(ValueError, match="alpha must lie in"):
+        quenched_wip_experiment(rho_model, [fx], ENDPOINT, 64, 100, [RandomStream(61, [4])],
+                                alpha=alpha, d_threshold=d_threshold)
+
+
 def test_degenerate_observable_reports_not_raises(zero_chain):
     fx = PastFixture(state=0)
     [rep] = quenched_wip_experiment(zero_chain, [fx], ENDPOINT, 64, 200,
@@ -313,12 +327,12 @@ def test_strest_decay_geometric_model(rho_model):
 
 def test_strest_nonincreasing_in_truncation_order(rho_model):
     fx = sample_fixture(rho_model, RandomStream(63, [3]))
-    results = [strest_experiment(rho_model, fx, r, [512], 500,
+    results = [strest_experiment(rho_model, fx, r, [256, 512], 500,
                                  RandomStream(63, [4]))
                for r in (0, 2, 8)]
     for lo, hi in zip(results[1:], results[:-1]):
-        slack = 2.0 * (lo.std_errors[0] + hi.std_errors[0])
-        assert lo.estimates[0] <= hi.estimates[0] + slack
+        slack = 2.0 * (lo.std_errors[-1] + hi.std_errors[-1])
+        assert lo.estimates[-1] <= hi.estimates[-1] + slack
 
 
 def test_strest_workers_deterministic(two_state_chain):

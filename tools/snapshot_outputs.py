@@ -15,18 +15,25 @@ OUT, which must not exist yet, receives:
 * ``demos/<demo>.txt``: each demo's stdout;
 * ``exit_codes.txt``: the exit code of every run above, one per line;
 * ``cli/list.txt``: the stdout of ``qlab list``, every experiment with
-  its description.
+  its description;
+* ``cli/refusals.txt``: for each invocation of ``REFUSALS``, the command
+  line, then its exit code and its stderr.
 
 Run it on two checkouts and ``diff -r`` the two trees: an empty diff means
-every output kept its bytes.  BLAS runs on one thread, as in the
-benchmark, and nothing is written outside OUT, not even bytecode caches.
+every output kept its bytes, and a changed refusal message shows in
+``cli/refusals.txt``.  BLAS runs on one thread, as in the benchmark, and
+nothing is kept outside OUT, not even bytecode caches: the refusals'
+``--out`` is a temporary directory, removed at the end.
 """
 
 import glob
+import io
+import json
 import os
 import subprocess
 import sys
-from contextlib import redirect_stdout
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 sys.dont_write_bytecode = True
 for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -39,6 +46,48 @@ from qlab import cli
 from workloads import WORKLOADS
 
 SEED = 42
+RHO05 = "models/linear_rho05.json"
+M2, M3 = "models/markov_2state.json", "models/markov_3state.json"
+# the arguments of one invalid invocation per rule that RunConfig checks,
+# then per rule on a value that the library checks where the value is read,
+# then quenched-clt's endpoint rule, a markov-only experiment on a linear
+# model, and two that set a field only other experiments read; a dict
+# stands for ``run-all`` on a suite file holding it
+REFUSALS = [
+    f"sigma2 --model {RHO05}",
+    {"seed": 1, "runs": [{"experiment": "sigma2", "n": "16"}]},
+    f"frobnicate --model {RHO05} --seed 1",
+    "sigma2 --seed 1",
+    f"quenched-clt --model {RHO05} --fixtures 0 --seed 1",
+    f"sigma2 --model {RHO05} --workers 0 --seed 1",
+    {"seed": 1, "runs": [{"experiment": "strest", "Ns": [4, 8.5]}]},
+    f"strest --model {RHO05} --Ns 4,x --seed 1",
+    {"seed": 1, "runs": [{"experiment": "strest", "r": 2.5}]},
+    f"strest --model {RHO05} --r x --seed 1",
+    f"quenched-clt --model {RHO05} --n 0 --reps 20 --fixtures 1 --seed 1",
+    f"identity --model {M2} --n 0 --fixtures 1 --seed 1",
+    f"doob --model {M2} --n 0 --reps 8 --fixtures 1 --seed 1",
+    f"quenched-clt --model {RHO05} --n 16 --reps 0 --fixtures 1 --seed 1",
+    f"strest --model {RHO05} --Ns 4,8 --reps 1 --fixtures 1 --seed 1",
+    f"doob --model {M2} --n 8 --reps 1 --fixtures 1 --seed 1",
+    f"project-norms --model {M2} --K -1 --seed 1",
+    f"hannan --model {M2} --K -1 --seed 1",
+    f"sigma2 --model {RHO05} --K -1 --seed 1",
+    f"mw --model {M3} --K 0 --seed 1",
+    f"strest --model {RHO05} --r -1 --Ns 16,64 --reps 8 --fixtures 1 --seed 1",
+    f"strest --model {RHO05} --Ns 0,8 --reps 8 --fixtures 1 --seed 1",
+    f"strest --model {RHO05} --Ns 8,8,16 --reps 8 --fixtures 1 --seed 1",
+    f"strest --model {RHO05} --Ns 256 --reps 200 --fixtures 1 --seed 1",
+    f"drift --model {M2} --Ns 256,1024 --fixtures 2 --seed 1",
+    f"drift --model {M2} --Ns 256 --fixtures 2 --seed 1",
+    f"sigma2 --model {RHO05} --seed -4",
+    f"quenched-clt --model {RHO05} --alpha 2 --n 16 --reps 20 --fixtures 1 --seed 1",
+    f"quenched-wip --model {RHO05} --functional supremum --d-threshold -1 --seed 1",
+    f"quenched-clt --model {RHO05} --functional supremum --n 16 --reps 20 --fixtures 1 --seed 1",
+    f"hopf --model {RHO05} --seed 1",
+    f"sigma2 --model {RHO05} --Ns 256,256 --seed 1",
+    f"hopf --model {M2} --n 0 --seed 1",
+]
 
 
 def _workload_runs(out: str) -> list:
@@ -89,6 +138,26 @@ def _list_experiments(out: str) -> None:
         cli.main(["list"])
 
 
+def _refusals(out: str) -> None:
+    lines = []
+    with tempfile.TemporaryDirectory() as scratch:
+        for index, entry in enumerate(REFUSALS):
+            if isinstance(entry, dict):
+                suite = os.path.join(scratch, "suite.json")
+                with open(suite, "w") as fh:
+                    json.dump(entry, fh)
+                command = f"run-all --suite {json.dumps(entry)}"
+                args = ["run-all", "--suite", suite]
+            else:
+                command, args = entry, entry.split()
+            err = io.StringIO()
+            with redirect_stderr(err), redirect_stdout(io.StringIO()):
+                code = cli.main([*args, "--out", os.path.join(scratch, str(index))])
+            lines += [f"qlab {command}", f"  exit {code}: {err.getvalue().rstrip()}"]
+    with open(os.path.join(out, "refusals.txt"), "w") as fh:
+        fh.write("".join(f"{line}\n" for line in lines))
+
+
 def main(argv) -> int:
     if len(argv) != 2:
         print("usage: python3 tools/snapshot_outputs.py OUT", file=sys.stderr)
@@ -99,6 +168,7 @@ def main(argv) -> int:
              + _suite_runs(os.path.join(out, "suites"))
              + _demo_runs(os.path.join(out, "demos")))
     _list_experiments(os.path.join(out, "cli"))
+    _refusals(os.path.join(out, "cli"))
     with open(os.path.join(out, "exit_codes.txt"), "w") as fh:
         fh.write("".join(f"{line}\n" for line in codes))
     return 0
