@@ -123,8 +123,6 @@ def load_model(path: str):
             return MarkovFunctionalModel(np.asarray(_numbers(raw["P"]), dtype=float),
                                          np.asarray(_numbers(raw["g"]), dtype=float))
         raise CLIError(f"model file {path!r}: unknown type {kind!r}")
-    except CLIError:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise CLIError(f"model file {path!r} failed validation: {exc}") from exc
 
@@ -273,8 +271,7 @@ def _run_hopf(config: RunConfig, model, base):
     _require_markov(model, config.experiment)
     N = 1000
     rng = base.child(0)
-    functions = [np.abs(model.observable)] + [rng.normal(model.n_states)
-                                              for _ in range(20)]
+    functions = [np.abs(model.observable), *(rng.normal(model.n_states) for _ in range(20))]
     checks = [hopf_check(model, maximal_function(model, h, N)) for h in functions]
     reports = [{"function": idx, "check": asdict(c)} for idx, c in enumerate(checks)]
     return {"reports": reports, "truncation": N}, checks, []
@@ -287,14 +284,10 @@ def _run_weak_l2(config: RunConfig, model, base):
 
 
 EXPERIMENTS = {
-    "quenched-clt": ("KS of the centered endpoint law against its normal limit",
-                     _run_clt),
-    "quenched-wip": ("KS of a path functional against its Brownian limit",
-                     _run_wip),
-    "strest": ("decay of the maximal squared martingale-approximation error",
-               _run_strest),
-    "drift": ("exact vanishing check of the conditional drift over sqrt(N)",
-              _run_drift),
+    "quenched-clt": ("KS of the centered endpoint law against its normal limit", _run_clt),
+    "quenched-wip": ("KS of a path functional against its Brownian limit", _run_wip),
+    "strest": ("decay of the maximal squared martingale-approximation error", _run_strest),
+    "drift": ("exact vanishing check of the conditional drift over sqrt(N)", _run_drift),
     "doob": ("Monte Carlo maximum of the centered sum vs its exact Doob bound (markov)",
              _run_doob),
     "identity": ("pathwise check of the centered-sum decomposition", _run_identity),
@@ -304,10 +297,8 @@ EXPERIMENTS = {
     "sigma2": ("long-run variance from the martingale increment", _run_sigma2),
     "markov-check": ("operator contraction, duality and Markov property (markov)",
                      _run_markov_check),
-    "hopf": ("maximal-function level inequality in exact arithmetic (markov)",
-             _run_hopf),
-    "weak-l2": ("weak-L2 tail functional of the observable (markov)",
-                _run_weak_l2),
+    "hopf": ("maximal-function level inequality in exact arithmetic (markov)", _run_hopf),
+    "weak-l2": ("weak-L2 tail functional of the observable (markov)", _run_weak_l2),
 }
 
 
@@ -400,12 +391,19 @@ class _Parser(argparse.ArgumentParser):
         raise CLIError(f"invalid arguments: {message}")
 
 
+def _int(text: str, expected: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
+
+
 def _int_list(text: str) -> list:
-    return [int(v) for v in text.split(",") if v]
+    return [_int(v, "comma-separated integers") for v in text.split(",") if v]
 
 
 def _int_or_inf(text: str):
-    return text if text == "inf" else int(text)
+    return text if text == "inf" else _int(text, "an integer or 'inf'")
 
 
 def _build_parser() -> argparse.ArgumentParser:

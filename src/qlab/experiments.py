@@ -340,8 +340,10 @@ def quenched_wip_experiment(model: Model, fixtures: Sequence[PastFixture],
     reference CDF for plotting dumps.
     """
 
-    if not (0 < alpha < 1 and 0 < d_threshold <= 1):
-        raise ValueError("alpha must lie in (0, 1) and d_threshold in (0, 1]")
+    if functional.kind in EXTREMA and not 0 < d_threshold <= 1:
+        raise ValueError("d_threshold must lie in (0, 1]")
+    if functional.kind not in EXTREMA and not 0 < alpha < 1:
+        raise ValueError("alpha must lie in (0, 1)")
     sigma2 = sigma_squared(model)
     samples = sample_path_functional(model, fixtures, functional, n, reps, streams)
     return [_wip_report(model, fx, functional, n, reps, st, values, sigma2,

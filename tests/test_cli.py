@@ -184,7 +184,7 @@ with open(_model("linear_rho05.json")) as _fh:
     ["run-all", "--suite", {"seed": 1, "runs": [{**_RUN, "bogus": 1}]}],
     ["drift", "--model", "linear_identity.json", "--Ns", "1,x"],
     ["project-norms", "--model", "linear_identity.json", "--K", "-3"],
-    ["strest", "--model", "linear_identity.json", "--r", "-1", "--Ns", "16",
+    ["strest", "--model", "linear_identity.json", "--r", "-1", "--Ns", "16,64",
      "--reps", "40", "--fixtures", "1"],
     ["quenched-clt", "--model", "linear_identity.json", "--reps", "5",
      "--n", "16", "--fixtures", "1"],
@@ -194,7 +194,8 @@ with open(_model("linear_rho05.json")) as _fh:
     ["sigma2", "--model", "linear_identity.json", "--alpha", "x"],
     ["quenched-wip", "--model", "linear_identity.json", "--functional", "bogus"],
     ["sigma2", "--model", "linear_identity.json", "--bogus", "1"],
-    ["quenched-wip", "--model", "linear_identity.json", "--d-threshold", "-1"],
+    ["quenched-wip", "--model", "linear_identity.json", "--functional", "supremum",
+     "--d-threshold", "-1"],
     ["run-all", "--suite", {"seed": "42", "runs": [_RUN]}],
     ["run-all", "--suite", {"seed": 1, "runs": [{**_RUN, "n": "16"}]}],
     ["run-all", "--suite", {"seed": 1, "runs": [{**_RUN, "Ns": 5}]}],
@@ -340,9 +341,9 @@ def test_report_schema(args, top, first, count, tmp_path):
 # experiment does not read: the value changes neither the exit code nor a refusal
 @pytest.mark.parametrize("args, ignored", [
     (["quenched-clt", "--model", "linear_rho05.json", "--n", "16", "--reps", "20",
-      "--fixtures", "1"], ["--K", "-1"]),
+      "--fixtures", "1"], ["--K", "-1", "--d-threshold", "2"]),
     (["quenched-wip", "--model", "markov_2state.json", "--functional", "supremum",
-      "--n", "16", "--reps", "20", "--fixtures", "1"], ["--Ns", "256,256"]),
+      "--n", "16", "--reps", "20", "--fixtures", "1"], ["--Ns", "256,256", "--alpha", "2"]),
     (["strest", "--model", "linear_identity.json", "--reps", "8", "--fixtures", "1",
       "--Ns", "4,8"], ["--n", "0"]),
     (["drift", "--model", "markov_2state.json", "--fixtures", "2", "--Ns", "16,256"],

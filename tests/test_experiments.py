@@ -114,18 +114,34 @@ def test_empty_sample_rejected(rho_model):
         quenched_wip_experiment(rho_model, [fx], ENDPOINT, 64, 0, [RandomStream(61, [4])])
 
 
-@pytest.mark.parametrize("alpha, d_threshold", [
-    (2.0, 0.03), (0.0, 0.03), (1.0, 0.03), (math.nan, 0.03),
-    (0.01, -1.0), (0.01, 0.0), (0.01, 1.5)])
-def test_alpha_and_d_threshold_refused_before_any_draw(rho_model, monkeypatch, alpha,
-                                                       d_threshold):
+@pytest.mark.parametrize("functional, alpha, d_threshold, match", [
+    (ENDPOINT, 2.0, 0.03, "alpha"), (ENDPOINT, 0.0, 0.03, "alpha"),
+    (ENDPOINT, 1.0, 0.03, "alpha"), (ENDPOINT, math.nan, 0.03, "alpha"),
+    (SUPREMUM, 0.01, -1.0, "d_threshold"), (SUPREMUM, 0.01, 0.0, "d_threshold"),
+    (SUPREMUM, 0.01, 1.5, "d_threshold"), (SUPREMUM, 0.01, math.nan, "d_threshold")])
+def test_alpha_and_d_threshold_refused_before_any_draw(rho_model, monkeypatch, functional,
+                                                       alpha, d_threshold, match):
     # alpha = 2 would fail every p-value, and so every fixture of a valid model
     fx = sample_fixture(rho_model, RandomStream(61, [3]))
     monkeypatch.setattr(experiments, "sample_path_functional",
                         lambda *args: pytest.fail("drew a sample"))
-    with pytest.raises(ValueError, match="alpha must lie in"):
-        quenched_wip_experiment(rho_model, [fx], ENDPOINT, 64, 100, [RandomStream(61, [4])],
+    with pytest.raises(ValueError, match=f"^{match} must lie in"):
+        quenched_wip_experiment(rho_model, [fx], functional, 64, 100, [RandomStream(61, [4])],
                                 alpha=alpha, d_threshold=d_threshold)
+
+
+@pytest.mark.parametrize("functional, alpha, d_threshold", [
+    (ENDPOINT, 0.01, -1.0), (SUPREMUM, 2.0, 0.03)])
+def test_threshold_a_functional_does_not_read_is_not_refused(rho_model, functional, alpha,
+                                                             d_threshold):
+    # the endpoint is judged by alpha alone, an extremum by d_threshold alone
+    fx = sample_fixture(rho_model, RandomStream(61, [3]))
+    [rep] = quenched_wip_experiment(rho_model, [fx], functional, 16, 20,
+                                    [RandomStream(61, [4])], alpha=alpha,
+                                    d_threshold=d_threshold)
+    [ref] = quenched_wip_experiment(rho_model, [fx], functional, 16, 20,
+                                    [RandomStream(61, [4])])
+    assert rep.test_statistic == ref.test_statistic and rep.check.ok == ref.check.ok
 
 
 def test_degenerate_observable_reports_not_raises(zero_chain):
@@ -323,6 +339,13 @@ def test_strest_decay_geometric_model(rho_model):
     assert rep.estimates[0] > rep.estimates[1] > rep.estimates[2]
     assert rep.estimates[2] < rep.estimates[0] / 2
     assert rep.check.ok
+
+
+@pytest.mark.parametrize("r", [-1, -8])
+def test_strest_refuses_negative_truncation_order(rho_model, r):
+    fx = sample_fixture(rho_model, RandomStream(63, [3]))
+    with pytest.raises(ValueError, match="r must be >= 0"):
+        strest_experiment(rho_model, fx, r, [16, 64], 8, RandomStream(63, [4]))
 
 
 def test_strest_nonincreasing_in_truncation_order(rho_model):

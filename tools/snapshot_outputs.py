@@ -51,7 +51,7 @@ M2, M3 = "models/markov_2state.json", "models/markov_3state.json"
 # the arguments of one invalid invocation per rule that RunConfig checks,
 # then per rule on a value that the library checks where the value is read,
 # then quenched-clt's endpoint rule, a markov-only experiment on a linear
-# model, and two that set a field only other experiments read; a dict
+# model, and four that set a field the run does not read; a dict
 # stands for ``run-all`` on a suite file holding it
 REFUSALS = [
     f"sigma2 --model {RHO05}",
@@ -87,6 +87,9 @@ REFUSALS = [
     f"hopf --model {RHO05} --seed 1",
     f"sigma2 --model {RHO05} --Ns 256,256 --seed 1",
     f"hopf --model {M2} --n 0 --seed 1",
+    f"quenched-clt --model {RHO05} --d-threshold 2 --n 16 --reps 20 --fixtures 1 --seed 1",
+    f"quenched-wip --model {RHO05} --functional supremum --alpha 2 --n 16 --reps 20 "
+    "--fixtures 1 --seed 1",
 ]
 
 
