@@ -99,15 +99,20 @@ def _numbers(value):
     return value
 
 
-def load_model(path: str):
-    """Parse and validate a model definition file."""
+def _read_json(path: str, what: str):
+    """The parsed contents of a model or suite file; ``what`` names which."""
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise CLIError(f"cannot read model file {path!r}: {exc}") from exc
+        raise CLIError(f"cannot read {what} file {path!r}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CLIError(f"model file {path!r} is not valid JSON: {exc}") from exc
+        raise CLIError(f"{what} file {path!r} is not valid JSON: {exc}") from exc
+
+
+def load_model(path: str):
+    """Parse and validate a model definition file."""
+    raw = _read_json(path, "model")
     if not isinstance(raw, dict):
         raise CLIError(f"model file {path!r} is not a JSON object: {type(raw).__name__}")
     try:
@@ -218,6 +223,7 @@ def _per_fixture(config: RunConfig, model, base, check, *args):
 
 
 def _run_doob(config: RunConfig, model, base):
+    _require_markov(model, config.experiment)
     return _per_fixture(config, model, base, doob_bound_check, config.n, config.reps)
 
 
@@ -336,50 +342,38 @@ def run(config: RunConfig, base_path=()) -> int:
     return 0 if passed else 2
 
 
-# suite entries may set every RunConfig field except those run-all derives
-_SUITE_KEYS = {f.name for f in fields(RunConfig)} - {"experiment", "model_path",
-                                                     "out", "name", "workers"}
+# a suite entry's keys: RunConfig's fields, with ``model`` for model_path,
+# except those run-all sets itself
+_SUITE_KEYS = {f.name for f in fields(RunConfig)} - {"model_path", "out", "workers"} | {"model"}
 
 
 def run_suite(suite_path: str, out_root: str, workers: int = 1) -> int:
     """Run every entry of a suite file; exit 0 only if every run passes."""
-    try:
-        with open(suite_path, encoding="utf-8") as fh:
-            suite = json.load(fh)
-    except OSError as exc:
-        raise CLIError(f"cannot read suite file {suite_path!r}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CLIError(f"suite file {suite_path!r} is not valid JSON: {exc}") from exc
+    suite = _read_json(suite_path, "suite")
     runs = suite.get("runs") if isinstance(suite, dict) else None
     if not isinstance(runs, list) or not runs:
         raise CLIError(f"suite file {suite_path!r} has no runs")
-    default_seed = suite.get("seed")
     base_dir = os.path.dirname(os.path.abspath(suite_path))
     summary, worst = [], 0
     for index, entry in enumerate(runs):
         if not isinstance(entry, dict):
             raise CLIError(f"suite run {index}: expected an object, got {entry!r}")
-        entry = dict(entry)
-        name = entry.pop("name", f"run-{index:03d}")
-        seed = entry.pop("seed", default_seed)
-        if seed is None:
-            raise CLIError(f"suite run {name!r}: no seed given and no suite default")
-        model_path = entry.pop("model", "")
-        if not isinstance(name, str) or not isinstance(model_path, str):
-            raise CLIError(f"suite run {index}: name and model must be strings")
-        if not os.path.isabs(model_path):
-            model_path = os.path.join(base_dir, model_path)
-        experiment = entry.pop("experiment", None)
-        unknown = sorted(set(entry) - _SUITE_KEYS)
-        if unknown:
-            raise CLIError(f"suite run {name!r}: unknown keys {unknown}")
-        config = RunConfig(experiment=experiment, model_path=model_path, seed=seed,
-                           out=os.path.join(out_root, name), name=name,
-                           workers=workers, **entry)
-        code = run(config, base_path=(index,))
-        summary.append({"name": name, "experiment": experiment, "exit": code})
+        settings = {"experiment": None, "model": "", "seed": suite.get("seed"),
+                    "name": f"run-{index:03d}", **entry}
+        try:
+            unknown = sorted(set(settings) - _SUITE_KEYS)
+            if unknown:
+                raise CLIError(f"unknown keys {unknown}")
+            config = RunConfig(model_path=settings.pop("model"), workers=workers, **settings)
+            # the paths join once RunConfig has checked that they are strings
+            config.model_path = os.path.join(base_dir, config.model_path)
+            config.out = os.path.join(out_root, config.name)
+            code = run(config, base_path=(index,))
+        except CLIError as exc:
+            raise CLIError(f"suite run {settings['name']!r}: {exc}") from exc
+        summary.append({"name": config.name, "experiment": config.experiment, "exit": code})
         worst = max(worst, code)
-        print(f"{name}: {'pass' if code == 0 else 'FAIL'}")
+        print(f"{config.name}: {'pass' if code == 0 else 'FAIL'}")
     os.makedirs(out_root, exist_ok=True)
     _write_json(os.path.join(out_root, "summary.json"),
                 {"runs": summary, "exit": worst})

@@ -513,7 +513,7 @@ class DoobReport:
     check: Verdict           # lhs against rhs with a 3-standard-error slack
 
 
-def doob_bound_check(model: Model, fixture: PastFixture, N: int, reps: int,
+def doob_bound_check(model: Model, fixture: PastFixture, n: int, reps: int,
                      stream: RandomStream) -> DoobReport:
     """Monte Carlo LHS vs exact RHS of the maximal inequality for S_k - E0(S_k).
 
@@ -523,22 +523,22 @@ def doob_bound_check(model: Model, fixture: PastFixture, N: int, reps: int,
     martingale under P_x.  Minkowski's inequality over i and then Doob's
     L^2 maximal inequality for each M^(i) give
 
-        || max_{k<=N} |S_k - E_x S_k| ||_2 <= 2 sum_{i<N} ||M^(i)_{N-i}||_2,
+        || max_{k<=n} |S_k - E_x S_k| ||_2 <= 2 sum_{i<n} ||M^(i)_{n-i}||_2,
 
     and ||M^(i)_t||_2^2 = c_t . u_i, with c_t = sum_{m<t} e_x P^m and
     u_i(a) = sum_b P(a, b) (v_i(b) - v_{i+1}(a))^2, the conditional variance
     of one increment (``models._increment_variance``).  The right side
-    takes exactly N terms; the left side is the root of the mean of the
+    takes exactly n terms; the left side is the root of the mean of the
     squared ``sup-abs`` functional.
     """
 
     if not isinstance(model, MarkovFunctionalModel):
-        raise ValueError("doob_bound_check supports Markov models only; its "
-                         "exact right side sums over the chain's states")
-    if N < 1 or reps < 2:
-        raise ValueError("need N >= 1 and reps >= 2")
+        raise ValueError("model must be a Markov model: the exact right side sums "
+                         "over the chain's states")
+    if n < 1 or reps < 2:
+        raise ValueError("need n >= 1 and reps >= 2")
     # rounding keeps x^2 monotone in |x|: the largest square is max |x| squared
-    [sup] = _replicate(model, [fixture], [stream], N, reps,
+    [sup] = _replicate(model, [fixture], [stream], n, reps,
                        partial(_functional_of, PathFunctional("sup-abs"), 1))
     maxima = sup ** 2
     mean = float(maxima.mean())
@@ -548,8 +548,8 @@ def doob_bound_check(model: Model, fixture: PastFixture, N: int, reps: int,
 
     P, rhs = model.transition, 0.0
     # row m of C is e_x P^m, and its cumsum's row t - 1 is c_t; term i
-    # pairs c_{N-i} with u_i, i = 0..N-1
-    C = _power_table(P.T, np.eye(model.n_states)[fixture.state], N, slice(None))
+    # pairs c_{n-i} with u_i, i = 0..n-1
+    C = _power_table(P.T, np.eye(model.n_states)[fixture.state], n, slice(None))
     for c, (v, v_next) in zip(np.cumsum(C, axis=0, out=C)[::-1],
                               pairwise(_powers(P, model.observable))):
         rhs += 2.0 * math.sqrt(c @ _increment_variance(P, v, v_next))

@@ -170,16 +170,16 @@ def _conditional_norm_E0(model: Model, n_max: int) -> np.ndarray:
     return out
 
 
-def mw_criterion(model: Model, N: int) -> SummabilityReport:
-    """Partial sums of |E0(f . theta^n)|_2 / sqrt(n) with a verdict."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    ns = np.arange(1, N + 1)
-    terms = _conditional_norm_E0(model, N) / np.sqrt(ns)
+def mw_criterion(model: Model, K: int) -> SummabilityReport:
+    """Partial sums of |E0(f . theta^n)|_2 / sqrt(n), n = 1..K, with a verdict."""
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    ns = np.arange(1, K + 1)
+    terms = _conditional_norm_E0(model, K) / np.sqrt(ns)
     if isinstance(model, LinearModel):
         bias = model.tail_bound * model.sigma_eps / np.sqrt(ns)
     else:
-        bias = np.zeros(N)
+        bias = np.zeros(K)
     return _summability(terms, bias)
 
 

@@ -95,7 +95,7 @@ def ks_one_sample(values, ref: Callable) -> tuple[float, float]:
     x = np.sort(np.asarray(values, dtype=float))
     m = x.size
     if m < 10:
-        raise ValueError("one-sample KS requires M >= 10")
+        raise ValueError("one-sample KS requires reps >= 10")
     f = np.asarray(ref(x), dtype=float)
     upper = np.arange(1, m + 1) / m - f
     lower = f - np.arange(0, m) / m

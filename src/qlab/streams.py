@@ -41,7 +41,7 @@ class RandomStream:
     def __init__(self, master_seed: int, path=()):
         master_seed = int(master_seed)
         if master_seed < 0:
-            raise ValueError("master_seed must be a nonnegative integer")
+            raise ValueError("seed must be a nonnegative integer")
         path = tuple(int(p) for p in path)
         if len(path) > MAX_PATH_LENGTH:
             raise ValueError(f"derivation path longer than {MAX_PATH_LENGTH}: {path}")

@@ -151,7 +151,7 @@ def test_run_all_rejects_bad_suite(tmp_path, capsys):
     suite.write_text(json.dumps({"runs": [{"experiment": "sigma2",
                                            "model": "x.json"}]}))
     assert main(["run-all", "--suite", str(suite), "--out", str(tmp_path / "o")]) == 3
-    assert "no seed" in capsys.readouterr().err
+    assert "suite run 'run-000': invalid config: seed is required" in capsys.readouterr().err
 
 
 def test_run_all_smoke_suite(tmp_path):
@@ -178,8 +178,24 @@ with open(_model("linear_rho05.json")) as _fh:
     _RHO05 = json.load(_fh)
 
 
-# bytes are written to a file as they are, any other non-string argument
-# to a JSON suite file, and the argument is replaced by the file's path
+def _resolve(args, tmp_path) -> list:
+    """``args`` with each model file name replaced by its path, and bytes or
+    any other non-string argument written to a file, as they are or as JSON,
+    and replaced by the file's path."""
+    def resolve(arg):
+        if isinstance(arg, bytes):
+            raw = tmp_path / "raw.json"
+            raw.write_bytes(arg)
+            return str(raw)
+        if not isinstance(arg, str):
+            suite = tmp_path / "suite.json"
+            suite.write_text(json.dumps(arg))
+            return str(suite)
+        return _model(arg) if arg.endswith(".json") else arg
+
+    return [resolve(a) for a in args]
+
+
 @pytest.mark.parametrize("args", [
     ["run-all", "--suite", {"seed": 1, "runs": [{**_RUN, "bogus": 1}]}],
     ["drift", "--model", "linear_identity.json", "--Ns", "1,x"],
@@ -240,27 +256,51 @@ with open(_model("linear_rho05.json")) as _fh:
         "model-coeff-string", "model-P-string", "model-g-bool", "model-tail-string",
         "model-variance-bool", "drift-Ns-4-fold", "drift-single-N",
         "strest-Ns-repeated", "drift-Ns-repeated", "strest-single-N", "mw-K-zero"])
-def test_invalid_input_exits_three_with_one_line(args, tmp_path):
-    def resolve(arg):
-        if isinstance(arg, bytes):
-            raw = tmp_path / "raw.json"
-            raw.write_bytes(arg)
-            return str(raw)
-        if not isinstance(arg, str):
-            suite = tmp_path / "suite.json"
-            suite.write_text(json.dumps(arg))
-            return str(suite)
-        return _model(arg) if arg.endswith(".json") else arg
+def test_invalid_input_exits_three_with_one_line(args, tmp_path, capsys):
+    # in-process: an exception that main lets through fails the test
+    code = main([*_resolve(args, tmp_path), "--seed", "1", "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("qlab: "), err
 
-    args = [resolve(a) for a in args]
+
+def test_module_entry_point_refuses_with_one_line(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
-    proc = subprocess.run([sys.executable, "-m", "qlab.cli", *args, "--seed", "1",
+    proc = subprocess.run([sys.executable, "-m", "qlab.cli", "mw", "--model",
+                           _model("markov_3state.json"), "--K", "0", "--seed", "1",
                            "--out", str(tmp_path / "o")],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 3, proc.stderr
-    assert "Traceback" not in proc.stderr
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("qlab: "), proc.stderr
+    assert proc.stderr == "qlab: experiment refused: K must be >= 1\n"
+
+
+# each refusal names the flag or suite key that was set, and a refusal
+# inside run-all names its run
+@pytest.mark.parametrize("args, line", [
+    (["run-all", "--suite", {"seed": 1, "runs": [{**_RUN, "name": "first"},
+                                                 {**_RUN, "name": "second", "n": "16"}]}],
+     "suite run 'second': invalid config: n must be of type int, got '16'"),
+    (["run-all", "--suite", {"seed": 1, "runs": [
+        {"name": "mw-K-zero", "experiment": "mw", "model": _model("markov_3state.json"),
+         "K": 0}]}],
+     "suite run 'mw-K-zero': experiment refused: K must be >= 1"),
+    (["mw", "--model", "markov_3state.json", "--K", "0"],
+     "experiment refused: K must be >= 1"),
+    (["doob", "--model", "markov_2state.json", "--n", "0", "--reps", "8",
+      "--fixtures", "1"], "experiment refused: need n >= 1 and reps >= 2"),
+    (["sigma2", "--model", "linear_rho05.json", "--seed", "-4"],
+     "experiment refused: seed must be a nonnegative integer"),
+    (["quenched-clt", "--model", "linear_rho05.json", "--n", "16", "--reps", "5",
+      "--fixtures", "1"], "experiment refused: one-sample KS requires reps >= 10"),
+    (["doob", "--model", "linear_rho05.json", "--n", "8", "--reps", "8", "--fixtures", "1"],
+     "experiment 'doob' requires a markov model"),
+], ids=["suite-second-run-n-string", "suite-mw-K-zero", "mw-K-zero", "doob-n-zero",
+        "negative-seed", "clt-tiny-reps", "doob-linear-model"])
+def test_refusal_names_the_run_and_the_flag(args, line, tmp_path, capsys):
+    code = main(["--seed", "1", *_resolve(args, tmp_path), "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert capsys.readouterr().err == f"qlab: {line}\n"
 
 
 _TOP = {"config", "config_digest", "model_digest", "reports", "seed", "seed_path",

@@ -437,7 +437,7 @@ def test_doob_two_state_chain_full(two_state_chain):
 
 def test_doob_rejects_linear_models(rho_model):
     fx = sample_fixture(rho_model, RandomStream(65, [3]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="model must be a Markov model"):
         doob_bound_check(rho_model, fx, 16, 100, RandomStream(65, [4]))
 
 

@@ -30,6 +30,7 @@ import glob
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -52,22 +53,28 @@ M2, M3 = "models/markov_2state.json", "models/markov_3state.json"
 # then per rule on a value that the library checks where the value is read,
 # then quenched-clt's endpoint rule, a markov-only experiment on a linear
 # model, and four that set a field the run does not read; a dict
-# stands for ``run-all`` on a suite file holding it
+# stands for ``run-all`` on a suite file holding it, whose model paths are
+# relative to the root of the checkout
 REFUSALS = [
     f"sigma2 --model {RHO05}",
     {"seed": 1, "runs": [{"experiment": "sigma2", "n": "16"}]},
+    {"seed": 1, "runs": [{"name": "first", "experiment": "sigma2", "model": RHO05},
+                         {"name": "second", "experiment": "sigma2", "model": RHO05,
+                          "n": "16"}]},
+    {"seed": 1, "runs": [{"name": "mw-K-zero", "experiment": "mw", "model": M3, "K": 0}]},
     f"frobnicate --model {RHO05} --seed 1",
     "sigma2 --seed 1",
     f"quenched-clt --model {RHO05} --fixtures 0 --seed 1",
     f"sigma2 --model {RHO05} --workers 0 --seed 1",
-    {"seed": 1, "runs": [{"experiment": "strest", "Ns": [4, 8.5]}]},
+    {"seed": 1, "runs": [{"experiment": "strest", "model": RHO05, "Ns": [4, 8.5]}]},
     f"strest --model {RHO05} --Ns 4,x --seed 1",
-    {"seed": 1, "runs": [{"experiment": "strest", "r": 2.5}]},
+    {"seed": 1, "runs": [{"experiment": "strest", "model": RHO05, "r": 2.5}]},
     f"strest --model {RHO05} --r x --seed 1",
     f"quenched-clt --model {RHO05} --n 0 --reps 20 --fixtures 1 --seed 1",
     f"identity --model {M2} --n 0 --fixtures 1 --seed 1",
     f"doob --model {M2} --n 0 --reps 8 --fixtures 1 --seed 1",
     f"quenched-clt --model {RHO05} --n 16 --reps 0 --fixtures 1 --seed 1",
+    f"quenched-clt --model {RHO05} --n 16 --reps 5 --fixtures 1 --seed 1",
     f"strest --model {RHO05} --Ns 4,8 --reps 1 --fixtures 1 --seed 1",
     f"doob --model {M2} --n 8 --reps 1 --fixtures 1 --seed 1",
     f"project-norms --model {M2} --K -1 --seed 1",
@@ -85,6 +92,7 @@ REFUSALS = [
     f"quenched-wip --model {RHO05} --functional supremum --d-threshold -1 --seed 1",
     f"quenched-clt --model {RHO05} --functional supremum --n 16 --reps 20 --fixtures 1 --seed 1",
     f"hopf --model {RHO05} --seed 1",
+    f"doob --model {RHO05} --n 8 --reps 8 --fixtures 1 --seed 1",
     f"sigma2 --model {RHO05} --Ns 256,256 --seed 1",
     f"hopf --model {M2} --n 0 --seed 1",
     f"quenched-clt --model {RHO05} --d-threshold 2 --n 16 --reps 20 --fixtures 1 --seed 1",
@@ -144,6 +152,8 @@ def _list_experiments(out: str) -> None:
 def _refusals(out: str) -> None:
     lines = []
     with tempfile.TemporaryDirectory() as scratch:
+        # the suite files are written here, so their model paths resolve here
+        shutil.copytree(os.path.join(ROOT, "models"), os.path.join(scratch, "models"))
         for index, entry in enumerate(REFUSALS):
             if isinstance(entry, dict):
                 suite = os.path.join(scratch, "suite.json")
