@@ -68,12 +68,13 @@ class RunConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if type(value) not in _FIELD_TYPES[f.type]:
-                raise CLIError(f"invalid config: {f.name} must be of type {f.type}, "
-                               f"got {value!r}")
+                # model_path is set by --model, or a suite entry's "model"
+                raise CLIError(f"invalid config: {f.name.removesuffix('_path')} must be "
+                               f"of type {f.type}, got {value!r}")
         if self.experiment not in EXPERIMENTS:
             raise CLIError(f"unknown experiment name: {self.experiment!r}")
         if not self.model_path:
-            raise CLIError("invalid config: missing --model")
+            raise CLIError("invalid config: missing --model (a suite entry's \"model\")")
         if min(self.fixtures, self.workers) < 1:
             raise CLIError("invalid config: fixtures and workers must be >= 1")
         if any(type(v) is not int for v in self.Ns):
@@ -132,11 +133,6 @@ def load_model(path: str):
         raise CLIError(f"model file {path!r} failed validation: {exc}") from exc
 
 
-def _require_markov(model, experiment: str):
-    if not isinstance(model, MarkovFunctionalModel):
-        raise CLIError(f"experiment {experiment!r} requires a markov model")
-
-
 # --- output helpers -------------------------------------------------------
 
 def _write_json(path: str, payload: dict):
@@ -162,18 +158,18 @@ def _series_file(first: int, norms, bias) -> list:
 # each returns the report's payload, the Verdicts that decide the run and
 # the CSV files to write, as (file name, header, rows)
 
-def _sampled_fixtures(model, base, count):
-    return [sample_fixture(model, base.child(0, i)) for i in range(count)]
+def _sampled_fixtures(model, base, count) -> list:
+    """(fixture, run stream) pairs: fixture i is drawn from the child (0, i)
+    of ``base`` and run from its child (1, i)."""
+    return [(sample_fixture(model, base.child(0, i)), base.child(1, i)) for i in range(count)]
 
 
 def _run_wip(config: RunConfig, model, base):
-    functional = PathFunctional(config.functional)
-    fixtures = _sampled_fixtures(model, base, config.fixtures)
+    fixtures, streams = zip(*_sampled_fixtures(model, base, config.fixtures))
     first_sample = {}
-    reports = quenched_wip_experiment(model, fixtures, functional, config.n, config.reps,
-                                      [base.child(1, i) for i in range(len(fixtures))],
-                                      alpha=config.alpha, d_threshold=config.d_threshold,
-                                      sample_sink=first_sample)
+    reports = quenched_wip_experiment(model, fixtures, PathFunctional(config.functional),
+                                      config.n, config.reps, streams, alpha=config.alpha,
+                                      d_threshold=config.d_threshold, sample_sink=first_sample)
     failed = sum(not report.check.ok for report in reports) / len(reports)
     check = Verdict.at_most(f"failed fraction <= {FAIL_FRACTION}", failed, FAIL_FRACTION)
     payload = {"reports": [{**asdict(report), "experiment": config.experiment}
@@ -196,16 +192,15 @@ def _run_clt(config: RunConfig, model, base):
 
 
 def _run_strest(config: RunConfig, model, base):
-    fixtures = _sampled_fixtures(model, base, config.fixtures)
-    reports = [strest_experiment(model, fixture, config.r, config.Ns, config.reps,
-                                 base.child(1, i)) for i, fixture in enumerate(fixtures)]
+    reports = [strest_experiment(model, fixture, config.r, config.Ns, config.reps, stream)
+               for fixture, stream in _sampled_fixtures(model, base, config.fixtures)]
     return ({"reports": [{**asdict(report), "experiment": config.experiment,
                           "r": config.describe()["r"]} for report in reports]},
             [report.check for report in reports], [])
 
 
 def _run_drift(config: RunConfig, model, base):
-    fixtures = _sampled_fixtures(model, base, config.fixtures)
+    fixtures = [fixture for fixture, _ in _sampled_fixtures(model, base, config.fixtures)]
     report = uncentered_drift_check(model, fixtures, config.Ns)
     payload = {"Ns": report.Ns,
                "ratios": [[float(v) for v in row] for row in report.table],
@@ -215,15 +210,13 @@ def _run_drift(config: RunConfig, model, base):
 
 def _per_fixture(config: RunConfig, model, base, check, *args):
     fixtures = _sampled_fixtures(model, base, config.fixtures)
-    reports = [check(model, fixture, *args, base.child(1, i))
-               for i, fixture in enumerate(fixtures)]
+    reports = [check(model, fixture, *args, stream) for fixture, stream in fixtures]
     return ({"reports": [{"fixture": fixture.describe(), **asdict(report)}
-                         for fixture, report in zip(fixtures, reports)]},
+                         for (fixture, _), report in zip(fixtures, reports)]},
             [report.check for report in reports], [])
 
 
 def _run_doob(config: RunConfig, model, base):
-    _require_markov(model, config.experiment)
     return _per_fixture(config, model, base, doob_bound_check, config.n, config.reps)
 
 
@@ -249,7 +242,7 @@ def _run_mw(config: RunConfig, model, base):
     rep = mw_criterion(model, config.K)
     block = {"partial_sum": float(rep.partial_sums[-1]), "verdict": rep.verdict,
              "check": asdict(rep.check)}
-    return {"reports": [block]}, [rep.check], _series_file(1, rep.terms, np.zeros_like(rep.terms))
+    return {"reports": [block]}, [rep.check], _series_file(1, rep.terms, rep.bias)
 
 
 def _run_sigma2(config: RunConfig, model, base):
@@ -259,7 +252,6 @@ def _run_sigma2(config: RunConfig, model, base):
 
 
 def _run_markov_check(config: RunConfig, model, base):
-    _require_markov(model, config.experiment)
     S = model.n_states
     rng = base.child(0)
     funcs = [rng.normal(S) for _ in range(100)]
@@ -274,7 +266,6 @@ def _run_markov_check(config: RunConfig, model, base):
 
 
 def _run_hopf(config: RunConfig, model, base):
-    _require_markov(model, config.experiment)
     N = 1000
     rng = base.child(0)
     functions = [np.abs(model.observable), *(rng.normal(model.n_states) for _ in range(20))]
@@ -284,38 +275,44 @@ def _run_hopf(config: RunConfig, model, base):
 
 
 def _run_weak_l2(config: RunConfig, model, base):
-    _require_markov(model, config.experiment)
     value = weak_l2_tail(model.observable, model.stationary)
     return {"reports": [{"weak_l2_tail": value, "verdict": "computed"}]}, [], []
 
 
+# name: (description, runner, whether it needs a markov model)
 EXPERIMENTS = {
-    "quenched-clt": ("KS of the centered endpoint law against its normal limit", _run_clt),
-    "quenched-wip": ("KS of a path functional against its Brownian limit", _run_wip),
-    "strest": ("decay of the maximal squared martingale-approximation error", _run_strest),
-    "drift": ("exact vanishing check of the conditional drift over sqrt(N)", _run_drift),
-    "doob": ("Monte Carlo maximum of the centered sum vs its exact Doob bound (markov)",
-             _run_doob),
-    "identity": ("pathwise check of the centered-sum decomposition", _run_identity),
-    "project-norms": ("closed-form projection norms as CSV", _run_project_norms),
-    "hannan": ("projection-norm summability verdict", _run_hannan),
-    "mw": ("summability of conditional norms over sqrt(n)", _run_mw),
-    "sigma2": ("long-run variance from the martingale increment", _run_sigma2),
-    "markov-check": ("operator contraction, duality and Markov property (markov)",
-                     _run_markov_check),
-    "hopf": ("maximal-function level inequality in exact arithmetic (markov)", _run_hopf),
-    "weak-l2": ("weak-L2 tail functional of the observable (markov)", _run_weak_l2),
+    "quenched-clt": ("KS of the centered endpoint law against its normal limit", _run_clt,
+                     False),
+    "quenched-wip": ("KS of a path functional against its Brownian limit", _run_wip, False),
+    "strest": ("decay of the maximal squared martingale-approximation error", _run_strest,
+               False),
+    "drift": ("exact vanishing check of the conditional drift over sqrt(N)", _run_drift,
+              False),
+    "doob": ("Monte Carlo maximum of the centered sum vs its exact Doob bound", _run_doob,
+             True),
+    "identity": ("pathwise check of the centered-sum decomposition", _run_identity, False),
+    "project-norms": ("closed-form projection norms as CSV", _run_project_norms, False),
+    "hannan": ("projection-norm summability verdict", _run_hannan, False),
+    "mw": ("summability of conditional norms over sqrt(n)", _run_mw, False),
+    "sigma2": ("long-run variance from the martingale increment", _run_sigma2, False),
+    "markov-check": ("operator contraction, duality and Markov property", _run_markov_check,
+                     True),
+    "hopf": ("maximal-function level inequality in exact arithmetic", _run_hopf, True),
+    "weak-l2": ("weak-L2 tail functional of the observable", _run_weak_l2, True),
 }
 
 
 def list_experiments() -> list[tuple[str, str]]:
-    return [(name, desc) for name, (desc, _) in EXPERIMENTS.items()]
+    return [(name, desc + " (markov)" * markov)
+            for name, (desc, _, markov) in EXPERIMENTS.items()]
 
 
 def run(config: RunConfig, base_path=()) -> int:
     """Execute one configured experiment, writing artifacts to config.out."""
     model = load_model(config.model_path)
-    _, runner = EXPERIMENTS[config.experiment]
+    _, runner, markov = EXPERIMENTS[config.experiment]
+    if markov and not isinstance(model, MarkovFunctionalModel):
+        raise CLIError(f"experiment {config.experiment!r} requires a markov model")
     try:
         base = RandomStream(config.seed, base_path)
         with worker_pool(config.workers):
@@ -354,7 +351,8 @@ def run_suite(suite_path: str, out_root: str, workers: int = 1) -> int:
     if not isinstance(runs, list) or not runs:
         raise CLIError(f"suite file {suite_path!r} has no runs")
     base_dir = os.path.dirname(os.path.abspath(suite_path))
-    summary, worst = [], 0
+    # every entry is checked before the first run
+    configs = []
     for index, entry in enumerate(runs):
         if not isinstance(entry, dict):
             raise CLIError(f"suite run {index}: expected an object, got {entry!r}")
@@ -365,12 +363,18 @@ def run_suite(suite_path: str, out_root: str, workers: int = 1) -> int:
             if unknown:
                 raise CLIError(f"unknown keys {unknown}")
             config = RunConfig(model_path=settings.pop("model"), workers=workers, **settings)
-            # the paths join once RunConfig has checked that they are strings
-            config.model_path = os.path.join(base_dir, config.model_path)
-            config.out = os.path.join(out_root, config.name)
-            code = run(config, base_path=(index,))
         except CLIError as exc:
             raise CLIError(f"suite run {settings['name']!r}: {exc}") from exc
+        # the paths join once RunConfig has checked that they are strings
+        config.model_path = os.path.join(base_dir, config.model_path)
+        config.out = os.path.join(out_root, config.name)
+        configs.append(config)
+    summary, worst = [], 0
+    for index, config in enumerate(configs):
+        try:
+            code = run(config, base_path=(index,))
+        except CLIError as exc:
+            raise CLIError(f"suite run {config.name!r}: {exc}") from exc
         summary.append({"name": config.name, "experiment": config.experiment, "exit": code})
         worst = max(worst, code)
         print(f"{config.name}: {'pass' if code == 0 else 'FAIL'}")

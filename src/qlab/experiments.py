@@ -69,9 +69,8 @@ def digest_of(payload) -> str:
 
 @dataclass
 class ExperimentReport:
-    """One experiment's audit record."""
+    """One fixture's audit record of a quenched WIP run."""
 
-    experiment: str
     statistic: str
     model_digest: str
     fixture_digest: str
@@ -340,46 +339,40 @@ def quenched_wip_experiment(model: Model, fixtures: Sequence[PastFixture],
     reference CDF for plotting dumps.
     """
 
-    if functional.kind in EXTREMA and not 0 < d_threshold <= 1:
+    extremum = functional.kind in EXTREMA
+    if extremum and not 0 < d_threshold <= 1:
         raise ValueError("d_threshold must lie in (0, 1]")
-    if functional.kind not in EXTREMA and not 0 < alpha < 1:
+    if not extremum and not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
     sigma2 = sigma_squared(model)
     samples = sample_path_functional(model, fixtures, functional, n, reps, streams)
-    return [_wip_report(model, fx, functional, n, reps, st, values, sigma2,
-                        alpha, d_threshold, sample_sink if i == 0 else None)
-            for i, (fx, st, values) in enumerate(zip(fixtures, streams, samples))]
-
-
-def _wip_report(model: Model, fixture: PastFixture, functional: PathFunctional,
-                n: int, reps: int, stream: RandomStream, values: np.ndarray,
-                sigma2: float, alpha: float, d_threshold: float,
-                sample_sink: Optional[dict]) -> ExperimentReport:
-    """One fixture's report of ``quenched_wip_experiment``."""
-    base = dict(experiment="quenched-wip", statistic=functional.kind,
-                model_digest=digest_of(model), fixture_digest=digest_of(fixture),
-                n=n, reps=reps, seed_path=_seed_path(stream),
-                estimate=float(values.mean()),
-                std_error=float(values.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0)
-    # no KS test is run against a degenerate limit, the point mass at 0
+    # no KS test is run against a degenerate limit, the point mass at 0; the
+    # law is chosen after sampling has refused n < 1: the time integral's law divides by n
     degenerate = Verdict.at_most(f"degenerate: sigma2 <= {DEGENERATE_VARIANCE:g}", sigma2,
                                  DEGENERATE_VARIANCE)
     ref_kind, ref = (("point-mass", lambda t: np.where(np.asarray(t) >= 0, 1.0, 0.0))
                      if degenerate.ok else _limit_law(functional.kind, sigma2, n))
     if sample_sink is not None:
-        sample_sink.update(values=values, ref_cdf=ref)
-    if degenerate.ok:
-        return ExperimentReport(**base, test_statistic=None, p_value=None,
-                                verdict="degenerate", check=degenerate,
-                                details={"sigma2": sigma2,
-                                         "max_abs_value": float(np.max(np.abs(values)))})
-    d, p = ks_one_sample(values, ref)
-    check = (Verdict.at_most(f"D<={d_threshold}", d, d_threshold) if functional.kind in EXTREMA
-             else Verdict.above(f"p>{alpha}", p, alpha))
-    return ExperimentReport(**base, test_statistic=float(d), p_value=float(p),
-                            verdict="pass" if check.ok else "fail", check=check,
-                            details={"sigma2": sigma2, "alpha": alpha,
-                                     "reference": ref_kind})
+        sample_sink.update(values=samples[0], ref_cdf=ref)
+    reports = []
+    for fixture, stream, values in zip(fixtures, streams, samples):
+        if degenerate.ok:
+            d = p = None
+            check, verdict = degenerate, "degenerate"
+            details = {"sigma2": sigma2, "max_abs_value": float(np.max(np.abs(values)))}
+        else:
+            d, p = ks_one_sample(values, ref)
+            check = (Verdict.at_most(f"D<={d_threshold}", d, d_threshold) if extremum
+                     else Verdict.above(f"p>{alpha}", p, alpha))
+            verdict = "pass" if check.ok else "fail"
+            details = {"sigma2": sigma2, "alpha": alpha, "reference": ref_kind}
+        reports.append(ExperimentReport(
+            statistic=functional.kind, model_digest=digest_of(model),
+            fixture_digest=digest_of(fixture), n=n, reps=reps, seed_path=_seed_path(stream),
+            estimate=float(values.mean()),
+            std_error=float(values.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0,
+            test_statistic=d, p_value=p, verdict=verdict, check=check, details=details))
+    return reports
 
 
 # --- martingale approximation rate ---------------------------------------

@@ -85,6 +85,7 @@ def projection_norms(model: Model, K: int) -> ProjectionSeries:
 @dataclass
 class SummabilityReport:
     terms: np.ndarray
+    bias: np.ndarray         # each term's declared bias bound
     partial_sums: np.ndarray
     tail_fit: str            # "geometric" | "polynomial" | "none"
     verdict: str             # "summable" | "diverging" | "inconclusive"
@@ -116,7 +117,7 @@ def _summability(values: np.ndarray, bias: np.ndarray) -> SummabilityReport:
     "summable" under TAIL_FRACTION of the sum, "diverging" if its decay check
     fails.  Every other check passes: a slow chain's norms may not settle by K."""
     sums = np.cumsum(values)
-    report = partial(SummabilityReport, values, sums)
+    report = partial(SummabilityReport, values, bias, sums)
     K = values.size - 1
     total = float(sums[-1])
     # entries at the rounding floor cannot carry decay information

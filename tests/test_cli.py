@@ -23,10 +23,16 @@ def test_registry_names_and_size():
     assert len(names) >= 10
 
 
+_MARKOV_ONLY = ["doob", "markov-check", "hopf", "weak-l2"]
+
+
 def test_list_command(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
     assert "quenched-clt" in out and "markov-check" in out
+    # the registry marks exactly the markov-only experiments
+    marked = [line.split(":")[0] for line in out.splitlines() if line.endswith(" (markov)")]
+    assert marked == _MARKOV_ONLY
 
 
 def test_malformed_model_json(tmp_path, capsys):
@@ -88,10 +94,14 @@ def test_summability_refusal_is_invalid_input(tmp_path, capsys):
 
 
 def test_markov_only_command_on_linear_model(tmp_path, capsys):
-    code = main(["hopf", "--model", _model("linear_rho05.json"), "--seed", "1",
-                 "--out", str(tmp_path / "o")])
-    assert code == 3
-    assert "requires a markov model" in capsys.readouterr().err
+    # one case per experiment that the registry marks markov-only
+    for name in _MARKOV_ONLY:
+        out = tmp_path / name
+        code = main([name, "--model", _model("linear_rho05.json"), "--seed", "1",
+                     "--out", str(out)])
+        assert code == 3, name
+        assert capsys.readouterr().err == f"qlab: experiment {name!r} requires a markov model\n"
+        assert not out.exists(), name
 
 
 def test_identity_strest_run(tmp_path):
@@ -130,6 +140,20 @@ def test_sampling_run_writes_all_artifacts(tmp_path):
     assert cdf[0] == "x,ecdf,ref_cdf"
     report = json.loads((out / "report.json").read_text())
     assert report["reports"][0]["seed_path"] == [3, 1, 0]
+
+
+def test_mw_series_writes_the_bias_that_decided_it(tmp_path):
+    # a linear model's mw terms carry the bias tail_bound * sigma_eps / sqrt(k)
+    out = tmp_path / "mw"
+    assert main(["mw", "--model", _model("linear_rho05.json"), "--seed", "1",
+                 "--K", "50", "--out", str(out)]) == 0
+    lines = (out / "series.csv").read_text().splitlines()
+    assert lines[0] == "k,norm,bias" and len(lines) == 51
+    sigma_eps = math.sqrt(_RHO05["innovation"]["variance"])
+    for line in lines[1:]:
+        k, _, bias = line.split(",")
+        assert float(bias) == pytest.approx(_RHO05["tail_bound"] * sigma_eps / math.sqrt(int(k)),
+                                            rel=1e-12, abs=0)
 
 
 def test_series_commands_write_csv(tmp_path):
@@ -295,12 +319,20 @@ def test_module_entry_point_refuses_with_one_line(tmp_path):
       "--fixtures", "1"], "experiment refused: one-sample KS requires reps >= 10"),
     (["doob", "--model", "linear_rho05.json", "--n", "8", "--reps", "8", "--fixtures", "1"],
      "experiment 'doob' requires a markov model"),
+    (["run-all", "--suite", {"seed": 1, "runs": [{"experiment": "sigma2", "model": 5}]}],
+     "suite run 'run-000': invalid config: model must be of type str, got 5"),
+    (["run-all", "--suite", {"seed": 1, "runs": [{"experiment": "sigma2"}]}],
+     "suite run 'run-000': invalid config: missing --model (a suite entry's \"model\")"),
 ], ids=["suite-second-run-n-string", "suite-mw-K-zero", "mw-K-zero", "doob-n-zero",
-        "negative-seed", "clt-tiny-reps", "doob-linear-model"])
+        "negative-seed", "clt-tiny-reps", "doob-linear-model", "suite-model-int",
+        "suite-model-missing"])
 def test_refusal_names_the_run_and_the_flag(args, line, tmp_path, capsys):
     code = main(["--seed", "1", *_resolve(args, tmp_path), "--out", str(tmp_path / "o")])
     assert code == 3
-    assert capsys.readouterr().err == f"qlab: {line}\n"
+    # a suite is checked whole before its first run: a refusal leaves no run
+    # line and no --out tree
+    assert capsys.readouterr() == ("", f"qlab: {line}\n")
+    assert not (tmp_path / "o").exists()
 
 
 _TOP = {"config", "config_digest", "model_digest", "reports", "seed", "seed_path",

@@ -38,9 +38,9 @@ def zero_chain():
 
 def test_report_field_invariants():
     with pytest.raises(ValueError):
-        ExperimentReport("e", "s", "m", None, 1, 1, [0], 0.0, -1.0, None, None, "pass", PASS)
+        ExperimentReport("s", "m", None, 1, 1, [0], 0.0, -1.0, None, None, "pass", PASS)
     with pytest.raises(ValueError):
-        ExperimentReport("e", "s", "m", None, 1, 1, [0], 0.0, 0.0, 0.1, 1.5, "pass", PASS)
+        ExperimentReport("s", "m", None, 1, 1, [0], 0.0, 0.0, 0.1, 1.5, "pass", PASS)
 
 
 # --- CLT and WIP --------------------------------------------------------------

@@ -58,6 +58,7 @@ M2, M3 = "models/markov_2state.json", "models/markov_3state.json"
 REFUSALS = [
     f"sigma2 --model {RHO05}",
     {"seed": 1, "runs": [{"experiment": "sigma2", "n": "16"}]},
+    {"seed": 1, "runs": [{"experiment": "sigma2", "model": 5}]},
     {"seed": 1, "runs": [{"name": "first", "experiment": "sigma2", "model": RHO05},
                          {"name": "second", "experiment": "sigma2", "model": RHO05,
                           "n": "16"}]},
