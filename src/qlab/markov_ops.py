@@ -4,7 +4,10 @@ On a finite ergodic chain the conditional-expectation operator of the
 next step is just the transition matrix, so positivity, the L1/Linf
 contraction property, the Hopf maximal inequality, the weak-L2 tail
 functional and the Markov-property identity can all be checked in exact
-matrix arithmetic rather than statistically.
+matrix arithmetic rather than statistically.  Cesaro averages and maximal
+functions come from one streamed pass that steps a stack of functions
+together, so the functions of a ``hopf`` run share one pass, and the Hopf
+check compares the supremum sup_x x pi(h* > x) with |h|_1.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from .models import _ATOL, MarkovFunctionalModel, _power_table
+from .models import _ATOL, MarkovFunctionalModel, _powers
 from .stats import Verdict
 
 
@@ -63,38 +66,32 @@ class MaximalFunction:
     base: np.ndarray
 
 
-def _cesaro_means(model: MarkovFunctionalModel, h: np.ndarray, N: int) -> np.ndarray:
-    """Rows n = 1..N of (1/n) sum_{i<n} Q^i h, by iterated application."""
+def _cesaro_pass(model: MarkovFunctionalModel, H: np.ndarray,
+                 N: int) -> tuple[np.ndarray, np.ndarray]:
+    """(1/N) sum_{i<N} Q^i H and, entry by entry, the largest of the means
+    (1/n) sum_{i<n} Q^i H over n = 1..N, for one function H of shape (S,)
+    or the columns of an (S, F) stack, stepped together by one P @ H per
+    power; only the running sum, mean and maximum are kept."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    sums = _power_table(model.transition, h, N, slice(None))
-    return np.cumsum(sums, axis=0, out=sums) / np.arange(1, N + 1)[:, None]
+    shape = np.shape(H)
+    total, mean, best = np.zeros(shape), np.empty(shape), np.full(shape, -np.inf)
+    for n, power in zip(range(1, N + 1), _powers(model.transition, H)):
+        total += power
+        np.maximum(best, np.divide(total, n, out=mean), out=best)
+    return mean, best
 
 
 def maximal_function(model: MarkovFunctionalModel, h, N: int) -> MaximalFunction:
     """Compute max_{1<=n<=N} (1/n) sum_{i<n} Q^i |h|."""
     h = np.asarray(h, dtype=float)
-    return MaximalFunction(values=_cesaro_means(model, np.abs(h), N).max(axis=0), base=h)
+    return MaximalFunction(values=_cesaro_pass(model, np.abs(h), N)[1], base=h)
 
 
-def hopf_check(model: MarkovFunctionalModel, maximal: MaximalFunction) -> Verdict:
-    """Check x * pi(h* > x) <= |h|_1 at every attained level x of h*: the
-    statistic is the largest product, the threshold |h|_1 plus the tolerance."""
-    pi = model.stationary
-    products = [lvl * float(pi[maximal.values > lvl].sum())
-                for lvl in np.unique(maximal.values)]
-    return Verdict.at_most(f"max x pi(h* > x) <= |h|_1 + {_ATOL:g}", max(products),
-                           _l1_norm(model, maximal.base) + _ATOL)
-
-
-def weak_l2_tail(values, weights) -> float:
-    """sup_lambda lambda^2 mu(|h| >= lambda) over the attained levels.
-
-    ``values`` is a state function with ``weights`` = pi, or a Monte Carlo
-    sample with weights 1/n.  The supremum over all lambda is attained at
-    one of the levels because the tail measure is constant between them.
-    """
-
+def _weak_tail(values, weights, power: int) -> float:
+    """sup_x x^power mu(|h| > x), which is max_l l^power mu(|h| >= l) over the
+    attained levels l, its limit from below each level: one sorted cumulative
+    sum of the weights, continuous in the values even where they tie."""
     v = np.abs(np.asarray(values, dtype=float))
     if v.size == 0:
         raise ValueError("need a nonempty input")
@@ -103,7 +100,22 @@ def weak_l2_tail(values, weights) -> float:
     v_sorted = v[order]
     # tail weight at level v_sorted[i] is the total weight of entries >= it
     tail = np.cumsum(w[order][::-1])[::-1]
-    return float(np.max(v_sorted**2 * tail))
+    return float(np.max(v_sorted**power * tail))
+
+
+def hopf_check(model: MarkovFunctionalModel, maximal: MaximalFunction) -> Verdict:
+    """Check sup_x x pi(h* > x) <= |h|_1: the statistic is that supremum,
+    max_l l pi(h* >= l) over the levels of h*, the threshold |h|_1 plus the
+    tolerance."""
+    return Verdict.at_most(f"max x pi(h* > x) <= |h|_1 + {_ATOL:g}",
+                           _weak_tail(maximal.values, model.stationary, 1),
+                           _l1_norm(model, maximal.base) + _ATOL)
+
+
+def weak_l2_tail(values, weights) -> float:
+    """sup_lambda lambda^2 mu(|h| > lambda), for a state function with
+    ``weights`` = pi or a Monte Carlo sample with weights 1/n."""
+    return _weak_tail(values, weights, 2)
 
 
 def _path_weights(model: MarkovFunctionalModel, length: int):
@@ -173,4 +185,4 @@ def poisson_solve(model: MarkovFunctionalModel) -> np.ndarray:
 
 def cesaro_average(model: MarkovFunctionalModel, h, n: int) -> np.ndarray:
     """(1/n) sum_{i<n} Q^i h."""
-    return _cesaro_means(model, np.asarray(h, dtype=float), n)[-1]
+    return _cesaro_pass(model, np.asarray(h, dtype=float), n)[0]

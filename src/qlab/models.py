@@ -302,8 +302,12 @@ def _power_table(A: np.ndarray, v: np.ndarray, rows: int, cols) -> np.ndarray:
 
 def _increment_variance(P: np.ndarray, u: np.ndarray, pu: np.ndarray) -> np.ndarray:
     """sum_b P(a, b) (u(b) - pu(a))^2 per state a: with pu = P u, the variance of
-    u(W_1) - pu(W_0) given W_0 = a, as a sum of squares that cannot go negative."""
-    return (P * (u[None, :] - pu[:, None]) ** 2).sum(axis=1)
+    u(W_1) - pu(W_0) given W_0 = a, as a sum of squares that cannot go negative.
+    Rows of (r, S) arrays u and pu give one row of variances each."""
+    terms = u[..., None, :] - pu[..., :, None]
+    terms *= terms
+    terms *= P
+    return terms.sum(axis=-1)
 
 
 def sample_fixture(model: Model, stream: RandomStream) -> PastFixture:

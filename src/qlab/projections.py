@@ -23,14 +23,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice, pairwise
+from itertools import islice
 from typing import Optional
 
 import numpy as np
 
 from .markov_ops import poisson_solve
-from .models import (LinearModel, Model, Realization, _increment_variance,
-                     _powers)
+from .models import (LinearModel, MarkovFunctionalModel, Model, Realization,
+                     _increment_variance, _powers)
 from .stats import Verdict
 
 SUMMABLE = "summable"
@@ -63,6 +63,19 @@ class ProjectionSeries:
             raise ValueError("norms and bias must be nonnegative")
 
 
+def _power_blocks(model: MarkovFunctionalModel, terms: int):
+    """Yield (k, V) along one sequential pass of the re-centered powers
+    v_j = P^j (g - pi(g)): V holds v_k..v_{k+r} with k + r <= ``terms`` and
+    starts at the row the block before ended on.  A block takes r <= 2^15 /
+    S^2 terms, so that its (r, S, S) increment temporary stays under 256 KB."""
+    P, pi, g = model.transition, model.stationary, model.observable
+    powers = _powers(P, g - float(pi @ g), pi)
+    rows, V = max(1, 2**15 // g.size**2), [next(powers)]
+    for k in range(0, terms, rows):
+        V = np.array([V[-1], *islice(powers, min(rows, terms - k))])
+        yield k, V
+
+
 def projection_norms(model: Model, K: int) -> ProjectionSeries:
     """Exact closed-form norms of P_0(f . theta^k) for k = 0..K."""
     if K < 0:
@@ -76,10 +89,11 @@ def projection_norms(model: Model, K: int) -> ProjectionSeries:
         if K > J:
             bias[J + 1 :] = model.tail_bound * model.sigma_eps
         return ProjectionSeries(norms=norms, bias=bias)
-    P, pi, g = model.transition, model.stationary, model.observable
-    powers = islice(pairwise(_powers(P, g - float(pi @ g), pi)), K + 1)
-    norms = [math.sqrt(pi @ _increment_variance(P, v, v_next)) for v, v_next in powers]
-    return ProjectionSeries(norms=np.array(norms), bias=np.zeros(K + 1))
+    norms = np.empty(K + 1)
+    for k, V in _power_blocks(model, K + 1):
+        variances = _increment_variance(model.transition, V[:-1], V[1:])
+        norms[k : k + len(V) - 1] = np.sqrt(variances @ model.stationary)
+    return ProjectionSeries(norms=norms, bias=np.zeros(K + 1))
 
 
 @dataclass
@@ -164,10 +178,9 @@ def _conditional_norm_E0(model: Model, n_max: int) -> np.ndarray:
         upto = min(n_max, model.horizon)
         out[:upto] = model.sigma_eps * np.sqrt(suffix[1 : upto + 1])
         return out
-    P, pi, g = model.transition, model.stationary, model.observable
-    out = np.zeros(n_max)
-    for n, v in enumerate(islice(_powers(P, g - float(pi @ g), pi), 1, n_max + 1)):
-        out[n] = np.sqrt(float(pi @ v**2))
+    out = np.empty(n_max)
+    for k, V in _power_blocks(model, n_max):
+        out[k : k + len(V) - 1] = np.sqrt(V[1:] ** 2 @ model.stationary)
     return out
 
 

@@ -50,3 +50,21 @@ def test_changed_keys_are_listed_and_shared_values_still_compared(tmp_path, caps
     assert "run/report.json: CHANGED /: keys added ['check'], removed ['holds']" in out
     assert "run/report.json: CHANGED /verdict: 'pass' -> 'fail'" in out
     assert "run/report.json: max rel 2.22e-16" in out
+
+
+def test_largest_change_names_its_key_path_and_csv_cell(tmp_path, capsys):
+    # the second report's statistic moves most in the JSON file, and row 2's
+    # norm (the header is row 0) most in the CSV file; smaller moves elsewhere
+    # must not take the location
+    report = {"reports": [{"check": {"statistic": 1.0, "margin": 2.0}},
+                          {"check": {"statistic": 3.0, "margin": 4.0}}]}
+    moved = {"reports": [{"check": {"statistic": 1.0, "margin": 2.0 + 2**-51}},
+                         {"check": {"statistic": 3.0 + 2**-48, "margin": 4.0}}]}
+    old = _tree(tmp_path / "old", report, [1.0, 2.0, 4e-17])
+    new = _tree(tmp_path / "new", moved, [1.0 + 2**-52, 2.0 + 2**-48, 5e-17])
+    assert compare_snapshots.main(["compare", old, new]) == 0
+    out = capsys.readouterr().out
+    assert ("run/report.json: max rel 1.18e-15 at /reports[1]/check/statistic "
+            "(|x| > 1e-15), max abs 0.00e+00 (|x| <= 1e-15)") in out
+    assert ("run/series.csv: max rel 1.78e-15 at [2][1] (|x| > 1e-15), "
+            "max abs 1.00e-17 at [3][1] (|x| <= 1e-15)") in out

@@ -8,7 +8,12 @@ from qlab import (MarkovFunctionalModel, PastFixture, RandomStream,
                   sample_quenched_paths, sigma_squared, verify_dunford_schwartz,
                   verify_markov_property, weak_l2_tail)
 
+from qlab import cli, markov_ops
+from qlab.markov_ops import MaximalFunction
+
 from conftest import centered_chain
+from test_experiments import _lazy_cycle
+from test_power_sequence import _dense_64_state
 
 
 def _random_chain(n_states: int, seed: int) -> MarkovFunctionalModel:
@@ -120,6 +125,111 @@ def test_hopf_many_random_functions(three_state_chain):
     for i in range(20):
         mf = maximal_function(three_state_chain, base.child(i).normal(3) * 3, 200)
         assert hopf_check(three_state_chain, mf).ok
+
+
+# --- the streamed Cesaro pass and hopf's statistic ------------------------------
+
+def _stack(chain) -> np.ndarray:
+    """|g| and 20 seeded normal functions, the columns of one (S, 21) stack."""
+    rng = RandomStream(7010, [])
+    return np.column_stack([np.abs(chain.observable),
+                            *(rng.child(j).normal(chain.n_states) for j in range(20))])
+
+
+def check_streamed_pass(chain, N: int, rel: float):
+    """Each column of the pass on the stack against a per-function loop that
+    shares no code with it: Q^i h by repeated P @ h, with its own running
+    sum and running maximum of the means; ``rel`` is relative to the
+    column's largest entry."""
+    H = _stack(chain)
+    mean, best = markov_ops._cesaro_pass(chain, H, N)
+    for j in range(H.shape[1]):
+        power, total, top = H[:, j], np.zeros(chain.n_states), np.full(chain.n_states, -np.inf)
+        for n in range(1, N + 1):
+            total = total + power
+            top = np.maximum(top, total / n)
+            power = chain.transition @ power
+        assert np.max(np.abs(mean[:, j] - total / N)) <= rel * np.max(np.abs(total / N))
+        assert np.max(np.abs(best[:, j] - top)) <= rel * np.max(np.abs(top))
+
+
+@pytest.mark.parametrize("which, rel", [
+    # measured at N = 1000: 1.2e-14, 4.8e-16 and 2.7e-15 relative, each on
+    # the last mean; each bound is about 8 times its chain's gap
+    ("two", 1e-13), ("three", 4e-15), ("dense-64", 2e-14)])
+def test_streamed_pass_against_per_function_loops(which, rel, two_state_chain,
+                                                  three_state_chain):
+    chain = {"two": lambda: two_state_chain, "three": lambda: three_state_chain,
+             "dense-64": _dense_64_state}[which]()
+    check_streamed_pass(chain, 1000, rel)
+
+
+def check_hopf_statistic(chain, maximal, rel: float):
+    """hopf_check's statistic against an explicit loop over the levels l of
+    h*: max_l l pi(h* >= l), the supremum of x pi(h* > x)."""
+    pi, values = chain.stationary.tolist(), maximal.values.tolist()
+    oracle = max(level * sum(p for p, v in zip(pi, values) if v >= level)
+                 for level in set(values))
+    assert abs(hopf_check(chain, maximal).statistic - oracle) <= rel * oracle
+
+
+def test_hopf_statistic_against_a_per_level_loop(three_state_chain):
+    # measured 5.8e-16 relative at most over the 21 functions of each
+    # chain; the bound is 7 times that
+    for chain in (three_state_chain, _dense_64_state(), _lazy_cycle(64)):
+        H = _stack(chain)
+        maxima = markov_ops._cesaro_pass(chain, np.abs(H), 1000)[1]
+        for j in range(H.shape[1]):
+            check_hopf_statistic(chain, MaximalFunction(maxima[:, j], H[:, j]), 4e-15)
+
+
+def check_hopf_tie_stability(chain, maximal, rel: float):
+    """Breaking the ties of h* by one ulp, alternately up and down, moves
+    hopf_check's statistic by at most ``rel`` relative."""
+    values = maximal.values
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    tied = np.flatnonzero(counts[group] > 1)
+    assert tied.size >= 2
+    nudged = values.copy()
+    nudged[tied[::2]] = np.nextafter(values[tied[::2]], np.inf)
+    nudged[tied[1::2]] = np.nextafter(values[tied[1::2]], -np.inf)
+    before = hopf_check(chain, maximal).statistic
+    after = hopf_check(chain, MaximalFunction(nudged, maximal.base)).statistic
+    assert abs(after - before) <= rel * before
+
+
+def test_hopf_statistic_is_continuous_at_ties():
+    # |g| on the lazy 64-cycle is symmetric, so h* ties in 16 groups; the
+    # statistic moved 1.9e-16 relative, and a count of h* > x, which drops
+    # each tied group at its own level, moved it from 0.5704 to 0.5796
+    chain = _lazy_cycle(64)
+    maximal = maximal_function(chain, np.abs(chain.observable), 1000)
+    check_hopf_tie_stability(chain, maximal, 1e-13)
+    check_hopf_statistic(chain, maximal, 4e-15)
+
+
+def test_hopf_statistic_of_a_constant_is_its_l1_norm(two_state_chain):
+    # the supremum is approached from below the one level, where the whole
+    # mass counts: 2.5 pi(h* >= 2.5) = 2.5, not 2.5 pi(h* > 2.5) = 0; it
+    # measured 1.8e-16 relative off, from the rounding of pi, and the bound
+    # is 6 times that
+    mf = maximal_function(two_state_chain, np.full(2, 2.5), 50)
+    assert hopf_check(two_state_chain, mf).statistic == pytest.approx(2.5, rel=1e-15)
+
+
+def test_hopf_run_checks_each_function_of_its_one_pass():
+    # the run's 21 functions are drawn from stream (run, 0) and share one
+    # pass; each check matches the one-function form's on the same function
+    chain, base = _dense_64_state(), RandomStream(7011, [])
+    payload, checks, _ = cli._run_hopf(None, chain, base)
+    rng = base.child(0)
+    functions = [np.abs(chain.observable), *(rng.normal(64) for _ in range(20))]
+    assert len(checks) == len(payload["reports"]) == 21
+    for check, h in zip(checks, functions):
+        alone = hopf_check(chain, maximal_function(chain, h, 1000))
+        # measured 1.1e-15 relative at most; the bound is 9 times that
+        assert check.statistic == pytest.approx(alone.statistic, rel=1e-14, abs=0)
+        assert check.threshold == alone.threshold
 
 
 # --- weak L2 tail ----------------------------------------------------------------

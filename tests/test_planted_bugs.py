@@ -21,7 +21,9 @@ from test_experiments import (IID, check_chain_decomposition_exact,
                               check_doob_rhs_per_term, check_endpoint_law_exactly_normal,
                               check_run_reports_as_fixtures_alone,
                               check_supremum_stores_no_paths)
-from test_markov_ops import check_duality
+from test_experiments import _lazy_cycle
+from test_markov_ops import (check_duality, check_hopf_statistic,
+                             check_hopf_tie_stability, check_streamed_pass)
 from test_projections import check_hannan_verdict, check_sigma_squared_exact
 from test_power_sequence import (check_blocks_jointly, check_draw_contract,
                                  check_fixtures_jointly)
@@ -309,3 +311,44 @@ def test_dual_operator_without_its_weights(three_state_chain, monkeypatch):
     oracle()
     monkeypatch.setattr(markov_ops, "dual_operator", lambda model: model.transition.T)
     _fails_at("assert duality_check(chain, pairs).ok", oracle)
+
+
+def test_cesaro_pass_stepping_by_the_transpose(three_state_chain, monkeypatch):
+    # the bug steps the stack by P^T, the dual of Q only for a doubly
+    # stochastic chain; the 3-state chain is not one
+    oracle = lambda: check_streamed_pass(three_state_chain, 200, 4e-15)
+    oracle()
+    powers = models._powers
+    monkeypatch.setattr(markov_ops, "_powers", lambda P, *rest: powers(P.T, *rest))
+    with pytest.raises(AssertionError):
+        oracle()
+
+
+def test_cesaro_pass_reading_the_stack_columns_as_rows(three_state_chain, monkeypatch):
+    # the bug lays the functions out as the rows of an (F, S) array and
+    # reads that memory as the (S, F) stack, so each column mixes functions
+    oracle = lambda: check_streamed_pass(three_state_chain, 200, 4e-15)
+    oracle()
+    cesaro_pass = markov_ops._cesaro_pass
+    monkeypatch.setattr(markov_ops, "_cesaro_pass", lambda model, H, N: cesaro_pass(
+        model, np.reshape(H.T, H.shape), N))
+    with pytest.raises(AssertionError):
+        oracle()
+
+
+def test_hopf_counting_above_each_level(monkeypatch):
+    # the bug weighs each level l of h* by pi(h* > l), which drops a tied
+    # group at its own level, so breaking the ties moves the statistic
+    chain = _lazy_cycle(64)
+    maximal = markov_ops.maximal_function(chain, np.abs(chain.observable), 1000)
+    check_hopf_tie_stability(chain, maximal, 1e-13)
+    check_hopf_statistic(chain, maximal, 4e-15)
+
+    def strict(values, weights, power):
+        return float(max(level**power * weights[values > level].sum() for level in values))
+
+    monkeypatch.setattr(markov_ops, "_weak_tail", strict)
+    _fails_at("assert abs(after - before) <= rel * before",
+              lambda: check_hopf_tie_stability(chain, maximal, 1e-13))
+    _fails_at("assert abs(hopf_check(chain, maximal).statistic - oracle) <= rel * oracle",
+              lambda: check_hopf_statistic(chain, maximal, 4e-15))

@@ -6,10 +6,13 @@ For each file that differs it prints one line:
 
 * a JSON or CSV file: the largest relative difference among numbers above
   1e-15 in magnitude, and the largest absolute difference among numbers at
-  or below it; before it, one line for each value that changed and is not
-  a number (a verdict, a string, a row or list length), and for each
-  object whose keys changed, the keys added and removed.  The values of
-  the keys that both trees share are still compared;
+  or below it, each with where it sits: a JSON file's key path, such as
+  ``/reports[3]/check/statistic``, or a CSV file's ``[row][column]``,
+  both counted from 0 with the header as row 0; before it, one line for
+  each value that changed and is not a number (a verdict, a string, a row
+  or list length), and for each object whose keys changed, the keys added
+  and removed.  The values of the keys that both trees share are still
+  compared;
 * any other text file: how many lines differ.
 
 It exits 1 when a value that is not a number changes, when a file exists
@@ -33,8 +36,9 @@ def _is_number(value) -> bool:
 
 
 def _compare(old, new, where: str, diffs: dict, changes: list) -> None:
-    """Walk two parsed values together; record the numbers' differences in
-    ``diffs`` and every other difference in ``changes``."""
+    """Walk two parsed values together; record the largest of the numbers'
+    differences in ``diffs``, as (size, where), and every other difference
+    in ``changes``."""
     if _is_number(old) and _is_number(new):
         if old == new:
             return
@@ -44,7 +48,8 @@ def _compare(old, new, where: str, diffs: dict, changes: list) -> None:
         size = max(abs(old), abs(new))
         key = "rel" if size > FLOOR else "abs"
         gap = abs(old - new) / size if size > FLOOR else abs(old - new)
-        diffs[key] = max(diffs[key], gap)
+        if gap > diffs[key][0]:
+            diffs[key] = (gap, where)
     elif isinstance(old, dict) and isinstance(new, dict):
         added, removed = sorted(set(new) - set(old)), sorted(set(old) - set(new))
         if added or removed:
@@ -62,6 +67,10 @@ def _compare(old, new, where: str, diffs: dict, changes: list) -> None:
             _compare(a, b, f"{where}[{i}]", diffs, changes)
     elif old != new or type(old) is not type(new):
         changes.append(f"{where}: {old!r} -> {new!r}")
+
+
+def _largest(gap: float, where: str) -> str:
+    return f"{gap:.2e} at {where}" if gap else f"{gap:.2e}"
 
 
 def _cell(text: str):
@@ -100,13 +109,13 @@ def compare(old_root: str, new_root: str) -> int:
             print(f"{path}: differs")
             failed = True
         elif path.endswith((".json", ".csv")):
-            diffs, changes = {"rel": 0.0, "abs": 0.0}, []
+            diffs, changes = {"rel": (0.0, ""), "abs": (0.0, "")}, []
             _compare(_parse(path, old), _parse(path, new), "", diffs, changes)
             for change in changes:
                 print(f"{path}: CHANGED {change}")
             failed = failed or bool(changes)
-            print(f"{path}: max rel {diffs['rel']:.2e} (|x| > {FLOOR:g}), "
-                  f"max abs {diffs['abs']:.2e} (|x| <= {FLOOR:g})")
+            print(f"{path}: max rel {_largest(*diffs['rel'])} (|x| > {FLOOR:g}), "
+                  f"max abs {_largest(*diffs['abs'])} (|x| <= {FLOOR:g})")
         else:
             a, b = old.splitlines(), new.splitlines()
             count = sum(x != y for x, y in zip(a, b)) + abs(len(a) - len(b))
