@@ -11,6 +11,7 @@ seed), whatever the worker count.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -23,9 +24,8 @@ from .experiments import (decomposition_identity_check, digest_of,
                           doob_bound_check, quenched_wip_experiment,
                           strest_experiment, uncentered_drift_check,
                           worker_pool)
-from .markov_ops import (MaximalFunction, _cesaro_pass, cesaro_average,
-                         duality_check, hopf_check, verify_dunford_schwartz,
-                         verify_markov_property, weak_l2_tail)
+from .markov_ops import (MaximalFunction, cesaro_average, duality_check, hopf_check,
+                         maximal_function, verify_dunford_schwartz, weak_l2_tail)
 from .models import (LinearModel, MarkovFunctionalModel, sample_fixture)
 from .paths import FUNCTIONAL_KINDS, PathFunctional
 from .projections import hannan_sum, mw_criterion, projection_norms, sigma_squared
@@ -144,9 +144,7 @@ def _write_json(path: str, payload: dict):
 def _write_csv(path: str, header: str, rows):
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def _series_file(first: int, norms, bias) -> list:
@@ -256,8 +254,7 @@ def _run_markov_check(config: RunConfig, model, base):
     rng = base.child(0)
     funcs = [rng.normal(S) for _ in range(100)]
     pairs = [(rng.normal(S), rng.normal(S)) for _ in range(50)]
-    checks = [verify_dunford_schwartz(model, funcs), duality_check(model, pairs),
-              verify_markov_property(model, 3).check]
+    checks = [verify_dunford_schwartz(model, funcs), duality_check(model, pairs)]
     ces = cesaro_average(model, model.observable, 1000)
     payload = {"checks": [asdict(c) for c in checks],
                "cesaro_error_at_1000": float(np.max(np.abs(
@@ -271,7 +268,7 @@ def _run_hopf(config: RunConfig, model, base):
     # the functions are the columns of one stack, stepped through one pass
     H = np.column_stack([np.abs(model.observable),
                          *(rng.normal(model.n_states) for _ in range(20))])
-    maxima = _cesaro_pass(model, np.abs(H), N)[1]
+    maxima = maximal_function(model, H, N).values
     checks = [hopf_check(model, MaximalFunction(values=maxima[:, j], base=H[:, j]))
               for j in range(H.shape[1])]
     reports = [{"function": idx, "check": asdict(c)} for idx, c in enumerate(checks)]
@@ -299,8 +296,7 @@ EXPERIMENTS = {
     "hannan": ("projection-norm summability verdict", _run_hannan, False),
     "mw": ("summability of conditional norms over sqrt(n)", _run_mw, False),
     "sigma2": ("long-run variance from the martingale increment", _run_sigma2, False),
-    "markov-check": ("operator contraction, duality and Markov property", _run_markov_check,
-                     True),
+    "markov-check": ("operator contraction and duality", _run_markov_check, True),
     "hopf": ("maximal-function level inequality in exact arithmetic", _run_hopf, True),
     "weak-l2": ("weak-L2 tail functional of the observable", _run_weak_l2, True),
 }
@@ -311,12 +307,21 @@ def list_experiments() -> list[tuple[str, str]]:
             for name, (desc, _, markov) in EXPERIMENTS.items()]
 
 
+def _model_of(config: RunConfig):
+    """The model ``config`` names, refused if its experiment needs a markov one."""
+    model = load_model(config.model_path)
+    if EXPERIMENTS[config.experiment][2] and not isinstance(model, MarkovFunctionalModel):
+        raise CLIError(f"experiment {config.experiment!r} requires a markov model")
+    return model
+
+
 def run(config: RunConfig, base_path=()) -> int:
     """Execute one configured experiment, writing artifacts to config.out."""
-    model = load_model(config.model_path)
-    _, runner, markov = EXPERIMENTS[config.experiment]
-    if markov and not isinstance(model, MarkovFunctionalModel):
-        raise CLIError(f"experiment {config.experiment!r} requires a markov model")
+    return _run_on(config, _model_of(config), base_path)
+
+
+def _run_on(config: RunConfig, model, base_path) -> int:
+    runner = EXPERIMENTS[config.experiment][1]
     try:
         base = RandomStream(config.seed, base_path)
         with worker_pool(config.workers):
@@ -355,8 +360,8 @@ def run_suite(suite_path: str, out_root: str, workers: int = 1) -> int:
     if not isinstance(runs, list) or not runs:
         raise CLIError(f"suite file {suite_path!r} has no runs")
     base_dir = os.path.dirname(os.path.abspath(suite_path))
-    # every entry is checked before the first run
-    configs = []
+    # every entry, and the model it names, is checked before the first run
+    checked = []
     for index, entry in enumerate(runs):
         if not isinstance(entry, dict):
             raise CLIError(f"suite run {index}: expected an object, got {entry!r}")
@@ -367,16 +372,16 @@ def run_suite(suite_path: str, out_root: str, workers: int = 1) -> int:
             if unknown:
                 raise CLIError(f"unknown keys {unknown}")
             config = RunConfig(model_path=settings.pop("model"), workers=workers, **settings)
+            # the paths join once RunConfig has checked that they are strings
+            config.model_path = os.path.join(base_dir, config.model_path)
+            config.out = os.path.join(out_root, config.name)
+            checked.append((config, _model_of(config)))
         except CLIError as exc:
             raise CLIError(f"suite run {settings['name']!r}: {exc}") from exc
-        # the paths join once RunConfig has checked that they are strings
-        config.model_path = os.path.join(base_dir, config.model_path)
-        config.out = os.path.join(out_root, config.name)
-        configs.append(config)
     summary, worst = [], 0
-    for index, config in enumerate(configs):
+    for index, (config, model) in enumerate(checked):
         try:
-            code = run(config, base_path=(index,))
+            code = _run_on(config, model, (index,))
         except CLIError as exc:
             raise CLIError(f"suite run {config.name!r}: {exc}") from exc
         summary.append({"name": config.name, "experiment": config.experiment, "exit": code})

@@ -384,7 +384,6 @@ class StrestReport:
     Ns: list
     estimates: list
     std_errors: list
-    r: float
     reps: int
     model_digest: str
     fixture_digest: str
@@ -445,7 +444,7 @@ def strest_experiment(model: Model, fixture: PastFixture, r: float,
     return StrestReport(
         Ns=Ns, estimates=est,
         std_errors=[float(v) for v in scaled.std(axis=0, ddof=1) / math.sqrt(reps)],
-        r=r, reps=reps, model_digest=digest_of(model),
+        reps=reps, model_digest=digest_of(model),
         fixture_digest=digest_of(fixture), seed_path=_seed_path(stream),
         check=check)
 

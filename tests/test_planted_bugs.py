@@ -6,6 +6,7 @@ it must pass, and with one library function replaced by a version that
 carries one named bug, where it must fail.
 """
 
+import os
 from dataclasses import replace
 from itertools import islice
 from types import SimpleNamespace
@@ -14,7 +15,9 @@ import numpy as np
 import pytest
 
 from qlab import PathFunctional, RandomStream, Verdict, poisson_solve
-from qlab import experiments, markov_ops, models, projections
+from qlab import cli, experiments, markov_ops, models, projections
+
+from conftest import MODELS_DIR
 
 from test_experiments import (IID, check_chain_decomposition_exact,
                               check_doob_bound_by_enumeration,
@@ -311,6 +314,30 @@ def test_dual_operator_without_its_weights(three_state_chain, monkeypatch):
     oracle()
     monkeypatch.setattr(markov_ops, "dual_operator", lambda model: model.transition.T)
     _fails_at("assert duality_check(chain, pairs).ok", oracle)
+
+
+def _markov_check_exit(out) -> int:
+    """The exit code of ``qlab markov-check`` on the 3-state chain; the
+    symmetric 2-state chain is doubly stochastic, so P^T is its dual."""
+    return cli.main(["markov-check", "--model", os.path.join(MODELS_DIR, "markov_3state.json"),
+                     "--seed", "42", "--out", str(out)])
+
+
+def test_markov_check_with_dunford_schwartz_stepping_by_the_transpose(tmp_path, monkeypatch):
+    # the bug steps each test function by P^T, whose rows do not sum to 1
+    assert _markov_check_exit(tmp_path / "as-is") == 0
+    dunford_schwartz = markov_ops.verify_dunford_schwartz
+    monkeypatch.setattr(cli, "verify_dunford_schwartz", lambda model, funcs: dunford_schwartz(
+        SimpleNamespace(transition=model.transition.T, stationary=model.stationary), funcs))
+    assert _markov_check_exit(tmp_path / "bug") == 2
+
+
+def test_markov_check_with_a_dual_operator_that_drops_its_transpose(tmp_path, monkeypatch):
+    # the bug weighs P itself by pi_j / pi_i, which is not the pi-adjoint
+    assert _markov_check_exit(tmp_path / "as-is") == 0
+    monkeypatch.setattr(markov_ops, "dual_operator", lambda model: (
+        model.transition * model.stationary[None, :]) / model.stationary[:, None])
+    assert _markov_check_exit(tmp_path / "bug") == 2
 
 
 def test_cesaro_pass_stepping_by_the_transpose(three_state_chain, monkeypatch):

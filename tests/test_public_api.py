@@ -8,7 +8,8 @@ Likewise every defaulted parameter of an exported function must be passed
 at some call in ``src/qlab`` or a demo; forwarding a caller's own default
 counts only if that caller's parameter is passed in turn.  No exported
 function takes one item or a sequence of them in the same parameter.  And
-the CLI imports no ``scipy.signal``: the library's filters are numpy's.
+the CLI imports no ``scipy.signal``: the library's filters are numpy's; nor
+any private name of another ``qlab`` module: it runs on the public API.
 """
 
 import ast
@@ -193,3 +194,12 @@ def test_cli_import_loads_no_scipy_signal():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, env=env, check=True)
     assert proc.stdout.strip() == "[]", proc.stdout
+
+
+def test_cli_imports_no_private_name():
+    tree = _parse(os.path.join(REPO_ROOT, "src", "qlab", "cli.py"))
+    private = sorted(alias.name for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom)
+                     and (node.level or (node.module or "").startswith("qlab"))
+                     for alias in node.names if alias.name.startswith("_"))
+    assert not private, f"cli.py imports private qlab names: {private}"

@@ -17,7 +17,8 @@ OUT, which must not exist yet, receives:
 * ``cli/list.txt``: the stdout of ``qlab list``, every experiment with
   its description;
 * ``cli/refusals.txt``: for each invocation of ``REFUSALS``, the command
-  line, then its exit code and its stderr.
+  line, then its exit code and its stderr, with the temporary directory
+  that holds its suite file and models written as ``$SCRATCH``.
 
 Run it on two checkouts and ``diff -r`` the two trees: an empty diff means
 every output kept its bytes, and a changed refusal message shows in
@@ -52,7 +53,8 @@ M2, M3 = "models/markov_2state.json", "models/markov_3state.json"
 # the arguments of one invalid invocation per rule that RunConfig checks,
 # then per rule on a value that the library checks where the value is read,
 # then quenched-clt's endpoint rule, a markov-only experiment on a linear
-# model, and four that set a field the run does not read; a dict
+# model, four that set a field the run does not read, and two suites whose
+# second model is missing or is linear for a markov-only experiment; a dict
 # stands for ``run-all`` on a suite file holding it, whose model paths are
 # relative to the root of the checkout
 REFUSALS = [
@@ -99,6 +101,11 @@ REFUSALS = [
     f"quenched-clt --model {RHO05} --d-threshold 2 --n 16 --reps 20 --fixtures 1 --seed 1",
     f"quenched-wip --model {RHO05} --functional supremum --alpha 2 --n 16 --reps 20 "
     "--fixtures 1 --seed 1",
+    {"seed": 1, "runs": [{"name": "first", "experiment": "sigma2", "model": RHO05},
+                         {"name": "second", "experiment": "sigma2",
+                          "model": "models/missing.json"}]},
+    {"seed": 1, "runs": [{"name": "first", "experiment": "sigma2", "model": RHO05},
+                         {"name": "second", "experiment": "hopf", "model": RHO05}]},
 ]
 
 
@@ -167,7 +174,8 @@ def _refusals(out: str) -> None:
             err = io.StringIO()
             with redirect_stderr(err), redirect_stdout(io.StringIO()):
                 code = cli.main([*args, "--out", os.path.join(scratch, str(index))])
-            lines += [f"qlab {command}", f"  exit {code}: {err.getvalue().rstrip()}"]
+            message = err.getvalue().rstrip().replace(scratch, "$SCRATCH")
+            lines += [f"qlab {command}", f"  exit {code}: {message}"]
     with open(os.path.join(out, "refusals.txt"), "w") as fh:
         fh.write("".join(f"{line}\n" for line in lines))
 
