@@ -372,6 +372,11 @@ def run_suite(suite_path: str, out_root: str, workers: int = 1) -> int:
             if unknown:
                 raise CLIError(f"unknown keys {unknown}")
             config = RunConfig(model_path=settings.pop("model"), workers=workers, **settings)
+            # each run writes to its own directory, named by the run, in --out
+            if config.name in ("", ".", "..", "summary.json") or os.path.split(config.name)[0]:
+                raise CLIError("name must be one plain path component other than 'summary.json'")
+            if any(earlier.name == config.name for earlier, _ in checked):
+                raise CLIError("name is already used by an earlier run")
             # the paths join once RunConfig has checked that they are strings
             config.model_path = os.path.join(base_dir, config.model_path)
             config.out = os.path.join(out_root, config.name)
@@ -387,9 +392,12 @@ def run_suite(suite_path: str, out_root: str, workers: int = 1) -> int:
         summary.append({"name": config.name, "experiment": config.experiment, "exit": code})
         worst = max(worst, code)
         print(f"{config.name}: {'pass' if code == 0 else 'FAIL'}")
-    os.makedirs(out_root, exist_ok=True)
-    _write_json(os.path.join(out_root, "summary.json"),
-                {"runs": summary, "exit": worst})
+    try:
+        os.makedirs(out_root, exist_ok=True)
+        _write_json(os.path.join(out_root, "summary.json"),
+                    {"runs": summary, "exit": worst})
+    except OSError as exc:
+        raise CLIError(f"cannot write the suite summary under {out_root!r}: {exc}") from exc
     return worst
 
 

@@ -345,11 +345,14 @@ def quenched_wip_experiment(model: Model, fixtures: Sequence[PastFixture],
     if not extremum and not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
     sigma2 = sigma_squared(model)
-    samples = sample_path_functional(model, fixtures, functional, n, reps, streams)
-    # no KS test is run against a degenerate limit, the point mass at 0; the
-    # law is chosen after sampling has refused n < 1: the time integral's law divides by n
+    # no KS test is run against a degenerate limit, the point mass at 0
     degenerate = Verdict.at_most(f"degenerate: sigma2 <= {DEGENERATE_VARIANCE:g}", sigma2,
                                  DEGENERATE_VARIANCE)
+    # refused before sampling, after the sampler's own refusals of n and reps
+    if n >= 1 and 1 <= reps < 10 and not degenerate.ok:
+        raise ValueError("one-sample KS requires reps >= 10")
+    samples = sample_path_functional(model, fixtures, functional, n, reps, streams)
+    # the law is chosen after sampling has refused n < 1: the time integral's law divides by n
     ref_kind, ref = (("point-mass", lambda t: np.where(np.asarray(t) >= 0, 1.0, 0.0))
                      if degenerate.ok else _limit_law(functional.kind, sigma2, n))
     if sample_sink is not None:

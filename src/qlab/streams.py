@@ -8,10 +8,10 @@ are statistically independent, so replication order and worker count can
 never change a result.
 
 The generator is Philox (counter based), keyed through numpy's
-``SeedSequence`` spawn-key mechanism.  Gaussian variates use the
-inverse-CDF transform applied to 53-bit uniforms on the open interval
-(0, 1); the choice is fixed so a given address always yields the same
-normal draws.
+``SeedSequence`` spawn-key mechanism.  Gaussian variates are the
+generator's own ``standard_normal`` (numpy's ziggurat; Marsaglia & Tsang,
+J. Stat. Softw. 2000); the choice is fixed so a given address always
+yields the same normal draws.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
+import numpy.random  # numpy loads it lazily; load it with qlab, not at the first draw
 
 MAX_PATH_LENGTH = 8
 
@@ -64,8 +64,8 @@ class RandomStream:
         return raw / _TWO53
 
     def normal(self, count: int) -> np.ndarray:
-        """Standard normal draws via the inverse CDF of open uniforms."""
-        return ndtri(self.uniform_open(count))
+        """Standard normal draws from the generator's ziggurat."""
+        return self._gen.standard_normal(count)
 
     def integers(self, low: int, high: int, count: int) -> np.ndarray:
         return self._gen.integers(low, high, size=count)

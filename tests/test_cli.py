@@ -334,10 +334,22 @@ def test_module_entry_point_refuses_with_one_line(tmp_path):
         {**_RUN, "name": "first"},
         {"name": "second", "experiment": "hopf", "model": _model("linear_rho05.json")}]}],
      "suite run 'second': experiment 'hopf' requires a markov model"),
+    # a run's name is its directory under --out: one a run would overwrite,
+    # or that would leave --out, is refused
+    (["run-all", "--suite", {"seed": 1, "runs": [{**_RUN, "name": "a"},
+                                                 {**_RUN, "name": "a"}]}],
+     "suite run 'a': name is already used by an earlier run"),
+    (["run-all", "--suite", {"seed": 1, "runs": [{**_RUN, "name": "../escaped"}]}],
+     "suite run '../escaped': name must be one plain path component other than "
+     "'summary.json'"),
+    (["run-all", "--suite", {"seed": 1, "runs": [{**_RUN, "name": "summary.json"}]}],
+     "suite run 'summary.json': name must be one plain path component other than "
+     "'summary.json'"),
 ], ids=["suite-second-run-n-string", "suite-mw-K-zero", "mw-K-zero", "doob-n-zero",
         "negative-seed", "clt-tiny-reps", "doob-linear-model", "suite-model-int",
         "suite-model-missing", "suite-second-model-file-missing",
-        "suite-second-hopf-on-linear"])
+        "suite-second-hopf-on-linear", "suite-name-repeated", "suite-name-leaves-out",
+        "suite-name-summary"])
 def test_refusal_names_the_run_and_the_flag(args, line, tmp_path, capsys):
     code = main(["--seed", "1", *_resolve(args, tmp_path), "--out", str(tmp_path / "o")])
     assert code == 3
@@ -345,6 +357,17 @@ def test_refusal_names_the_run_and_the_flag(args, line, tmp_path, capsys):
     # line and no --out tree
     assert capsys.readouterr() == ("", f"qlab: {line}\n")
     assert not (tmp_path / "o").exists()
+
+
+def test_summary_that_cannot_be_written_exits_three_with_one_line(tmp_path, capsys):
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"seed": 1, "runs": [{**_RUN, "name": "a"}]}))
+    (tmp_path / "o" / "summary.json").mkdir(parents=True)
+    assert main(["run-all", "--suite", str(suite), "--out", str(tmp_path / "o")]) == 3
+    out, err = capsys.readouterr()
+    assert out == "a: pass\n"
+    assert err.startswith("qlab: cannot write the suite summary under ")
+    assert len(err.splitlines()) == 1
 
 
 _TOP = {"config", "config_digest", "model_digest", "reports", "seed", "seed_path",

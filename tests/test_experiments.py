@@ -114,19 +114,27 @@ def test_empty_sample_rejected(rho_model):
         quenched_wip_experiment(rho_model, [fx], ENDPOINT, 64, 0, [RandomStream(61, [4])])
 
 
+# the start of each refusal, by the value refused
+_REFUSED = {"alpha": "alpha must lie in", "d_threshold": "d_threshold must lie in",
+            "reps": "one-sample KS requires reps >= 10"}
+
+
 @pytest.mark.parametrize("functional, alpha, d_threshold, match", [
     (ENDPOINT, 2.0, 0.03, "alpha"), (ENDPOINT, 0.0, 0.03, "alpha"),
     (ENDPOINT, 1.0, 0.03, "alpha"), (ENDPOINT, math.nan, 0.03, "alpha"),
     (SUPREMUM, 0.01, -1.0, "d_threshold"), (SUPREMUM, 0.01, 0.0, "d_threshold"),
-    (SUPREMUM, 0.01, 1.5, "d_threshold"), (SUPREMUM, 0.01, math.nan, "d_threshold")])
+    (SUPREMUM, 0.01, 1.5, "d_threshold"), (SUPREMUM, 0.01, math.nan, "d_threshold"),
+    (ENDPOINT, 0.01, 0.03, "reps"), (SUPREMUM, 0.01, 0.03, "reps")])
 def test_alpha_and_d_threshold_refused_before_any_draw(rho_model, monkeypatch, functional,
                                                        alpha, d_threshold, match):
-    # alpha = 2 would fail every p-value, and so every fixture of a valid model
+    # alpha = 2 would fail every p-value, and so every fixture of a valid
+    # model; fewer than 10 reps would be drawn only for the KS test to refuse
     fx = sample_fixture(rho_model, RandomStream(61, [3]))
     monkeypatch.setattr(experiments, "sample_path_functional",
                         lambda *args: pytest.fail("drew a sample"))
-    with pytest.raises(ValueError, match=f"^{match} must lie in"):
-        quenched_wip_experiment(rho_model, [fx], functional, 64, 100, [RandomStream(61, [4])],
+    reps = 9 if match == "reps" else 100
+    with pytest.raises(ValueError, match=f"^{_REFUSED[match]}"):
+        quenched_wip_experiment(rho_model, [fx], functional, 64, reps, [RandomStream(61, [4])],
                                 alpha=alpha, d_threshold=d_threshold)
 
 
@@ -145,12 +153,14 @@ def test_threshold_a_functional_does_not_read_is_not_refused(rho_model, function
 
 
 def test_degenerate_observable_reports_not_raises(zero_chain):
+    # no KS test is run, so fewer than 10 reps are not refused
     fx = PastFixture(state=0)
-    [rep] = quenched_wip_experiment(zero_chain, [fx], ENDPOINT, 64, 200,
-                                    [RandomStream(61, [5])])
-    assert rep.verdict == "degenerate"
-    assert rep.p_value is None
-    assert rep.details["max_abs_value"] == 0.0
+    for reps in (200, 9):
+        [rep] = quenched_wip_experiment(zero_chain, [fx], ENDPOINT, 64, reps,
+                                        [RandomStream(61, [5])])
+        assert rep.verdict == "degenerate"
+        assert rep.p_value is None
+        assert rep.details["max_abs_value"] == 0.0
 
 
 def test_time_integral_against_brownian_mc(rho_model):

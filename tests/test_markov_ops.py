@@ -227,8 +227,9 @@ def test_hopf_run_checks_each_function_of_its_one_pass():
     assert len(checks) == len(payload["reports"]) == 21
     for check, h in zip(checks, functions):
         alone = hopf_check(chain, maximal_function(chain, h, 1000))
-        # measured 1.1e-15 relative at most; the bound is 9 times that
-        assert check.statistic == pytest.approx(alone.statistic, rel=1e-14, abs=0)
+        # the two sum in different orders: over seeds 7000-7039 the largest
+        # relative gap was 5.1e-14 (median 5.6e-15); the bound is 2 times that
+        assert check.statistic == pytest.approx(alone.statistic, rel=1e-13, abs=0)
         assert check.threshold == alone.threshold
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from qlab import PathFunctional, RandomStream, Verdict, poisson_solve
-from qlab import cli, experiments, markov_ops, models, projections
+from qlab import cli, experiments, markov_ops, models, projections, stats
 
 from conftest import MODELS_DIR
 
@@ -28,6 +28,7 @@ from test_experiments import _lazy_cycle
 from test_markov_ops import (check_duality, check_hopf_statistic,
                              check_hopf_tie_stability, check_streamed_pass)
 from test_projections import check_hannan_verdict, check_sigma_squared_exact
+from test_stats import check_kolmogorov_law_against_scipy, check_normal_cdf_against_ndtr
 from test_power_sequence import (check_blocks_jointly, check_draw_contract,
                                  check_fixtures_jointly)
 from test_verdicts import check_nine_of_ten_fixtures_pass, check_p_at_alpha_fails
@@ -379,3 +380,23 @@ def test_hopf_counting_above_each_level(monkeypatch):
               lambda: check_hopf_tie_stability(chain, maximal, 1e-13))
     _fails_at("assert abs(hopf_check(chain, maximal).statistic - oracle) <= rel * oracle",
               lambda: check_hopf_statistic(chain, maximal, 4e-15))
+
+
+def test_normal_cdf_with_erfc_of_the_wrong_sign(monkeypatch):
+    # the bug takes erfc(z / sqrt 2) / 2, which is 1 - Phi(z)
+    check_normal_cdf_against_ndtr()
+    erfc = stats._erfc
+    monkeypatch.setattr(stats, "_erfc", lambda x: erfc(-x))
+    _fails_at("assert np.max(np.abs(normal_cdf(z) / ndtr(z) - 1.0)) < 2.5e-14",
+              check_normal_cdf_against_ndtr)
+
+
+def test_kolmogorov_alternating_series_without_its_factor_2(monkeypatch):
+    # the bug halves the survival function from y = 1 on, where the
+    # alternating series 2 sum_k (-1)^(k-1) exp(-2 k^2 y^2) is summed
+    check_kolmogorov_law_against_scipy()
+    survival = stats._kolmogorov_sf
+    monkeypatch.setattr(stats, "_kolmogorov_sf",
+                        lambda y: survival(y) / 2 if y >= 1.0 else survival(y))
+    _fails_at("assert np.max(np.abs(series - kolmogorov(y))) < 1e-14",
+              check_kolmogorov_law_against_scipy)

@@ -8,8 +8,9 @@ Likewise every defaulted parameter of an exported function must be passed
 at some call in ``src/qlab`` or a demo; forwarding a caller's own default
 counts only if that caller's parameter is passed in turn.  No exported
 function takes one item or a sequence of them in the same parameter.  And
-the CLI imports no ``scipy.signal``: the library's filters are numpy's; nor
-any private name of another ``qlab`` module: it runs on the public API.
+the CLI imports no ``scipy``: the library runs on numpy alone, and scipy is
+the tests' independent oracle; nor any private name of another ``qlab``
+module: it runs on the public API.
 """
 
 import ast
@@ -189,11 +190,30 @@ def test_no_export_takes_one_item_or_a_sequence():
 
 def test_cli_import_loads_no_scipy_signal():
     probe = ("import sys, qlab.cli; "
-             "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))")
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, env=env, check=True)
     assert proc.stdout.strip() == "[]", proc.stdout
+
+
+def test_runs_with_scipy_blocked(tmp_path):
+    # the normal draws, the normal CDF, the Brownian laws and the KS p-value
+    # each run in a process where importing scipy raises ImportError; the
+    # sup-abs threshold is loosened because n = 64 and 200 reps are far below
+    # the scale the default is set for
+    models = os.path.join(REPO_ROOT, "models")
+    runs = [f"quenched-clt --model {models}/linear_rho05.json --n 64 --reps 200",
+            f"quenched-wip --model {models}/markov_2state.json --functional sup-abs "
+            "--n 64 --reps 200 --d-threshold 0.2",
+            f"hopf --model {models}/markov_3state.json --n 50"]
+    probe = ("import sys; sys.modules['scipy'] = None; from qlab import cli; "
+             "print([cli.main(run.split() + ['--seed', '1', '--fixtures', '2', '--out', "
+             "f'{sys.argv[1]}/{i}']) for i, run in enumerate(sys.argv[2:])])")
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", probe, str(tmp_path), *runs],
+                          capture_output=True, text=True, env=env)
+    assert proc.stdout.strip() == "[0, 0, 0]", proc.stdout + proc.stderr
 
 
 def test_cli_imports_no_private_name():

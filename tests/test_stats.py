@@ -3,10 +3,10 @@ from functools import partial
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from scipy.special import kolmogorov, ndtr, ndtri
 
 from qlab import (RandomStream, brownian_inf_cdf, brownian_sup_cdf,
-                  ks_one_sample, normal_cdf, normal_reference)
+                  ks_one_sample, normal_cdf, normal_reference, stats)
 
 
 def _erf_series(x: float) -> float:
@@ -24,11 +24,36 @@ def test_normal_cdf_at_zero():
 
 
 def test_normal_cdf_against_erf_series():
-    # oracle: Phi(z) = (1 + erf(z / sqrt 2)) / 2 with a hand-rolled series
-    for z in (0.5, 1.0, 1.96, 2.5):
-        oracle = 0.5 * (1.0 + _erf_series(z / math.sqrt(2.0)))
-        assert normal_cdf(z) == pytest.approx(oracle, abs=1e-10)
+    # oracle: Phi(z) = (1 + erf(z / sqrt 2)) / 2 with a hand-rolled series,
+    # on |z| <= 4, where |z| / sqrt 2 < 3 and the series holds
+    z = np.linspace(-4.0, 4.0, 801)
+    oracle = np.array([0.5 * (1.0 + _erf_series(t / math.sqrt(2.0))) for t in z])
+    # measured 9.1e-15 absolute at most; the bound is 2.2 times that
+    assert np.max(np.abs(normal_cdf(z) - oracle)) < 2e-14
     assert normal_cdf(1.96) == pytest.approx(0.9750, abs=1e-4)
+
+
+def check_normal_cdf_against_ndtr():
+    z = np.linspace(-8.0, 8.0, 1601)
+    # measured 1.27e-14 relative at most; the bound is 2 times that
+    assert np.max(np.abs(normal_cdf(z) / ndtr(z) - 1.0)) < 2.5e-14
+
+
+def test_normal_cdf_against_ndtr():
+    check_normal_cdf_against_ndtr()
+
+
+def check_kolmogorov_law_against_scipy():
+    y = np.linspace(0.01, 4.0, 3991)
+    series = np.array([stats._kolmogorov_sf(t) for t in y])
+    # measured 5.0e-15 absolute at most; the bound is 2 times that
+    assert np.max(np.abs(series - kolmogorov(y))) < 1e-14
+
+
+def test_kolmogorov_law_against_scipy():
+    # both series, which meet at y = 1, and y = 0, below which the law has no mass
+    check_kolmogorov_law_against_scipy()
+    assert stats._kolmogorov_sf(0.0) == kolmogorov(0.0) == 1.0
 
 
 def test_normal_cdf_symmetry():

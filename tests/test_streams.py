@@ -29,6 +29,17 @@ def test_child_streams_extend_the_path():
     assert np.array_equal(child.normal(50), again.normal(50))
 
 
+def test_normal_draws_are_the_generators_standard_normal():
+    # the draw contract: the ziggurat of the address's Philox generator,
+    # whatever the sizes of the calls that fetch the draws
+    seed, path = 12, (3, 1)
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=path)))
+    assert np.array_equal(RandomStream(seed, path).normal(1008), gen.standard_normal(1008))
+    stream = RandomStream(seed, path)
+    parts = [stream.normal(count) for count in (3, 1000, 5)]
+    assert np.array_equal(np.concatenate(parts), RandomStream(seed, path).normal(1008))
+
+
 def test_path_length_and_sign_limits():
     with pytest.raises(ValueError):
         RandomStream(1, list(range(9)))

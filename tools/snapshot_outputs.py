@@ -53,8 +53,9 @@ M2, M3 = "models/markov_2state.json", "models/markov_3state.json"
 # the arguments of one invalid invocation per rule that RunConfig checks,
 # then per rule on a value that the library checks where the value is read,
 # then quenched-clt's endpoint rule, a markov-only experiment on a linear
-# model, four that set a field the run does not read, and two suites whose
-# second model is missing or is linear for a markov-only experiment; a dict
+# model, four that set a field the run does not read, two suites whose
+# second model is missing or is linear for a markov-only experiment, and
+# three whose run names repeat, leave --out or take the summary's; a dict
 # stands for ``run-all`` on a suite file holding it, whose model paths are
 # relative to the root of the checkout
 REFUSALS = [
@@ -106,6 +107,10 @@ REFUSALS = [
                           "model": "models/missing.json"}]},
     {"seed": 1, "runs": [{"name": "first", "experiment": "sigma2", "model": RHO05},
                          {"name": "second", "experiment": "hopf", "model": RHO05}]},
+    {"seed": 1, "runs": [{"name": "a", "experiment": "sigma2", "model": RHO05},
+                         {"name": "a", "experiment": "sigma2", "model": RHO05}]},
+    {"seed": 1, "runs": [{"name": "../escaped", "experiment": "sigma2", "model": RHO05}]},
+    {"seed": 1, "runs": [{"name": "summary.json", "experiment": "sigma2", "model": RHO05}]},
 ]
 
 
