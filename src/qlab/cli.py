@@ -90,47 +90,88 @@ class RunConfig:
                 "r": self.r if self.r != math.inf else "inf"}
 
 
+_NOT_NUMBERS = {bool, str}     # JSON values that NumPy would read as numbers
+_MODEL_KEYS = {"linear": {"type", "coeffs", "innovation", "tail_bound"},
+               "markov": {"type", "P", "g"}}
+_INNOVATION_KEYS = {"kind", "variance"}
+# every validated model of the process, by the bytes of its file; a refusal
+# is never kept, so a file is refused until its bytes change
+_MODELS = {}
+
+
 def _numbers(value):
-    """``value`` itself, once it and every entry in it, however nested,
-    is checked: a bool or a string is refused, not read as a number."""
-    if isinstance(value, (bool, str)):
-        raise TypeError(f"expected a JSON number, got {value!r}")
-    for entry in value if isinstance(value, list) else ():
-        _numbers(entry)
+    """``value`` itself, once it is checked a row at a time: a bool or a
+    string in it, or in a list in it, is refused, not read as a number.
+    Deeper lists fit no field's shape, and the model refuses them."""
+    rows = value if isinstance(value, list) and list in set(map(type, value)) else [value]
+    for row in rows:
+        entries = row if isinstance(row, list) else [row]
+        if not _NOT_NUMBERS.isdisjoint(map(type, entries)):
+            bad = next(entry for entry in entries if type(entry) in _NOT_NUMBERS)
+            raise TypeError(f"expected a JSON number, got {bad!r}")
     return value
 
 
-def _read_json(path: str, what: str):
-    """The parsed contents of a model or suite file; ``what`` names which."""
+def _known_keys(raw: dict, known: set, what: str):
+    """Refuse, by name, a key of ``raw`` outside ``known``."""
+    unknown = sorted(set(raw) - known)
+    if unknown:
+        raise ValueError(f"unknown {what}keys {unknown}")
+
+
+def _read(path: str, what: str) -> bytes:
+    """The bytes of a model or suite file; ``what`` names which."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as exc:
         raise CLIError(f"cannot read {what} file {path!r}: {exc}") from exc
+
+
+def _parse_json(data: bytes, path: str, what: str):
+    """The parsed contents of a file's bytes, decoded as a text-mode read
+    decodes them: strict UTF-8, with universal newlines."""
+    try:
+        return json.loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CLIError(f"{what} file {path!r} is not valid JSON: {exc}") from exc
 
 
-def load_model(path: str):
-    """Parse and validate a model definition file."""
-    raw = _read_json(path, "model")
+def _parse_model(data: bytes, path: str):
+    """Parse and validate the bytes of a model definition file."""
+    raw = _parse_json(data, path, "model")
     if not isinstance(raw, dict):
         raise CLIError(f"model file {path!r} is not a JSON object: {type(raw).__name__}")
+    kind = raw.get("type")
+    if not isinstance(kind, str) or kind not in _MODEL_KEYS:
+        raise CLIError(f"model file {path!r}: unknown type {kind!r}")
     try:
-        kind = raw.get("type")
+        _known_keys(raw, _MODEL_KEYS[kind], "")
         if kind == "linear":
             innovation = raw.get("innovation", {"kind": "gaussian", "variance": 1.0})
+            if not isinstance(innovation, dict):
+                raise TypeError(f"innovation must be a JSON object, got {innovation!r}")
+            _known_keys(innovation, _INNOVATION_KEYS, "innovation ")
             return LinearModel(
                 coeffs=np.asarray(_numbers(raw["coeffs"]), dtype=float),
                 innovation=InnovationDistribution(
                     innovation["kind"], _numbers(innovation.get("variance", 1.0))),
                 tail_bound=float(_numbers(raw.get("tail_bound", 0.0))))
-        if kind == "markov":
-            return MarkovFunctionalModel(np.asarray(_numbers(raw["P"]), dtype=float),
-                                         np.asarray(_numbers(raw["g"]), dtype=float))
-        raise CLIError(f"model file {path!r}: unknown type {kind!r}")
+        return MarkovFunctionalModel(np.asarray(_numbers(raw["P"]), dtype=float),
+                                     np.asarray(_numbers(raw["g"]), dtype=float))
     except (KeyError, TypeError, ValueError) as exc:
         raise CLIError(f"model file {path!r} failed validation: {exc}") from exc
+
+
+def load_model(path: str):
+    """The model a definition file holds.  Every call reads the file; each
+    distinct content is parsed and validated once per process, and its model,
+    whose arrays are read-only and which keeps its digest, is shared by every
+    file that holds those bytes."""
+    data = _read(path, "model")
+    if data not in _MODELS:
+        _MODELS[data] = _parse_model(data, path)
+    return _MODELS[data]
 
 
 # --- output helpers -------------------------------------------------------
@@ -355,7 +396,7 @@ _SUITE_KEYS = {f.name for f in fields(RunConfig)} - {"model_path", "out", "worke
 
 def run_suite(suite_path: str, out_root: str, workers: int = 1) -> int:
     """Run every entry of a suite file; exit 0 only if every run passes."""
-    suite = _read_json(suite_path, "suite")
+    suite = _parse_json(_read(suite_path, "suite"), suite_path, "suite")
     runs = suite.get("runs") if isinstance(suite, dict) else None
     if not isinstance(runs, list) or not runs:
         raise CLIError(f"suite file {suite_path!r} has no runs")

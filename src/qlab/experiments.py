@@ -60,7 +60,12 @@ DEGENERATE_VARIANCE = 1e-18
 
 
 def digest_of(payload) -> str:
-    """Short stable digest of a describable object (model or fixture)."""
+    """Short stable digest of a describable object (model or fixture).  A
+    model is read-only, so it keeps its digest from the first call."""
+    if isinstance(payload, Model):
+        if "_digest" not in payload.__dict__:
+            object.__setattr__(payload, "_digest", digest_of(payload.describe()))
+        return payload._digest
     if hasattr(payload, "describe"):
         payload = payload.describe()
     blob = json.dumps(payload, sort_keys=True).encode()

@@ -45,13 +45,14 @@ class LinearModel:
     tail_bound: float = 0.0
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=float)
+        coeffs = np.array(self.coeffs, dtype=float)     # a copy: the caller's stays writable
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise ValueError("coeffs must be a nonempty 1-d sequence")
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("coeffs must be finite")
         if not (0 <= self.tail_bound < np.inf):
             raise ValueError("tail_bound must be nonnegative and finite")
+        coeffs.flags.writeable = False      # a shared model keeps no run's change
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
@@ -130,8 +131,9 @@ class MarkovFunctionalModel:
     observable: np.ndarray
 
     def __post_init__(self):
-        P = np.asarray(self.transition, dtype=float)
-        g = np.asarray(self.observable, dtype=float)
+        # copies: the caller's arrays stay writable
+        P = np.array(self.transition, dtype=float)
+        g = np.array(self.observable, dtype=float)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ValueError("transition must be a square matrix")
         n = P.shape[0]
@@ -155,13 +157,12 @@ class MarkovFunctionalModel:
             raise ValueError("ergodic chain must have strictly positive pi")
         if abs(float(pi @ g)) > _ATOL:
             raise ValueError("observable must be centered: |pi.g| <= 1e-12")
-        object.__setattr__(self, "transition", P)
-        object.__setattr__(self, "observable", g)
-        object.__setattr__(self, "_pi", pi)
         # the last cumulative sum is 1; leaving it out caps a step at S - 1
         thresholds = np.cumsum(P, axis=1)[:, :-1]
-        object.__setattr__(self, "_thresholds", thresholds)
-        object.__setattr__(self, "_guide", _guide_table(thresholds))
+        for name, value in [("transition", P), ("observable", g), ("_pi", pi),
+                            ("_thresholds", thresholds), ("_guide", _guide_table(thresholds))]:
+            value.flags.writeable = False   # a shared model keeps no run's change
+            object.__setattr__(self, name, value)
 
     @property
     def stationary(self) -> np.ndarray:

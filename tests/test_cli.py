@@ -8,6 +8,7 @@ import tracemalloc
 
 import pytest
 
+from qlab import cli, experiments
 from qlab.cli import list_experiments, main
 
 from conftest import MODELS_DIR, REPO_ROOT, SUITES_DIR
@@ -43,6 +44,16 @@ def test_malformed_model_json(tmp_path, capsys):
                  "--out", str(tmp_path / "o")])
     assert code == 3
     assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_malformed_model_json_counts_crlf_as_one_character(tmp_path, capsys):
+    # the position is that of a text-mode read, which turns "\r\n" into "\n"
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"type": "linear",\r\n "coeffs": [1.0,\r\n ]}\r\n')
+    assert main(["sigma2", "--model", str(bad), "--seed", "1",
+                 "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.endswith(
+        "is not valid JSON: Expecting value: line 3 column 2 (char 37)\n")
 
 
 def test_missing_model_file(tmp_path, capsys):
@@ -169,6 +180,112 @@ def test_series_commands_write_csv(tmp_path):
     assert report["reports"][0]["verdict"] == "summable"
 
 
+@pytest.fixture
+def parses(monkeypatch):
+    """The paths whose bytes ``cli`` parses into a model during the test,
+    which starts from an empty model cache."""
+    monkeypatch.setattr(cli, "_MODELS", {})
+    parsed = []
+    parse_model = cli._parse_model
+
+    def spy(data, path):
+        parsed.append(path)
+        return parse_model(data, path)
+
+    monkeypatch.setattr(cli, "_parse_model", spy)
+    return parsed
+
+
+_FLIP = {"type": "markov", "P": [[0.7, 0.3], [0.3, 0.7]], "g": [1.0, -1.0]}
+
+
+def test_same_bytes_give_one_model_parsed_once(tmp_path, parses):
+    paths = [str(tmp_path / name) for name in ("a.json", "b.json")]
+    for path in paths:
+        with open(path, "w") as fh:
+            json.dump(_FLIP, fh)
+    model = cli.load_model(paths[0])
+    assert cli.load_model(paths[1]) is model
+    assert cli.load_model(paths[0]) is model
+    assert parses == paths[:1]
+
+
+def _model_digest_of_run(path: str, out) -> str:
+    config = cli.RunConfig(experiment="sigma2", model_path=path, seed=1, out=str(out))
+    assert cli.run(config) == 0
+    return json.loads((out / "report.json").read_text())["model_digest"]
+
+
+def check_rewritten_model_is_read_anew(tmp_path):
+    """A model file rewritten in place, to the same size and with its mtime
+    restored, runs as the new model."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_FLIP))
+    before = _model_digest_of_run(str(path), tmp_path / "before")
+    stat = os.stat(path)
+    path.write_text(json.dumps({**_FLIP, "P": [[0.6, 0.4], [0.4, 0.6]]}))
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert os.stat(path).st_size == stat.st_size
+    assert os.stat(path).st_mtime_ns == stat.st_mtime_ns
+    assert _model_digest_of_run(str(path), tmp_path / "after") != before
+
+
+def test_rewritten_model_is_read_anew(tmp_path):
+    check_rewritten_model_is_read_anew(tmp_path)
+
+
+def check_models_report_their_own_digests(tmp_path):
+    """Two model files run in one process each report the digest of their
+    own description, computed afresh."""
+    for name in ("markov_2state.json", "linear_identity.json"):
+        cold = experiments.digest_of(cli.load_model(_model(name)).describe())
+        assert _model_digest_of_run(_model(name), tmp_path / name) == cold
+
+
+def test_models_report_their_own_digests(tmp_path):
+    check_models_report_their_own_digests(tmp_path)
+
+
+def test_refused_model_is_refused_until_fixed(tmp_path, parses):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({**_FLIP, "P": [[1.0, 0.0], [0.0, 1.0]]}))
+    for _ in range(2):
+        with pytest.raises(cli.CLIError, match="must be irreducible"):
+            cli.load_model(str(path))
+    path.write_text(json.dumps(_FLIP))
+    assert cli.load_model(str(path)).n_states == 2
+    assert len(parses) == 3
+
+
+def test_shared_model_arrays_are_read_only():
+    chain = cli.load_model(_model("markov_3state.json"))
+    linear = cli.load_model(_model("linear_rho05.json"))
+    for values in (chain.transition, chain.observable, chain.stationary,
+                   chain._thresholds, chain._guide, linear.coeffs):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = values[0]
+        with pytest.raises(ValueError, match="read-only"):
+            values *= 2
+
+
+@pytest.mark.parametrize("model, named", [
+    ({"type": "linear", "coeffs": [1.0, 0.5], "innovaton": {"kind": "rademacher"},
+      "tail_bnd": 0.1}, "unknown keys ['innovaton', 'tail_bnd']"),
+    ({"type": "linear", "coeffs": [1.0], "innovation": {"kind": "rademacher",
+                                                        "varaince": 2.0}},
+     "unknown innovation keys ['varaince']"),
+    ({**_FLIP, "coeffs": [1.0]}, "unknown keys ['coeffs']"),
+], ids=["linear", "innovation", "markov"])
+def test_unknown_model_key_is_named(model, named, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    assert main(["sigma2", "--model", str(path), "--seed", "1",
+                 "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == (
+        f"qlab: model file {str(path)!r} failed validation: {named}\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_all_rejects_bad_suite(tmp_path, capsys):
     suite = tmp_path / "suite.json"
     suite.write_text(json.dumps({"runs": []}))
@@ -189,13 +306,18 @@ def test_run_all_smoke_suite(tmp_path):
     assert len(summary["runs"]) == 7
 
 
-def test_run_all_acceptance_suite_under_ten_minutes(tmp_path):
+def test_run_all_acceptance_suite_under_ten_minutes(tmp_path, parses):
     start = time.perf_counter()
     code = main(["run-all", "--suite", os.path.join(SUITES_DIR, "acceptance.json"),
                  "--out", str(tmp_path / "acc")])
     elapsed = time.perf_counter() - start
     assert code == 0
     assert elapsed < 600.0
+    # its 21 entries name 4 model files, and each is parsed once
+    assert len(json.loads((tmp_path / "acc" / "summary.json").read_text())["runs"]) == 21
+    assert sorted(map(os.path.basename, parses)) == [
+        "linear_identity.json", "linear_rho05.json", "markov_2state.json",
+        "markov_3state.json"]
 
 
 _RUN = {"experiment": "sigma2", "model": _model("linear_identity.json")}
@@ -264,6 +386,14 @@ def _resolve(args, tmp_path) -> list:
     ["sigma2", "--model", b'{"type": "linear", "coeffs": [1.0], "tail_bound": "0"}'],
     ["sigma2", "--model", b'{"type": "linear", "coeffs": [1.0], '
                           b'"innovation": {"kind": "gaussian", "variance": true}}'],
+    ["sigma2", "--model", b'{"type": "linear", "coeffs": [1.0, 0.5], '
+                          b'"innovaton": {"kind": "rademacher"}, "tail_bnd": 0.1}'],
+    ["sigma2", "--model", b'{"type": "linear", "coeffs": [1.0], '
+                          b'"innovation": {"kind": "rademacher", "varaince": 2.0}}'],
+    ["sigma2", "--model", b'{"type": "markov", "P": [[0.7, 0.3], [0.3, 0.7]], '
+                          b'"g": [1.0, -1.0], "coeffs": [1.0]}'],
+    ["sigma2", "--model", b'{"type": "linear", "coeffs": [1.0], "innovation": "gaussian"}'],
+    ["sigma2", "--model", b'{"type": ["linear"], "coeffs": [1.0]}'],
     ["drift", "--model", "markov_2state.json", "--fixtures", "2", "--Ns", "256,1024"],
     ["drift", "--model", "markov_2state.json", "--fixtures", "2", "--Ns", "256"],
     ["strest", "--model", "linear_rho05.json", "--fixtures", "1", "--reps", "200",
@@ -280,7 +410,9 @@ def _resolve(args, tmp_path) -> list:
         "model-not-utf8", "suite-not-utf8", "model-g-nan", "model-P-nan",
         "clt-non-endpoint-functional", "model-tail-inf", "model-coeff-bool",
         "model-coeff-string", "model-P-string", "model-g-bool", "model-tail-string",
-        "model-variance-bool", "drift-Ns-4-fold", "drift-single-N",
+        "model-variance-bool", "model-unknown-keys", "model-unknown-innovation-key",
+        "markov-model-unknown-key", "model-innovation-not-object", "model-type-list",
+        "drift-Ns-4-fold", "drift-single-N",
         "strest-Ns-repeated", "drift-Ns-repeated", "strest-single-N", "mw-K-zero"])
 def test_invalid_input_exits_three_with_one_line(args, tmp_path, capsys):
     # in-process: an exception that main lets through fails the test

@@ -236,3 +236,13 @@ def test_linear_model_validation():
     with pytest.raises(ValueError):
         LinearModel(np.array([1.0]), InnovationDistribution("gaussian", 1.0),
                     tail_bound=-0.5)
+
+
+def test_model_keeps_copies_of_the_arrays_it_is_given():
+    # a model's arrays are read-only; the caller's stay its own, and writable
+    P, g, coeffs = np.array([[0.7, 0.3], [0.3, 0.7]]), np.array([1.0, -1.0]), np.ones(2)
+    chain = MarkovFunctionalModel(P, g)
+    linear = LinearModel(coeffs, InnovationDistribution("gaussian", 1.0))
+    P[0], g[0], coeffs[0] = [0.5, 0.5], 2.0, 3.0
+    assert chain.transition[0].tolist() == [0.7, 0.3]
+    assert chain.observable[0] == 1.0 and linear.coeffs[0] == 1.0

@@ -19,6 +19,7 @@ from qlab import cli, experiments, markov_ops, models, projections, stats
 
 from conftest import MODELS_DIR
 
+from test_cli import check_models_report_their_own_digests, check_rewritten_model_is_read_anew
 from test_experiments import (IID, check_chain_decomposition_exact,
                               check_doob_bound_by_enumeration,
                               check_doob_rhs_per_term, check_endpoint_law_exactly_normal,
@@ -400,3 +401,39 @@ def test_kolmogorov_alternating_series_without_its_factor_2(monkeypatch):
                         lambda y: survival(y) / 2 if y >= 1.0 else survival(y))
     _fails_at("assert np.max(np.abs(series - kolmogorov(y))) < 1e-14",
               check_kolmogorov_law_against_scipy)
+
+
+def test_model_cache_keyed_by_the_path_alone(tmp_path, monkeypatch):
+    # the bug keeps the first model read from a path, so a file rewritten in
+    # place to the same size and mtime runs as the model it held before
+    for side in ("as-is", "bug"):
+        (tmp_path / side).mkdir()
+    check_rewritten_model_is_read_anew(tmp_path / "as-is")
+    load_model, by_path = cli.load_model, {}
+
+    def cached_by_path(path):
+        if path not in by_path:
+            by_path[path] = load_model(path)
+        return by_path[path]
+
+    monkeypatch.setattr(cli, "load_model", cached_by_path)
+    _fails_at('assert _model_digest_of_run(str(path), tmp_path / "after") != before',
+              lambda: check_rewritten_model_is_read_anew(tmp_path / "bug"))
+
+
+def test_one_digest_memo_shared_by_every_model(tmp_path, monkeypatch):
+    # the bug keeps the first model's digest for every model of the process
+    for side in ("as-is", "bug"):
+        (tmp_path / side).mkdir()
+    check_models_report_their_own_digests(tmp_path / "as-is")
+    digest_of, memo = experiments.digest_of, {}
+
+    def one_memo(payload):
+        if isinstance(payload, models.Model):
+            return memo.setdefault("digest", digest_of(payload))
+        return digest_of(payload)
+
+    monkeypatch.setattr(experiments, "digest_of", one_memo)
+    monkeypatch.setattr(cli, "digest_of", one_memo)
+    _fails_at("assert _model_digest_of_run(_model(name), tmp_path / name) == cold",
+              lambda: check_models_report_their_own_digests(tmp_path / "bug"))

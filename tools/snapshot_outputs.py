@@ -50,14 +50,28 @@ from workloads import WORKLOADS
 SEED = 42
 RHO05 = "models/linear_rho05.json"
 M2, M3 = "models/markov_2state.json", "models/markov_3state.json"
+# model files that only the refusals read, written next to the copied
+# models: unknown keys in a model and in its innovation, and an innovation
+# that is not an object
+BAD_MODELS = {
+    "models/misspelt_keys.json": {"type": "linear", "coeffs": [1.0, 0.5],
+                                  "innovaton": {"kind": "rademacher"}, "tail_bnd": 0.1},
+    "models/misspelt_innovation_key.json": {"type": "linear", "coeffs": [1.0, 0.5],
+                                            "innovation": {"kind": "rademacher",
+                                                           "varaince": 2.0}},
+    "models/markov_with_coeffs.json": {"type": "markov", "P": [[0.7, 0.3], [0.3, 0.7]],
+                                       "g": [1.0, -1.0], "coeffs": [1.0]},
+    "models/innovation_not_object.json": {"type": "linear", "coeffs": [1.0],
+                                          "innovation": "rademacher"},
+}
 # the arguments of one invalid invocation per rule that RunConfig checks,
 # then per rule on a value that the library checks where the value is read,
 # then quenched-clt's endpoint rule, a markov-only experiment on a linear
 # model, four that set a field the run does not read, two suites whose
 # second model is missing or is linear for a markov-only experiment, and
-# three whose run names repeat, leave --out or take the summary's; a dict
-# stands for ``run-all`` on a suite file holding it, whose model paths are
-# relative to the root of the checkout
+# three whose run names repeat, leave --out or take the summary's, then one
+# suite per file of BAD_MODELS; a dict stands for ``run-all`` on a suite
+# file holding it, whose model paths are relative to the root of the checkout
 REFUSALS = [
     f"sigma2 --model {RHO05}",
     {"seed": 1, "runs": [{"experiment": "sigma2", "n": "16"}]},
@@ -111,6 +125,7 @@ REFUSALS = [
                          {"name": "a", "experiment": "sigma2", "model": RHO05}]},
     {"seed": 1, "runs": [{"name": "../escaped", "experiment": "sigma2", "model": RHO05}]},
     {"seed": 1, "runs": [{"name": "summary.json", "experiment": "sigma2", "model": RHO05}]},
+    *({"seed": 1, "runs": [{"experiment": "sigma2", "model": path}]} for path in BAD_MODELS),
 ]
 
 
@@ -167,6 +182,9 @@ def _refusals(out: str) -> None:
     with tempfile.TemporaryDirectory() as scratch:
         # the suite files are written here, so their model paths resolve here
         shutil.copytree(os.path.join(ROOT, "models"), os.path.join(scratch, "models"))
+        for path, model in BAD_MODELS.items():
+            with open(os.path.join(scratch, path), "w") as fh:
+                json.dump(model, fh)
         for index, entry in enumerate(REFUSALS):
             if isinstance(entry, dict):
                 suite = os.path.join(scratch, "suite.json")
