@@ -215,7 +215,8 @@ def _markov_chunks(model: MarkovFunctionalModel, fixtures, n: int, endpoint: boo
     # -0.0 is the additive identity, so the first add yields g exactly
     total, term, j = np.full(start.size, -0.0), np.empty(start.size), 0
     for k, state in enumerate(_markov_steps(model, start, n, lanes), 1):
-        total += np.take(model.observable, state, out=term)
+        # every state is in range, so take need not buffer its output
+        total += model.observable.take(state, out=term, mode="clip")
         if endpoint and k < n:
             continue
         j += 1

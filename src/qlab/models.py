@@ -242,40 +242,47 @@ def _markov_steps(model: MarkovFunctionalModel, start: np.ndarray, steps: int,
 
     ``blocks`` holds (stream, count) pairs whose counts sum to
     ``start.size``; block b owns the next ``count`` lanes and draws their
-    uniforms from its own stream as sample_quenched_paths documents, in
+    integers k from its own stream as sample_quenched_paths documents, in
     chunks of steps fetched when the chunk's first step is asked for.  A
     chunk is _STEP_DRAWS // lanes steps wide, clipped to [1, _STEP_CHUNK],
-    so its buffers stop growing with the lane count.  A step looks up the
-    guide table and compares the current row's thresholds only in the
-    lanes whose bucket holds one.  Every step yields the same lane array,
-    overwritten by the next step.
+    so its buffers stop growing with the lane count.  A step reads the
+    guide table at bucket ``k >> (53 - GUIDE_BITS)`` of u = k / 2^53, and
+    compares the current row's thresholds only in the lanes whose bucket
+    holds one: t <= u exactly when t * 2^53 <= k, so a tie t == u moves
+    up.  Every step yields the same lane array, overwritten by the next
+    step.
     """
-    thresholds, guide = model._thresholds, model._guide
+    guide = model._guide
+    # scaling by 2^53 is exact, and so is k < 2^53 in float64
+    cuts = np.ldexp(model._thresholds, 53)
     total = start.size
     chunk = min(max(_STEP_DRAWS // max(total, 1), 1), _STEP_CHUNK)
     state = start.astype(np.int32)
     offset = state << GUIDE_BITS
     index = np.empty(total, dtype=np.int32)
+    ambiguous = np.empty(total, dtype=bool)
+    # 0-d operands: a Python int would become a new array at every step
+    zero, bits = np.zeros((), dtype=np.int32), np.array(GUIDE_BITS, dtype=np.int32)
     # one pair of chunk buffers serves every chunk; the last may use a prefix
-    u_chunk = np.empty((min(chunk, steps), total))
-    bucket_chunk = np.empty(u_chunk.shape, dtype=np.int32)
+    draw_chunk = np.empty((min(chunk, steps), total), dtype=np.int64)
+    bucket_chunk = np.empty(draw_chunk.shape, dtype=np.int32)
     for k0 in range(0, steps, chunk):
         width = min(chunk, steps - k0)
-        u, buckets = u_chunk[:width], bucket_chunk[:width]
+        draws, buckets = draw_chunk[:width], bucket_chunk[:width]
         lo = 0
         for stream, count in blocks:
-            u[:, lo : lo + count] = stream.uniform_open(width * count).reshape(width, count)
+            draws[:, lo : lo + count] = stream.uniform_integers(width * count).reshape(width, count)
             lo += count
-        # u * 2^GUIDE_BITS is exact, so truncation gives u's bucket
-        np.multiply(u, 1 << GUIDE_BITS, out=buckets, casting="unsafe")
+        np.right_shift(draws, 53 - GUIDE_BITS, out=buckets, casting="unsafe")
+        # every index is in range, so take need not buffer its output
         for k in range(width):
             np.add(offset, buckets[k], out=index)
-            np.take(guide, index, out=offset)
-            lanes = np.flatnonzero(offset < 0)
-            if lanes.size:
-                rows = thresholds[state[lanes]]
-                offset[lanes] = (rows <= u[k, lanes, None]).sum(axis=1) << GUIDE_BITS
-            np.right_shift(offset, GUIDE_BITS, out=state)
+            guide.take(index, out=offset, mode="clip")
+            if np.count_nonzero(np.less(offset, zero, out=ambiguous)):
+                lanes = np.flatnonzero(ambiguous)
+                rows = cuts[state[lanes]]
+                offset[lanes] = (rows <= draws[k, lanes, None]).sum(axis=1) << GUIDE_BITS
+            np.right_shift(offset, bits, out=state)
             yield state
 
 
@@ -419,10 +426,13 @@ def sample_quenched_paths(model: Model, fixture: PastFixture, stream: RandomStre
     """Draw one block of ``reps`` conditional paths of length ``n`` given
     the frozen past, from ``stream``.
 
-    The Markov draw contract: the block draws ``n * reps`` uniforms,
-    time-major, and uniform ``k * reps + i`` moves its chain ``i`` from
-    step ``k`` to ``k + 1`` by inverse CDF on the cumulative sums of the
-    current row.  How many calls fetch them does not change the numbers:
+    The Markov draw contract: the block draws ``n * reps`` integers k,
+    uniform on [1, 2^53), time-major, each the uniform u = k / 2^53.  Draw
+    ``j * reps + i`` moves its chain ``i`` from step ``j`` to ``j + 1`` by
+    inverse CDF on the cumulative sums t of the current row: the next
+    state counts the t <= u, so a tie t == u moves up.  The kernel starts
+    from bucket ``k >> 41`` of a guide table over 2^12 buckets of u.  How
+    many calls fetch the draws does not change the numbers:
     ``_markov_steps`` sets its chunk width from a fixed draw budget and the
     lane count.  The Markov states are the transposed view of a time-major
     array that stores each row ``_markov_steps`` yields.

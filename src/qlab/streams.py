@@ -56,12 +56,20 @@ class RandomStream:
         """Derive the independent child stream at ``path + indices``."""
         return RandomStream(self.master_seed, self.path + tuple(indices))
 
-    def uniform_open(self, count: int) -> np.ndarray:
-        """Uniform draws on the open interval (0, 1), 53-bit resolution."""
+    def uniform_integers(self, count: int) -> np.ndarray:
+        """The int64 draws k, uniform on [1, 2^53), behind ``uniform_open``'s
+        u = k / 2^53: the same calls advance the stream alike, whichever
+        method makes them.  The Markov step reads k itself: its guide
+        bucket is ``k >> 41``, and a tie t == u with a cumulative sum t
+        moves the chain past t."""
         if count < 0:
             raise ValueError("count must be >= 0")
-        raw = self._gen.integers(1, _TWO53, size=count, dtype=np.int64)
-        return raw / _TWO53
+        return self._gen.integers(1, _TWO53, size=count, dtype=np.int64)
+
+    def uniform_open(self, count: int) -> np.ndarray:
+        """Uniform draws u = k / 2^53 on the open interval (0, 1), with k
+        from ``uniform_integers``; the division is exact."""
+        return self.uniform_integers(count) / _TWO53
 
     def normal(self, count: int) -> np.ndarray:
         """Standard normal draws from the generator's ziggurat."""

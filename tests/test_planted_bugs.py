@@ -6,7 +6,9 @@ it must pass, and with one library function replaced by a version that
 carries one named bug, where it must fail.
 """
 
+import inspect
 import os
+import textwrap
 from dataclasses import replace
 from itertools import islice
 from types import SimpleNamespace
@@ -31,7 +33,8 @@ from test_markov_ops import (check_duality, check_hopf_statistic,
 from test_projections import check_hannan_verdict, check_sigma_squared_exact
 from test_stats import check_kolmogorov_law_against_scipy, check_normal_cdf_against_ndtr
 from test_power_sequence import (check_blocks_jointly, check_draw_contract,
-                                 check_fixtures_jointly)
+                                 check_fixtures_jointly, check_ties_move_up)
+from test_power_sequence import _crowded_five_state
 from test_verdicts import check_nine_of_ten_fixtures_pass, check_p_at_alpha_fails
 
 REPS = 4 * 256 + 37
@@ -106,6 +109,38 @@ def test_step_thresholds_from_the_transpose(three_state_chain, monkeypatch):
     monkeypatch.setattr(models, "_markov_steps", transposed)
     with pytest.raises(AssertionError):
         oracle()
+
+
+def _mutant(function, old, new):
+    """``function`` recompiled in its module with the one occurrence of
+    ``old`` in its source replaced by ``new``."""
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(old) == 1
+    namespace = dict(vars(inspect.getmodule(function)))
+    exec(compile(source.replace(old, new), inspect.getsourcefile(function), "exec"),
+         namespace)
+    return namespace[function.__name__]
+
+
+def test_step_compare_made_strict(monkeypatch):
+    # the bug moves a tie t == u down; only thresholds inside a guide bucket
+    # reach the compare, and t * 2^53 is a whole number for t >= 1/2
+    oracle = lambda: check_ties_move_up(_crowded_five_state())
+    oracle()
+    monkeypatch.setattr(models, "_markov_steps",
+                        _mutant(models._markov_steps, "rows <= draws", "rows < draws"))
+    _fails_at("assert np.array_equal(real.states, oracle)", oracle)
+
+
+@pytest.mark.parametrize("shift", [52, 54])
+def test_step_bucket_shift_off_by_one(shift, three_state_chain, monkeypatch):
+    # the bug reads the guide table at k >> 40 or k >> 42, not k >> 41
+    oracle = lambda: check_draw_contract(three_state_chain, 20, 16)
+    oracle()
+    monkeypatch.setattr(models, "_markov_steps",
+                        _mutant(models._markov_steps, "(draws, 53 - GUIDE_BITS",
+                                                f"(draws, {shift} - GUIDE_BITS"))
+    _fails_at("assert np.array_equal(real.states, oracle)", oracle)
 
 
 def test_loop_that_skips_its_first_step(three_state_chain, monkeypatch):

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qlab import (MarkovFunctionalModel, PastFixture, PathFunctional,
                   RandomStream, cesaro_average, doob_bound_check,
@@ -170,15 +171,32 @@ def _dense_64_state() -> MarkovFunctionalModel:
 
 
 class _ReplayStream:
-    """Serves a fixed sequence of uniforms, in order, to any call pattern."""
+    """Serves a fixed sequence of int64 draws k, in order, to any call
+    pattern: as k itself, or as the uniform k / 2^53."""
 
-    def __init__(self, u: np.ndarray):
-        self.u, self.used = u, 0
+    def __init__(self, k: np.ndarray):
+        self.k, self.used = k, 0
 
-    def uniform_open(self, count: int) -> np.ndarray:
-        out = self.u[self.used : self.used + count]
+    def uniform_integers(self, count: int) -> np.ndarray:
+        out = self.k[self.used : self.used + count]
         self.used += count
         return out
+
+    def uniform_open(self, count: int) -> np.ndarray:
+        return self.uniform_integers(count) / 2**53
+
+
+def _tie_draws(chain) -> np.ndarray:
+    """For each threshold t of ``chain`` in (0, 1), the draws k next to its
+    cut c = ceil(t 2^53), c - 1, c and c + 1, and the last and first k,
+    j 2^41 - 1 and j 2^41, of the guide buckets either side of the bucket
+    edge j 2^-12 nearest t; only k in [1, 2^53) are kept."""
+    cum = np.cumsum(chain.transition, axis=1)[:, :-1].ravel()
+    cum = cum[(cum > 0) & (cum < 1)]
+    cuts = np.ceil(np.ldexp(cum, 53)).astype(np.int64)
+    edges = np.round(cum * 4096).astype(np.int64) << 41
+    k = np.concatenate([cuts - 1, cuts, cuts + 1, edges - 1, edges])
+    return k[(k >= 1) & (k < 2**53)]
 
 
 KERNEL_CHAINS = {"dyadic-four": _dyadic_four_state, "crowded-five": _crowded_five_state,
@@ -208,25 +226,57 @@ def test_sampler_draw_contract(which, two_state_chain, three_state_chain):
     check_draw_contract(chain, 300, 257)
 
 
-@pytest.mark.parametrize("which", sorted(KERNEL_CHAINS))
-def test_step_kernel_ties_move_up(which):
-    # uniforms equal to every threshold, one ulp either side of it, and on
-    # every guide-bucket edge near it: a tie t == u counts (t <= u)
-    chain = KERNEL_CHAINS[which]()
-    cum = np.cumsum(chain.transition, axis=1)[:, :-1].ravel()
-    cum = cum[(cum > 0) & (cum < 1)]
-    edges = np.round(cum * 4096) / 4096
-    u = np.concatenate([cum, np.nextafter(cum, 0), np.nextafter(cum, 1),
-                        edges[(edges > 0) & (edges < 1)]])
+def check_ties_move_up(chain):
+    """Byte oracle of the kernel next to every threshold: the same tie
+    draws replayed, shuffled, to the sampler and to the stepwise oracle."""
+    k = _tie_draws(chain)
     n, reps = 40, 211
-    order = np.argsort(RandomStream(7008, []).uniform_open(u.size))
-    pool = np.resize(u[order], n * reps)
+    order = np.argsort(RandomStream(7008, []).uniform_open(k.size))
+    pool = np.resize(k[order], n * reps)
     for x in range(min(chain.n_states, 4)):
         real = sample_quenched_paths(chain, PastFixture(state=x), _ReplayStream(pool),
                                      n, reps)
         oracle = _stepwise_paths(chain.transition, np.full(reps, x), n,
                                  _ReplayStream(pool))
         assert np.array_equal(real.states, oracle)
+
+
+@pytest.mark.parametrize("which", sorted(KERNEL_CHAINS))
+def test_step_kernel_ties_move_up(which):
+    # draws on every threshold's cut, one grid step either side of it, and
+    # on every guide-bucket edge near it: a tie t == u counts (t <= u)
+    check_ties_move_up(KERNEL_CHAINS[which]())
+
+
+@st.composite
+def _crowded_chains(draw):
+    """A primitive chain with S <= 8 built from entries that include zeros
+    and values below 2^-41, so several cuts share a few thousand k; row 1
+    holds two entries that sum to 1 + delta, delta below the 1e-12 row
+    tolerance, so its cuts past them lie above every k."""
+    S = draw(st.integers(2, 8))
+    entry = st.one_of(st.just(0.0), st.floats(2.0**-60, 2.0**-41), st.floats(1e-3, 1.0))
+    raw = np.array(draw(st.lists(entry, min_size=S * S, max_size=S * S))).reshape(S, S)
+    # self-loops and the cycle i -> i - 1 keep it irreducible and aperiodic
+    raw += 0.1 * (np.eye(S) + np.roll(np.eye(S), -1, axis=1))
+    raw[1, 2:] = 0.0
+    P = raw / raw.sum(axis=1, keepdims=True)
+    P[1] *= 1.0 + draw(st.floats(1e-14, 9e-13))
+    return centered_chain(P, np.arange(S, dtype=float))
+
+
+@settings(max_examples=40)
+@given(chain=_crowded_chains(), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_step_kernel_matches_the_stepwise_oracle(chain, seed, data):
+    # random draws and every tie draw of the chain, shuffled into one stream
+    x = data.draw(st.integers(0, chain.n_states - 1))
+    ties = _tie_draws(chain)
+    stream = RandomStream(seed, [0])
+    k = np.concatenate([ties, stream.uniform_integers(ties.size + 64)])
+    pool = np.resize(k[np.argsort(stream.uniform_open(k.size))], 30 * 40)
+    real = sample_quenched_paths(chain, PastFixture(state=x), _ReplayStream(pool), 30, 40)
+    oracle = _stepwise_paths(chain.transition, np.full(40, x), 30, _ReplayStream(pool))
+    assert np.array_equal(real.states, oracle)
 
 
 def _oracle_blocks(chain, x, n, reps, stream):
