@@ -16,7 +16,11 @@ of steps and subtracts each start state's exact drift; the endpoint is
 the one chunk at time n.  A linear block is one chunk, built from its
 fresh innovations alone because the frozen past cancels: the endpoint
 as one sum per path weighted by the partial sums B_t of the
-coefficients, a path grid as the cumsum of a zero-state FIR.  The frozen
+coefficients, a path grid as the cumsum of a zero-state FIR.  A group
+of linear blocks reuses two innovation buffers and one grid buffer: one
+helper thread draws block b + 1 into one buffer while block b, in the
+other, is filtered and reduced.  Philox streams are counter based, so
+when a block is drawn does not change its draws.  The frozen
 past enters a linear experiment only through
 ``sample_quenched_paths(...).values`` and the decomposition identity
 check, which compares that uncentered route against the decomposition.
@@ -29,7 +33,7 @@ import json
 import math
 import os
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import partial
@@ -48,7 +52,7 @@ from .projections import (evaluate_martingale, martingale_increment,
                           sigma_squared)
 from .stats import (Verdict, brownian_inf_cdf, brownian_sup_abs_cdf,
                     brownian_sup_cdf, ks_one_sample, normal_reference)
-from .streams import RandomStream
+from .streams import RandomStream, _fill
 
 BLOCK_REPS = 256          # replication block size; fixed, never tuned per run
 # about this many chains share one Markov loop: on a 2-vCPU host,
@@ -56,6 +60,7 @@ BLOCK_REPS = 256          # replication block size; fixed, never tuned per run
 # fixture at a time, and two loops of 12,288 chains beat one of 24,576
 _LOOP_LANES = 1 << 14
 _FOLD_VALUES = 1 << 15    # at most this many values per chunk of a Markov fold
+_TERM_ROWS = 8            # rows of a linear endpoint's weighted terms held at once
 DEGENERATE_VARIANCE = 1e-18
 
 
@@ -148,27 +153,34 @@ def _block_tasks(streams, reps: int) -> list:
             for i, stream in enumerate(streams) for b, count in enumerate(sizes)]
 
 
-def _linear_centered_sums(model: LinearModel, fresh: np.ndarray,
-                          endpoint: bool) -> np.ndarray:
-    """Grid of S_k - E0(S_k) from a block's fresh innovations eps_1..eps_n.
+def _linear_centered_sums(model: LinearModel, fresh: np.ndarray, endpoint: bool,
+                          grid: Optional[np.ndarray] = None) -> np.ndarray:
+    """Grid of S_k - E0(S_k) from a block's fresh innovations eps_1..eps_n,
+    written into ``grid`` when given (rows as ``fresh``) and returned.
 
     S_k - E0(S_k) = sum_{m<=k} B_{k-m} eps_m with B_t = a_0 + ... + a_min(t, J):
     the frozen past cancels exactly.  The full (count, n + 1) grid is 0, then
-    the cumsum of the zero-state FIR.  With ``endpoint`` the grid holds only
-    times 0 and n: S_n - E0(S_n) is the product of each row with the
-    weights B_min(n-m, J), summed left to right as the grid's cumsum is,
+    the running sum of each row's zero-state FIR, filtered into the grid and
+    summed in place.  With ``endpoint`` the grid holds only times 0 and n:
+    S_n - E0(S_n) is the product of each row with the weights B_min(n-m, J),
+    summed left to right as the grid's cumsum is, _TERM_ROWS rows at a time,
     so the bytes do not depend on a BLAS kernel's summation order and
     J = 0 gives exactly the grid's last column.
     """
     count, n = fresh.shape
+    if grid is None:
+        grid = np.empty((count, 2 if endpoint else n + 1))
+    grid[:, 0] = 0.0
     if endpoint:
         B = np.cumsum(model.coeffs)
-        terms = fresh * B[np.minimum(np.arange(n - 1, -1, -1), model.horizon)]
-        grid = np.zeros((count, 2))
-        grid[:, 1] = np.cumsum(terms, axis=1, out=terms)[:, -1]
+        weights = B[np.minimum(np.arange(n - 1, -1, -1), model.horizon)]
+        work = np.empty((_TERM_ROWS, n))
+        for lo in range(0, count, _TERM_ROWS):
+            terms = np.multiply(fresh[lo : lo + _TERM_ROWS], weights, out=work[: count - lo])
+            grid[lo : lo + _TERM_ROWS, 1] = np.cumsum(terms, axis=1, out=terms)[:, -1]
         return grid
-    grid = np.zeros((count, n + 1))
-    np.cumsum(_fir(model.coeffs, fresh), axis=1, out=grid[:, 1:])
+    sums = _fir(model.coeffs, fresh, out=grid[:, 1:])
+    np.cumsum(sums, axis=1, out=sums)
     return grid
 
 
@@ -176,12 +188,32 @@ def _reduce_linear_blocks(model: LinearModel, n: int, endpoint: bool, reduce,
                           blocks) -> np.ndarray:
     """Concatenate ``reduce(chunks)`` over linear blocks, in order, a block's
     one chunk being its grid and the ``count * n`` fresh innovations it
-    draws as ``sample_quenched_paths`` does, so its fixture does not enter."""
+    draws as ``sample_quenched_paths`` does, so its fixture does not enter.
+
+    One helper thread draws block b + 1 into one of two innovation buffers
+    while block b, in the other, is filtered into the one grid buffer and
+    reduced.  Each block still draws from its own address, so the draws
+    are those of a serial loop.  Each stream is built on this thread, and
+    the helper calls no public name; it is joined before this returns,
+    and a draw's error is raised here.
+    """
+    most = max(count for *_, count in blocks)
+    fresh = np.empty((2, most * n))
+    grid = np.empty((most, 2 if endpoint else n + 1))
     reduced = []
-    for _, seed, path, count in blocks:
-        fresh = sample(RandomStream(seed, path), model.innovation, count * n).reshape(count, n)
-        reduced.append(reduce([(_linear_centered_sums(model, fresh, endpoint),
-                                Realization(None, fresh=fresh))]))
+    with ThreadPoolExecutor(1) as helper:
+        def draw(b):
+            _, seed, path, count = blocks[b]
+            return helper.submit(_fill, RandomStream(seed, path), model.innovation,
+                                 fresh[b % 2, : count * n])
+
+        pending = draw(0)
+        for b, (*_, count) in enumerate(blocks):
+            eps = pending.result().reshape(count, n)
+            if b + 1 < len(blocks):
+                pending = draw(b + 1)
+            reduced.append(reduce([(_linear_centered_sums(model, eps, endpoint, grid[:count]),
+                                    Realization(None, fresh=eps))]))
     return np.concatenate(reduced)
 
 

@@ -403,12 +403,13 @@ class Realization:
     states: Optional[np.ndarray] = None
 
 
-def _fir(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _fir(coeffs: np.ndarray, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Zero-state FIR of each row of ``x``, y_k = sum_j coeffs[j] x_{k-j}:
-    one np.convolve per row, as lfilter(coeffs, [1.0], x, axis=1) does it."""
-    y = np.empty(x.shape)
-    for row, out in zip(x, y) if x.size else ():    # convolve refuses empty rows
-        out[:] = np.convolve(coeffs, row)[: x.shape[1]]
+    one np.convolve per row, as lfilter(coeffs, [1.0], x, axis=1) does it,
+    written into ``out`` when given."""
+    y = np.empty(x.shape) if out is None else out
+    for row, dst in zip(x, y) if x.size else ():    # convolve refuses empty rows
+        dst[:] = np.convolve(coeffs, row)[: x.shape[1]]
     return y
 
 

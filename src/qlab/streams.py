@@ -24,6 +24,7 @@ import numpy.random  # numpy loads it lazily; load it with qlab, not at the firs
 MAX_PATH_LENGTH = 8
 
 _TWO53 = 2**53
+_PIECE = 1 << 16    # integer draws per piece of a fill; pieces draw what one call would
 
 INNOVATION_KINDS = ("gaussian", "rademacher", "uniform-centered")
 
@@ -108,11 +109,33 @@ def sample(stream: RandomStream, dist: InnovationDistribution, count: int) -> np
     """Draw ``count`` iid innovations from ``dist``, advancing ``stream``."""
     if count < 0:
         raise ValueError("count must be >= 0")
+    return _fill(stream, dist, np.empty(count))
+
+
+def _fill(stream: RandomStream, dist: InnovationDistribution, out: np.ndarray) -> np.ndarray:
+    """Fill the contiguous float64 vector ``out`` with ``sample``'s draws of
+    ``out.size`` innovations, advancing ``stream``.
+
+    Gaussian: the generator's normals times sigma.  Rademacher: sigma times
+    2k - 1 of the draws k in {0, 1}, which is -sigma or sigma exactly.
+    Uniform-centered: a (2u - 1) on [-a, a) with a = sqrt(3 v), u from
+    ``uniform_open``.  The integers are drawn _PIECE at a time.  It calls
+    no public name of the package, so a helper thread may run it.
+    """
+    gen = stream._gen
     if dist.kind == "gaussian":
-        return dist.sigma * stream.normal(count)
-    if dist.kind == "rademacher":
-        signs = 2.0 * stream.integers(0, 2, count) - 1.0
-        return dist.sigma * signs
-    # uniform-centered: [-a, a) with a = sqrt(3 v) so the variance is v
+        gen.standard_normal(out=out)
+        return np.multiply(out, dist.sigma, out=out)
+    table = np.array([-dist.sigma, dist.sigma])
     half_width = np.sqrt(3.0 * dist.variance)
-    return half_width * (2.0 * stream.uniform_open(count) - 1.0)
+    for lo in range(0, out.size, _PIECE):
+        piece = out[lo : lo + _PIECE]
+        if dist.kind == "rademacher":
+            np.take(table, gen.integers(0, 2, size=piece.size), out=piece)
+        else:
+            np.divide(gen.integers(1, _TWO53, size=piece.size, dtype=np.int64), _TWO53,
+                      out=piece)
+            piece *= 2.0
+            piece -= 1.0
+            piece *= half_width
+    return out

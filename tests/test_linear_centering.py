@@ -9,6 +9,9 @@ conditional drift.
 
 import math
 import os
+import sys
+import threading
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -18,9 +21,10 @@ from scipy.stats import kstest, norm
 
 from qlab import (InnovationDistribution, LinearModel, PastFixture,
                   PathFunctional, RandomStream, decomposition_identity_check,
-                  e0_increment_series, sample, sample_fixture,
-                  sample_path_functional, sample_quenched_paths,
-                  strest_experiment)
+                  e0_increment_series, martingale_increment, sample,
+                  sample_fixture, sample_path_functional, sample_quenched_paths,
+                  strest_experiment, worker_pool)
+from qlab import experiments
 from qlab.cli import load_model
 from qlab.experiments import BLOCK_REPS, _linear_centered_sums
 from qlab.models import _fir, _linear_observables
@@ -152,3 +156,127 @@ def test_fir_equals_lfilter_bit_for_bit(J, n):
     coeffs = RandomStream(76, [J]).normal(J + 1)
     x = RandomStream(76, [J, n]).normal(7 * n).reshape(7, n)
     assert _fir(coeffs, x).tobytes() == lfilter(coeffs, [1.0], x, axis=1).tobytes()
+
+
+# --- blocks drawn one ahead ----------------------------------------------------
+
+# one model per innovation kind, none of unit variance, J = 0 among them
+OVERLAP_MODELS = [
+    LinearModel(np.array([1.0, -0.4, 0.25, 0.1]), InnovationDistribution("gaussian", 2.5)),
+    LinearModel(np.array([0.8, 0.5, -0.3]), InnovationDistribution("rademacher", 0.25)),
+    LinearModel(np.array([1.3]), InnovationDistribution("uniform-centered", 3.0)),
+]
+OVERLAP_REPS = 2 * BLOCK_REPS + 44      # two full blocks and a partial one per fixture
+
+
+class EagerHelper:
+    """A stand-in for the helper thread's executor that draws each block
+    when it is asked for, before the block ahead of it is filtered: the
+    earliest a helper thread can finish."""
+
+    def __init__(self, workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+def _serial_reference(model, stream, n, Ns):
+    """Endpoint, supremum, time integral and strest column of one fixture,
+    from ``sample`` at each block's address, lfilter and cumsum, block by
+    block in order."""
+    J = model.horizon
+    weights = np.cumsum(model.coeffs)[np.minimum(n - 1 - np.arange(n), J)]
+    c = martingale_increment(model, math.inf).c
+    ends, sups, integrals, gaps = [], [], [], []
+    for b, count in enumerate((BLOCK_REPS, BLOCK_REPS, 44)):
+        fresh = sample(RandomStream(stream.master_seed, stream.path + (0, b)),
+                       model.innovation, count * n).reshape(count, n)
+        centered = np.cumsum(lfilter(model.coeffs, [1.0], fresh, axis=1), axis=1)
+        grid = np.hstack([np.zeros((count, 1)), centered]) / math.sqrt(n)
+        ends.append(np.cumsum(fresh * weights, axis=1)[:, -1] / math.sqrt(n))
+        sups.append(np.max(grid, axis=1))
+        pairs = np.hstack([np.full((count, 1), -0.0), grid[:, :-1] + grid[:, 1:]])
+        integrals.append(np.cumsum(pairs, axis=1)[:, -1] / (2.0 * n))
+        gaps.append(np.maximum.accumulate((centered - c * np.cumsum(fresh, axis=1)) ** 2,
+                                          axis=1)[:, [N - 1 for N in Ns]])
+    scaled = np.concatenate(gaps) / np.asarray(Ns, dtype=float)[None, :]
+    return {"endpoint": np.concatenate(ends), "supremum": np.concatenate(sups),
+            "time-integral": np.concatenate(integrals),
+            "strest": [float(v) for v in scaled.mean(axis=0)]}
+
+
+def check_blocks_drawn_ahead(workers=(1, 2), n=97, Ns=(13, 97)):
+    """Byte oracle of the linear block loop: two fixtures of three blocks
+    each, for one model per innovation kind, against a serial reference
+    that shares no code with the loop."""
+    for model in OVERLAP_MODELS:
+        fixtures = [sample_fixture(model, RandomStream(77, [0, i])) for i in range(2)]
+        streams = [RandomStream(77, [1, i]) for i in range(2)]
+        refs = [_serial_reference(model, stream, n, list(Ns)) for stream in streams]
+        for count in workers:
+            with worker_pool(count):
+                for kind in ("endpoint", "supremum", "time-integral"):
+                    got = sample_path_functional(model, fixtures, PathFunctional(kind), n,
+                                                 OVERLAP_REPS, streams)
+                    assert [v.tobytes() for v in got] == [ref[kind].tobytes() for ref in refs]
+                rep = strest_experiment(model, fixtures[1], math.inf, Ns, OVERLAP_REPS,
+                                        streams[1])
+                assert rep.estimates == refs[1]["strest"]
+
+
+def test_blocks_drawn_ahead_keep_the_serial_bytes():
+    # a short switch interval passes the interpreter between the threads often
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        check_blocks_drawn_ahead()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_blocks_drawn_ahead_keep_the_serial_bytes_when_each_draw_wins(monkeypatch):
+    # every draw of block b + 1 ends before block b is filtered and reduced
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", EagerHelper)
+    check_blocks_drawn_ahead(workers=(1,))
+
+
+def test_linear_run_leaves_no_thread_behind(rho_model):
+    before = threading.enumerate()
+    fixture = sample_fixture(rho_model, RandomStream(78, [0]))
+    sample_path_functional(rho_model, [fixture], SUPREMUM, 64, OVERLAP_REPS,
+                           [RandomStream(78, [1])])
+    assert threading.enumerate() == before
+
+
+def test_draw_error_reaches_the_caller_and_no_thread_stays(rho_model, monkeypatch):
+    class DrawError(Exception):
+        pass
+
+    error, fills, real_fill = DrawError("second block"), [], experiments._fill
+
+    def fill(*args):
+        fills.append(args)
+        if len(fills) == 2:
+            raise error
+        return real_fill(*args)
+
+    monkeypatch.setattr(experiments, "_fill", fill)
+    before = threading.enumerate()
+    fixture = sample_fixture(rho_model, RandomStream(78, [0]))
+    with pytest.raises(DrawError) as raised:
+        sample_path_functional(rho_model, [fixture], ENDPOINT, 64, OVERLAP_REPS,
+                               [RandomStream(78, [1])])
+    assert raised.value is error
+    assert len(fills) == 2 and threading.enumerate() == before

@@ -28,6 +28,7 @@ from test_experiments import (IID, check_chain_decomposition_exact,
                               check_run_reports_as_fixtures_alone,
                               check_supremum_stores_no_paths)
 from test_experiments import _lazy_cycle
+from test_linear_centering import EagerHelper, check_blocks_drawn_ahead
 from test_markov_ops import (check_duality, check_hopf_statistic,
                              check_hopf_tie_stability, check_streamed_pass)
 from test_projections import check_hannan_verdict, check_sigma_squared_exact
@@ -120,6 +121,24 @@ def _mutant(function, old, new):
     exec(compile(source.replace(old, new), inspect.getsourcefile(function), "exec"),
          namespace)
     return namespace[function.__name__]
+
+
+@pytest.mark.parametrize("old, new", [
+    # one innovation buffer, which block b + 1 is drawn into while block b is read
+    ("fresh[b % 2,", "fresh[0,"),
+    # the helper draws block b + 1 from block b's address
+    ("RandomStream(seed, path)", "RandomStream(seed, blocks[max(b - 1, 0)][2])"),
+], ids=["one-shared-buffer", "draw-from-the-block-before"])
+def test_linear_blocks_drawn_ahead_wrongly(old, new, monkeypatch):
+    # every draw ends before the block ahead of it is filtered, so a shared
+    # buffer is overwritten on every run, not only when the thread wins a race
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", EagerHelper)
+    oracle = lambda: check_blocks_drawn_ahead(workers=(1,))
+    oracle()
+    monkeypatch.setattr(experiments, "_reduce_linear_blocks",
+                        _mutant(experiments._reduce_linear_blocks, old, new))
+    _fails_at("assert [v.tobytes() for v in got] == [ref[kind].tobytes() for ref in refs]",
+              oracle)
 
 
 def test_step_compare_made_strict(monkeypatch):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qlab import InnovationDistribution, RandomStream, sample
+from qlab.streams import _PIECE, _fill
 
 
 def test_same_address_reproduces_draws():
@@ -106,3 +107,38 @@ def test_unknown_kind_rejected():
         InnovationDistribution("cauchy", 1.0)
     with pytest.raises(ValueError):
         InnovationDistribution("gaussian", 0.0)
+
+
+def _drawn_as_before(stream, dist, count):
+    """The innovations as ``sample`` drew them before it filled a buffer."""
+    if dist.kind == "gaussian":
+        return dist.sigma * stream.normal(count)
+    if dist.kind == "rademacher":
+        return dist.sigma * (2.0 * stream.integers(0, 2, count) - 1.0)
+    return np.sqrt(3.0 * dist.variance) * (2.0 * stream.uniform_open(count) - 1.0)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "rademacher", "uniform-centered"])
+@pytest.mark.parametrize("variance", [1.0, 0.3])
+def test_fill_keeps_the_bytes_of_each_kind(kind, variance):
+    # counts 0, 1, 2, odd, and on both sides of one and two piece boundaries
+    dist = InnovationDistribution(kind, variance)
+    for count in (0, 1, 2, 7, 1001, _PIECE - 1, _PIECE, _PIECE + 1, 2 * _PIECE + 3):
+        path = (31, count)
+        expected = _drawn_as_before(RandomStream(4, path), dist, count)
+        assert sample(RandomStream(4, path), dist, count).tobytes() == expected.tobytes()
+        # into a row of a larger buffer, as the linear blocks fill theirs
+        buffer = np.full((2, count + 5), np.nan)
+        row = _fill(RandomStream(4, path), dist, buffer[1, :count])
+        assert row.base is buffer and row.tobytes() == expected.tobytes()
+        assert np.isnan(buffer[0]).all() and np.isnan(buffer[1, count:]).all()
+
+
+@pytest.mark.parametrize("kind", ["rademacher", "uniform-centered"])
+def test_fills_in_turn_continue_the_stream(kind):
+    # pieces of a fill, and fills after one another, draw what one call draws
+    dist = InnovationDistribution(kind, 2.0)
+    stream, count = RandomStream(4, [32]), _PIECE + 9
+    parts = [sample(stream, dist, 5), _fill(stream, dist, np.empty(count))]
+    whole = _drawn_as_before(RandomStream(4, [32]), dist, count + 5)
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
