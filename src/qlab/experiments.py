@@ -10,10 +10,11 @@ group per worker; a group's Markov blocks are stepped in loops of about
 2^14 chains, and a loop may span fixtures.
 
 The statistic is the conditionally centered sum S_k - E0(S_k); every
-reduction of it folds chunks of the path left to right.  A Markov loop
-adds g to one running sum per chain at each step, writes it into chunks
-of steps and subtracts each start state's exact drift; the endpoint is
-the one chunk at time n.  A linear block is one chunk, built from its
+route hands its reduction one form, an iterable of (grid, realization)
+chunks of the path, which it folds left to right.  A Markov loop adds g
+to one running sum per chain at each step, writes it into chunks of
+steps and subtracts each start state's exact drift; the endpoint is the
+one chunk at time n.  A linear block is one chunk, built from its
 fresh innovations alone because the frozen past cancels: the endpoint
 as one sum per path weighted by the partial sums B_t of the
 coefficients, a path grid as the cumsum of a zero-state FIR.  A group
@@ -154,9 +155,10 @@ def _block_tasks(streams, reps: int) -> list:
 
 
 def _linear_centered_sums(model: LinearModel, fresh: np.ndarray, endpoint: bool,
-                          grid: Optional[np.ndarray] = None) -> np.ndarray:
+                          grid: np.ndarray) -> np.ndarray:
     """Grid of S_k - E0(S_k) from a block's fresh innovations eps_1..eps_n,
-    written into ``grid`` when given (rows as ``fresh``) and returned.
+    written into ``grid`` (one row per row of ``fresh``; n + 1 columns, or
+    2 with ``endpoint``) and returned.
 
     S_k - E0(S_k) = sum_{m<=k} B_{k-m} eps_m with B_t = a_0 + ... + a_min(t, J):
     the frozen past cancels exactly.  The full (count, n + 1) grid is 0, then
@@ -168,8 +170,6 @@ def _linear_centered_sums(model: LinearModel, fresh: np.ndarray, endpoint: bool,
     J = 0 gives exactly the grid's last column.
     """
     count, n = fresh.shape
-    if grid is None:
-        grid = np.empty((count, 2 if endpoint else n + 1))
     grid[:, 0] = 0.0
     if endpoint:
         B = np.cumsum(model.coeffs)
@@ -232,8 +232,8 @@ def _markov_chunks(model: MarkovFunctionalModel, fixtures, n: int, endpoint: boo
     times k0..k1 and the states W_k0..W_k1, as views of buffers that the
     next chunk overwrites; the endpoint's one chunk stores time n alone."""
     lanes = [(RandomStream(seed, path), count) for _, seed, path, count in blocks]
-    # a block's paths at n = 0 are its start lanes and draw nothing;
-    # the chain-clt trace in bench/run.py reads this call's span
+    # a block's paths at n = 0 are its start lanes and draw nothing; the
+    # call stays because bench/run.py's baseline_findings indexes its span
     start = np.concatenate([
         sample_quenched_paths(model, fixtures[i], stream, 0, count).states[:, 0]
         for (i, *_), (stream, count) in zip(blocks, lanes)])
@@ -268,8 +268,7 @@ def _reduce_markov_blocks(model: MarkovFunctionalModel, fixtures, n: int,
     group's chains, whatever their fixture, each loop's chunks folded as
     they are produced: the peak grows with neither n nor the fixtures."""
     loops = math.ceil(sum(count for *_, count in blocks) / _LOOP_LANES)
-    # the endpoint loop runs before its reduction, so a trace times it as the route's
-    return np.concatenate([reduce(list(chunks) if endpoint else chunks) for chunks in
+    return np.concatenate([reduce(chunks) for chunks in
                            map(partial(_markov_chunks, model, fixtures, n, endpoint),
                                _split(blocks, loops))])
 
@@ -279,13 +278,13 @@ def _replicate(model: Model, fixtures, streams, n: int, reps: int, reduce,
     """``reduce(chunks)`` of every replication block of conditional paths,
     one array per fixture, fixture i drawing from ``streams[i]``.
 
-    ``chunks`` yields (grid, realization) pairs that cut paths in time, in
-    order: ``grid`` holds S_k - E0(S_k), one row per path, from the last
-    time of the chunk before (0 at time 0), and the realization the raw
-    randomness behind it alone: the fresh innovations, or the states from
-    the one before the chunk.  A whole grid comes as a list of one pair;
-    with ``endpoint`` it holds times 0 and n only.  A reduction keeps one
-    carry per path and may overwrite grids.
+    ``chunks`` is an iterable of (grid, realization) pairs that cut paths
+    in time, in order: ``grid`` holds S_k - E0(S_k), one row per path,
+    from the last time of the chunk before (0 at time 0), and the
+    realization the raw randomness behind it alone: the fresh
+    innovations, or the states from the one before the chunk.  With
+    ``endpoint`` one grid holds times 0 and n only.  A reduction keeps
+    one carry per path and may overwrite grids.
 
     The blocks of all the fixtures form one task list in (fixture, block)
     order, which ``_map_ordered`` splits into one contiguous group per
@@ -308,9 +307,7 @@ def _replicate(model: Model, fixtures, streams, n: int, reps: int, reduce,
 # --- replicated functional sampling -------------------------------------
 
 def _functional_of(functional, n, chunks) -> np.ndarray:
-    grids = (np.divide(grid, math.sqrt(n), out=grid) for grid, _ in chunks)
-    # a list holds one whole grid, whose array the trace counts
-    return functional.of_grid(next(grids) if isinstance(chunks, list) else grids)
+    return functional.of_grid(np.divide(grid, math.sqrt(n), out=grid) for grid, _ in chunks)
 
 
 def sample_path_functional(model: Model, fixtures: Sequence[PastFixture],

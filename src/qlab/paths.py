@@ -20,19 +20,20 @@ class PathFunctional:
             raise ValueError(f"unknown functional {self.kind!r}; "
                              f"choose from {FUNCTIONAL_KINDS}")
 
-    def of_grid(self, grid) -> np.ndarray:
+    def of_grid(self, chunks) -> np.ndarray:
         """Evaluate on batched polygonal paths given their grid values.
 
-        ``grid`` has shape (reps, n+1) with column 0 equal to 0, or is an
-        iterable of such arrays that cut the paths in time, each from the
-        last column of the one before, folded left to right as they come.
+        ``chunks`` is an iterable of (reps, m+1) arrays that cut the paths
+        in time, the first from time 0 with column 0 equal to 0, each
+        later one from the last column of the one before; they are folded
+        left to right as they come, and a whole grid is a list of one.
         Extremes of a polygonal path sit at grid points, and its time
         integral is the trapezoid rule summed left to right, so every
         supported functional is exact.
         """
 
         carry, n = None, 0
-        for chunk in map(np.atleast_2d, [grid] if isinstance(grid, np.ndarray) else grid):
+        for chunk in chunks:
             n += chunk.shape[1] - 1
             if self.kind == "time-integral":
                 # -0.0 is the additive identity, so the first pair enters exactly

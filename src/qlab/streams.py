@@ -76,9 +76,6 @@ class RandomStream:
         """Standard normal draws from the generator's ziggurat."""
         return self._gen.standard_normal(count)
 
-    def integers(self, low: int, high: int, count: int) -> np.ndarray:
-        return self._gen.integers(low, high, size=count)
-
     def __repr__(self) -> str:
         return f"RandomStream(master_seed={self.master_seed}, path={list(self.path)})"
 

@@ -57,8 +57,9 @@ def _uncentered_route(model, fixture, fresh):
 def _assert_routes_agree(model, fixture, fresh):
     old = _uncentered_route(model, fixture, fresh)
     tol = 1e-10 * np.max(np.abs(old))
-    grid = _linear_centered_sums(model, fresh, endpoint=False)
-    ends = _linear_centered_sums(model, fresh, endpoint=True)
+    count, n = fresh.shape
+    grid = _linear_centered_sums(model, fresh, False, np.full((count, n + 1), np.nan))
+    ends = _linear_centered_sums(model, fresh, True, np.full((count, 2), np.nan))
     assert grid.shape == (fresh.shape[0], fresh.shape[1] + 1)
     assert ends.shape == (fresh.shape[0], 2)
     assert np.all(grid[:, 0] == 0.0) and np.all(ends[:, 0] == 0.0)
@@ -91,7 +92,7 @@ def test_sampled_functional_equals_uncentered_route(linear_model, functional):
                                      RandomStream(72, [1, 0, b]), n, count)
         grid = np.zeros((count, n + 1))
         grid[:, 1:] = _uncentered_route(linear_model, fixture, real.fresh)
-        olds.append(functional.of_grid(grid / math.sqrt(n)))
+        olds.append(functional.of_grid([grid / math.sqrt(n)]))
     old = np.concatenate(olds)
     assert values.shape == (reps,)
     assert np.max(np.abs(values - old)) <= 1e-10 * np.max(np.abs(old))

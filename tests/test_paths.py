@@ -1,4 +1,5 @@
 import math
+from itertools import pairwise
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from qlab import (PastFixture, PathFunctional, RandomStream,
                   e0_increment_series, sample_path_functional,
                   sample_quenched_paths)
+from qlab.paths import FUNCTIONAL_KINDS
 
 
 def _grid(increments) -> np.ndarray:
@@ -15,7 +17,7 @@ def _grid(increments) -> np.ndarray:
 
 def test_endpoint_is_total_sum():
     inc = RandomStream(31, [0]).normal(16)
-    end = PathFunctional("endpoint").of_grid(_grid(inc))[0]
+    end = PathFunctional("endpoint").of_grid([_grid(inc)])[0]
     assert end == pytest.approx(inc.sum(), abs=1e-12)
 
 
@@ -68,7 +70,7 @@ def test_centering_subtracts_exact_drift(two_state_chain):
     e0 = e0_increment_series(two_state_chain, fx, n)
     end = PathFunctional("endpoint")
     bar_grid = _grid(real.values[0] - e0)
-    subtracted = end.of_grid(_grid(real.values[0]))[0] - end.of_grid(bar_grid)[0]
+    subtracted = end.of_grid([_grid(real.values[0])])[0] - end.of_grid([bar_grid])[0]
     drift = np.cumsum(e0)[-1]
     assert subtracted == pytest.approx(drift, abs=1e-12)
     # geometric series oracle: the drift from state 0 approaches g(x) * 2/3
@@ -90,8 +92,8 @@ def test_functional_pathwise_inequalities():
     end_f = PathFunctional("endpoint")
     for i in range(25):
         grid = _grid(base.child(i).normal(40))
-        sup, inf = sup_f.of_grid(grid)[0], inf_f.of_grid(grid)[0]
-        sup_abs, end = abs_f.of_grid(grid)[0], end_f.of_grid(grid)[0]
+        sup, inf = sup_f.of_grid([grid])[0], inf_f.of_grid([grid])[0]
+        sup_abs, end = abs_f.of_grid([grid])[0], end_f.of_grid([grid])[0]
         assert sup_abs >= max(abs(sup), abs(inf)) - 1e-12
         assert end <= sup + 1e-12
         assert sup >= 0.0 and inf <= 0.0
@@ -99,7 +101,7 @@ def test_functional_pathwise_inequalities():
 
 def test_time_integral_is_trapezoid():
     grid = _grid([1.0, -2.0, 0.5])
-    got = PathFunctional("time-integral").of_grid(grid)[0]
+    got = PathFunctional("time-integral").of_grid([grid])[0]
     # trapezoid oracle over the three segments
     v = grid[0]
     oracle = sum((v[k] + v[k + 1]) / 2.0 for k in range(3)) / 3.0
@@ -114,5 +116,26 @@ def test_functional_of_path_matches_grid():
     for k in range(10):
         prefix += inc[k]
         sup_direct = max(sup_direct, prefix)
-    got = PathFunctional("supremum").of_grid(_grid(inc))[0]
+    got = PathFunctional("supremum").of_grid([_grid(inc)])[0]
     assert got == pytest.approx(sup_direct, abs=1e-12)
+
+
+def check_cut_grids_fold_as_one(kinds=FUNCTIONAL_KINDS, grids=300):
+    """Byte oracle of the chunk fold: random grids, each cut at random
+    times into chunks that start at the last column of the one before,
+    fold to the bytes of the grid folded as one chunk."""
+    rng = np.random.default_rng(34)
+    for _ in range(grids):
+        reps, n = rng.integers(1, 6), rng.integers(1, 80)
+        grid = np.hstack([np.zeros((reps, 1)),
+                          np.cumsum(rng.standard_normal((reps, n)), axis=1)])
+        cuts = np.sort(rng.choice(np.arange(1, n), size=min(n - 1, rng.integers(0, 8)),
+                                  replace=False))
+        chunks = [grid[:, lo : hi + 1] for lo, hi in pairwise([0, *cuts, n])]
+        for kind in kinds:
+            functional = PathFunctional(kind)
+            assert functional.of_grid(chunks).tobytes() == functional.of_grid([grid]).tobytes()
+
+
+def test_cut_grids_fold_as_one():
+    check_cut_grids_fold_as_one()

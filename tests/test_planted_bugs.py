@@ -31,6 +31,7 @@ from test_experiments import _lazy_cycle
 from test_linear_centering import EagerHelper, check_blocks_drawn_ahead
 from test_markov_ops import (check_duality, check_hopf_statistic,
                              check_hopf_tie_stability, check_streamed_pass)
+from test_paths import check_cut_grids_fold_as_one
 from test_projections import check_hannan_verdict, check_sigma_squared_exact
 from test_stats import check_kolmogorov_law_against_scipy, check_normal_cdf_against_ndtr
 from test_power_sequence import (check_blocks_jointly, check_draw_contract,
@@ -59,14 +60,24 @@ def test_fold_that_drops_its_carry(three_state_chain, monkeypatch):
     _blocks_oracle(three_state_chain)
     of_grid = PathFunctional.of_grid
 
-    def forgetful(self, grid):
-        for chunk in [grid] if isinstance(grid, np.ndarray) else grid:
-            value = of_grid(self, chunk)
+    def forgetful(self, chunks):
+        for chunk in chunks:
+            value = of_grid(self, [chunk])
         return value
 
     monkeypatch.setattr(PathFunctional, "of_grid", forgetful)
     with pytest.raises(AssertionError):
         _blocks_oracle(three_state_chain)
+
+
+def test_time_integral_that_restarts_at_each_chunk(monkeypatch):
+    # the bug starts each chunk's trapezoid sum from -0.0, not from the carry
+    oracle = lambda: check_cut_grids_fold_as_one(kinds=("time-integral",))
+    oracle()
+    monkeypatch.setattr(PathFunctional, "of_grid", _mutant(
+        PathFunctional.of_grid, "-0.0 if carry is None else carry", "-0.0"))
+    _fails_at("assert functional.of_grid(chunks).tobytes() == functional.of_grid([grid]).tobytes()",
+              oracle)
 
 
 def test_lane_that_subtracts_another_fixtures_drift(three_state_chain, monkeypatch):
@@ -202,7 +213,7 @@ def test_block_reversed_in_time(kind, three_state_chain, monkeypatch):
     monkeypatch.setattr(experiments, "_markov_steps",
                         lambda model, start, steps, blocks: reversed(
                             [state.copy() for state in markov_steps(model, start, steps, blocks)]))
-    _fails_at("assert got.tobytes() == functional.of_grid(grid).tobytes()", oracle)
+    _fails_at("assert got.tobytes() == functional.of_grid([grid]).tobytes()", oracle)
 
 
 def test_fold_carry_read_after_the_yield(three_state_chain, monkeypatch):
@@ -221,7 +232,7 @@ def test_fold_carry_read_after_the_yield(three_state_chain, monkeypatch):
             carry = grid[:, -1].copy()
 
     monkeypatch.setattr(experiments, "_markov_chunks", late_carry)
-    _fails_at("assert got.tobytes() == functional.of_grid(grid).tobytes()", oracle)
+    _fails_at("assert got.tobytes() == functional.of_grid([grid]).tobytes()", oracle)
 
 
 def test_endpoint_drift_one_step_ahead(three_state_chain, monkeypatch):

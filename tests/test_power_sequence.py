@@ -315,7 +315,7 @@ def check_blocks_jointly(chain, x, reps, stream, n, Ns, kinds=FUNCTIONAL_KINDS,
                 functional = PathFunctional(kind)
                 [got] = sample_path_functional(chain, [fixture], functional, n, reps,
                                                [stream])
-                assert got.tobytes() == functional.of_grid(grid).tobytes()
+                assert got.tobytes() == functional.of_grid([grid]).tobytes()
             rep = strest_experiment(chain, fixture, math.inf, Ns, reps, stream)
             assert rep.estimates == [float(v) for v in scaled.mean(axis=0)]
             rep = doob_bound_check(chain, fixture, n, reps, stream)
@@ -348,7 +348,7 @@ def check_fixtures_jointly(chain, n, reps, kinds=FUNCTIONAL_KINDS, workers=(1, 2
             for kind in kinds:
                 functional = PathFunctional(kind)
                 got = sample_path_functional(chain, fixtures, functional, n, reps, streams)
-                assert [v.tobytes() for v in got] == [functional.of_grid(grid).tobytes()
+                assert [v.tobytes() for v in got] == [functional.of_grid([grid]).tobytes()
                                                       for grid in grids]
 
 

@@ -114,7 +114,7 @@ def _drawn_as_before(stream, dist, count):
     if dist.kind == "gaussian":
         return dist.sigma * stream.normal(count)
     if dist.kind == "rademacher":
-        return dist.sigma * (2.0 * stream.integers(0, 2, count) - 1.0)
+        return dist.sigma * (2.0 * stream._gen.integers(0, 2, size=count) - 1.0)
     return np.sqrt(3.0 * dist.variance) * (2.0 * stream.uniform_open(count) - 1.0)
 
 
