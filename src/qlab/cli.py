@@ -177,9 +177,15 @@ def load_model(path: str):
 # --- output helpers -------------------------------------------------------
 
 def _write_json(path: str, payload: dict):
+    """Write ``payload`` to ``path`` as JSON.  JSON has no NaN and no
+    infinity, so a payload that holds one is refused before the file is
+    opened."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise CLIError(f"refused to write {os.path.basename(path)}: {exc}") from exc
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_csv(path: str, header: str, rows):
@@ -272,8 +278,10 @@ def _run_project_norms(config: RunConfig, model, base):
 def _run_hannan(config: RunConfig, model, base):
     series = projection_norms(model, config.K)
     rep = hannan_sum(series)
+    # a tail that no fit bounds is infinite, which JSON writes as null
     block = {"partial_sum": float(rep.partial_sums[-1]), "tail_fit": rep.tail_fit,
-             "fitted_tail": rep.fitted_tail, "verdict": rep.verdict, "check": asdict(rep.check)}
+             "fitted_tail": rep.fitted_tail if math.isfinite(rep.fitted_tail) else None,
+             "verdict": rep.verdict, "check": asdict(rep.check)}
     return {"reports": [block]}, [rep.check], _series_file(0, series.norms, series.bias)
 
 

@@ -14,15 +14,19 @@ route hands its reduction one form, an iterable of (grid, realization)
 chunks of the path, which it folds left to right.  A Markov loop adds g
 to one running sum per chain at each step, writes it into chunks of
 steps and subtracts each start state's exact drift; the endpoint is the
-one chunk at time n.  A linear block is one chunk, built from its
-fresh innovations alone because the frozen past cancels: the endpoint
-as one sum per path weighted by the partial sums B_t of the
-coefficients, a path grid as the cumsum of a zero-state FIR.  A group
-of linear blocks reuses two innovation buffers and one grid buffer: one
-helper thread draws block b + 1 into one buffer while block b, in the
-other, is filtered and reduced.  Philox streams are counter based, so
-when a block is drawn does not change its draws.  The frozen
-past enters a linear experiment only through
+one chunk at time n.  A linear block is cut into row groups of
+max(1, _FOLD_VALUES // n) paths, each one chunk, built from its fresh
+innovations alone because the frozen past cancels: the endpoint as one
+sum per path weighted by the partial sums B_t of the coefficients, a
+path grid as the cumsum of a zero-state FIR.  Every reduction is
+row-wise, so the groups' results concatenate to the block's.  A
+worker's row groups reuse two innovation buffers and one grid buffer:
+one helper thread draws group g + 1 into one buffer while group g, in
+the other, is filtered and reduced, so the peak does not grow with
+the block size, nor with n up to _FOLD_VALUES.  A block's groups draw in turn from its one
+stream, which gives the draws of one call for the block, and Philox
+streams are counter based, so when a group is drawn does not change
+its draws.  The frozen past enters a linear experiment only through
 ``sample_quenched_paths(...).values`` and the decomposition identity
 check, which compares that uncentered route against the decomposition.
 """
@@ -60,8 +64,9 @@ BLOCK_REPS = 256          # replication block size; fixed, never tuned per run
 # ten fixtures of 5,000 chains ran about 1.5x slower in one loop than one
 # fixture at a time, and two loops of 12,288 chains beat one of 24,576
 _LOOP_LANES = 1 << 14
-_FOLD_VALUES = 1 << 15    # at most this many values per chunk of a Markov fold
-_TERM_ROWS = 8            # rows of a linear endpoint's weighted terms held at once
+# about this many values per Markov chunk or linear row group, which holds
+# at least one step or path
+_FOLD_VALUES = 1 << 15
 DEGENERATE_VARIANCE = 1e-18
 
 
@@ -156,62 +161,73 @@ def _block_tasks(streams, reps: int) -> list:
 
 def _linear_centered_sums(model: LinearModel, fresh: np.ndarray, endpoint: bool,
                           grid: np.ndarray) -> np.ndarray:
-    """Grid of S_k - E0(S_k) from a block's fresh innovations eps_1..eps_n,
-    written into ``grid`` (one row per row of ``fresh``; n + 1 columns, or
-    2 with ``endpoint``) and returned.
+    """Grid of S_k - E0(S_k), k = 0..n, from a row group's fresh
+    innovations eps_1..eps_n, written into ``grid`` (one row per row of
+    ``fresh``, n + 1 columns) and returned; with ``endpoint``, its view at
+    times 0 and n.
 
     S_k - E0(S_k) = sum_{m<=k} B_{k-m} eps_m with B_t = a_0 + ... + a_min(t, J):
-    the frozen past cancels exactly.  The full (count, n + 1) grid is 0, then
-    the running sum of each row's zero-state FIR, filtered into the grid and
-    summed in place.  With ``endpoint`` the grid holds only times 0 and n:
-    S_n - E0(S_n) is the product of each row with the weights B_min(n-m, J),
-    summed left to right as the grid's cumsum is, _TERM_ROWS rows at a time,
-    so the bytes do not depend on a BLAS kernel's summation order and
-    J = 0 gives exactly the grid's last column.
+    the frozen past cancels exactly.  The grid is 0, then the running sum
+    of each row's zero-state FIR, filtered into the grid and summed in
+    place.  With ``endpoint`` only S_n - E0(S_n) is wanted: the grid
+    holds the product of each row with the weights B_min(n-m, J) instead,
+    summed left to right as the FIR is, so the bytes do not depend on a
+    BLAS kernel's summation order and J = 0 gives exactly the FIR's
+    endpoint.
     """
-    count, n = fresh.shape
+    n = fresh.shape[1]
     grid[:, 0] = 0.0
     if endpoint:
         B = np.cumsum(model.coeffs)
-        weights = B[np.minimum(np.arange(n - 1, -1, -1), model.horizon)]
-        work = np.empty((_TERM_ROWS, n))
-        for lo in range(0, count, _TERM_ROWS):
-            terms = np.multiply(fresh[lo : lo + _TERM_ROWS], weights, out=work[: count - lo])
-            grid[lo : lo + _TERM_ROWS, 1] = np.cumsum(terms, axis=1, out=terms)[:, -1]
-        return grid
-    sums = _fir(model.coeffs, fresh, out=grid[:, 1:])
-    np.cumsum(sums, axis=1, out=sums)
-    return grid
+        terms = np.multiply(fresh, B[np.minimum(np.arange(n - 1, -1, -1), model.horizon)],
+                            out=grid[:, 1:])
+    else:
+        terms = _fir(model.coeffs, fresh, out=grid[:, 1:])
+    np.cumsum(terms, axis=1, out=terms)
+    return grid[:, ::n] if endpoint else grid
+
+
+def _row_groups(blocks, rows: int):
+    """(stream, count) of each group of at most ``rows`` paths of the
+    blocks, in order.  A block's stream is built once, on the calling
+    thread, and its groups draw from it in turn: their draws are those of
+    one call for the whole block."""
+    for _, seed, path, count in blocks:
+        stream = RandomStream(seed, path)
+        for lo in range(0, count, rows):
+            yield stream, min(rows, count - lo)
 
 
 def _reduce_linear_blocks(model: LinearModel, n: int, endpoint: bool, reduce,
                           blocks) -> np.ndarray:
-    """Concatenate ``reduce(chunks)`` over linear blocks, in order, a block's
-    one chunk being its grid and the ``count * n`` fresh innovations it
-    draws as ``sample_quenched_paths`` does, so its fixture does not enter.
+    """Concatenate ``reduce(chunks)`` over the row groups of linear blocks,
+    in order, a group's one chunk being its grid and the ``count * n``
+    fresh innovations it draws as ``sample_quenched_paths`` does, so its
+    fixture does not enter.  Every reduction is row-wise, so the groups'
+    results concatenate to the blocks'.
 
-    One helper thread draws block b + 1 into one of two innovation buffers
-    while block b, in the other, is filtered into the one grid buffer and
-    reduced.  Each block still draws from its own address, so the draws
-    are those of a serial loop.  Each stream is built on this thread, and
-    the helper calls no public name; it is joined before this returns,
-    and a draw's error is raised here.
+    A group holds max(1, _FOLD_VALUES // n) paths, or a whole block when
+    n is small: one helper thread draws group g + 1 into one of two
+    innovation buffers while group g, in the other, is filtered into the
+    one grid buffer and reduced, so the peak does not grow with the block
+    size, nor with n up to _FOLD_VALUES.  The helper calls no public
+    name; it is joined before this returns, and a draw's error is raised
+    here.
     """
-    most = max(count for *_, count in blocks)
-    fresh = np.empty((2, most * n))
-    grid = np.empty((most, 2 if endpoint else n + 1))
+    rows = min(max(_FOLD_VALUES // n, 1), max(count for *_, count in blocks))
+    fresh = np.empty((2, rows * n))
+    grid = np.empty((rows, n + 1))
     reduced = []
     with ThreadPoolExecutor(1) as helper:
-        def draw(b):
-            _, seed, path, count = blocks[b]
-            return helper.submit(_fill, RandomStream(seed, path), model.innovation,
-                                 fresh[b % 2, : count * n])
-
-        pending = draw(0)
-        for b, (*_, count) in enumerate(blocks):
+        # a group's draw is submitted when the one before it is taken
+        drawn = ((count, helper.submit(_fill, stream, model.innovation,
+                                       fresh[g % 2, : count * n]))
+                 for g, (stream, count) in enumerate(_row_groups(blocks, rows)))
+        ahead = next(drawn)
+        while ahead:
+            count, pending = ahead
             eps = pending.result().reshape(count, n)
-            if b + 1 < len(blocks):
-                pending = draw(b + 1)
+            ahead = next(drawn, None)
             reduced.append(reduce([(_linear_centered_sums(model, eps, endpoint, grid[:count]),
                                     Realization(None, fresh=eps))]))
     return np.concatenate(reduced)
@@ -319,10 +335,10 @@ def sample_path_functional(model: Model, fixtures: Sequence[PastFixture],
     The centered path is S_k - E0(S_k), k = 0..n.  For the endpoint
     functional only S_n - E0(S_n) is computed, as one sum per path (see
     ``_linear_centered_sums`` and ``_markov_chunks``); for every other
-    functional a linear block builds its whole grid, and a Markov loop
-    folds its chunks of steps as they come.  One replication pass covers
-    the blocks of all the fixtures, and each array is the one its fixture
-    would give alone.
+    functional a linear row group builds its whole grid, and a Markov
+    loop folds its chunks of steps as they come.  One replication pass
+    covers the blocks of all the fixtures, and each array is the one its
+    fixture would give alone.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -452,7 +468,6 @@ def _strest_of(approx, Ns, chunks) -> np.ndarray:
         top = np.maximum.accumulate(gaps, axis=1, out=gaps)[:, -1].copy()
         reads += [gaps[:, N - 1 - k].copy() for N in Ns if k < N <= k + gaps.shape[1]]
         k += gaps.shape[1]
-    # one contiguous column per N, so that a mean over the paths sums it pairwise
     return np.array(reads).T
 
 
@@ -470,7 +485,9 @@ def strest_experiment(model: Model, fixture: PastFixture, r: float,
     approx = martingale_increment(model, r)
     [mat] = _replicate(model, [fixture], [stream], Ns[-1], reps,
                        partial(_strest_of, approx, Ns))
-    scaled = mat / np.asarray(Ns, dtype=float)[None, :]
+    # column-major whatever the row groups' shapes: the mean over the paths
+    # then sums each N's contiguous column pairwise
+    scaled = np.divide(mat, np.asarray(Ns, dtype=float)[None, :], order="F")
     est = [float(v) for v in scaled.mean(axis=0)]
     # estimates that are all rounding pass; otherwise each must fall strictly
     # below the one before, and the last below half the first: the smallest

@@ -52,6 +52,12 @@ class LinearModel:
             raise ValueError("coeffs must be finite")
         if not (0 <= self.tail_bound < np.inf):
             raise ValueError("tail_bound must be nonnegative and finite")
+        # sigma2 is (sum a_j)^2 v, and the squared projection norms sum to sum a_j^2 v
+        with np.errstate(over="ignore"):
+            variances = (np.array([np.sum(coeffs**2), np.sum(coeffs) ** 2])
+                         * self.innovation.variance)
+        if not np.all(np.isfinite(variances)):
+            raise ValueError("sum a_j^2 * variance and (sum a_j)^2 * variance must be finite")
         coeffs.flags.writeable = False      # a shared model keeps no run's change
         object.__setattr__(self, "coeffs", coeffs)
 

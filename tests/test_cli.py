@@ -423,6 +423,46 @@ def test_invalid_input_exits_three_with_one_line(args, tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("qlab: "), err
 
 
+@pytest.mark.parametrize("model", [
+    {"type": "linear", "coeffs": [1e300]},
+    {"type": "linear", "coeffs": [1e200, 1e200]},
+    {"type": "linear", "coeffs": [1e154],
+     "innovation": {"kind": "gaussian", "variance": 1e10}},
+], ids=["square-overflows", "sum-overflows", "variance-overflows"])
+@pytest.mark.parametrize("experiment", ["quenched-clt", "sigma2", "mw"])
+def test_overflowing_linear_model_refused_at_load(model, experiment, tmp_path, capsys):
+    # sigma2 = (sum a_j)^2 v or the projection norms would overflow in the
+    # run, so the model is refused at load, with one line
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    code = main([experiment, "--model", str(path), "--n", "16", "--reps", "20",
+                 "--fixtures", "1", "--seed", "1", "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"qlab: model file {str(path)!r} failed validation: "
+        "sum a_j^2 * variance and (sum a_j)^2 * variance must be finite\n")
+    assert not (tmp_path / "o").exists()
+
+
+def check_infinite_report_refused(tmp_path, capsys):
+    """A report that would hold an infinity exits 3 with one line, and no
+    report.json is written: here the identity check's allowance
+    n * tail_bound * sigma overflows."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"type": "linear", "coeffs": [1.0], "tail_bound": 1e308}))
+    out = tmp_path / "o"
+    code = main(["identity", "--model", str(path), "--n", "64", "--fixtures", "1",
+                 "--seed", "1", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert err.startswith("qlab: refused to write report.json: ") and err.count("\n") == 1
+    assert not (out / "report.json").exists()
+
+
+def test_infinite_report_refused(tmp_path, capsys):
+    check_infinite_report_refused(tmp_path, capsys)
+
+
 def test_module_entry_point_refuses_with_one_line(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
     proc = subprocess.run([sys.executable, "-m", "qlab.cli", "mw", "--model",

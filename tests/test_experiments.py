@@ -663,6 +663,28 @@ def test_markov_supremum_at_long_horizon_stores_no_paths(two_state_chain):
     check_supremum_stores_no_paths(two_state_chain, 1 << 16, 256)
 
 
+def _linear_fold_bytes(n: int, reps: int) -> int:
+    """The bytes a linear run of ``reps`` paths over n steps holds at once by
+    design: four arrays of one row group of max(1, _FOLD_VALUES // n) paths
+    (the two innovation buffers, the grid, and one temporary: a row's
+    convolution or the time integral's pairs) and sixteen 8-byte carries
+    per path.  The measured peaks at n = 2^16 are 1.01 times it."""
+    rows = min(max(experiments._FOLD_VALUES // n, 1), experiments.BLOCK_REPS)
+    return 4 * rows * (n + 1) * 8 + 16 * 8 * reps
+
+
+@pytest.mark.parametrize("kind", ["supremum", "time-integral"])
+def test_linear_path_at_long_horizon_stores_no_paths(rho_model, kind):
+    # each block is drawn, filtered and folded one row group at a time, so
+    # the peak is a few paths, not a few blocks
+    fx, n, reps = sample_fixture(rho_model, RandomStream(69, [0])), 1 << 16, 256
+    functional = PathFunctional(kind)
+    sample_path_functional(rho_model, [fx], functional, 64, 256, [RandomStream(69, [1])])
+    peak = _traced_peak(sample_path_functional, rho_model, [fx], functional, n, reps,
+                        [RandomStream(69, [2])])
+    assert peak < FOLD_SLACK * _linear_fold_bytes(n, reps)
+
+
 def test_drift_columns_build_no_array_per_step(two_state_chain):
     # one power pass fills the (n, states) drift table and sums it in place:
     # the peak stays below twice the table, not one small array per step

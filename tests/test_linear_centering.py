@@ -59,7 +59,7 @@ def _assert_routes_agree(model, fixture, fresh):
     tol = 1e-10 * np.max(np.abs(old))
     count, n = fresh.shape
     grid = _linear_centered_sums(model, fresh, False, np.full((count, n + 1), np.nan))
-    ends = _linear_centered_sums(model, fresh, True, np.full((count, 2), np.nan))
+    ends = _linear_centered_sums(model, fresh, True, np.full((count, n + 1), np.nan))
     assert grid.shape == (fresh.shape[0], fresh.shape[1] + 1)
     assert ends.shape == (fresh.shape[0], 2)
     assert np.all(grid[:, 0] == 0.0) and np.all(ends[:, 0] == 0.0)
@@ -159,7 +159,7 @@ def test_fir_equals_lfilter_bit_for_bit(J, n):
     assert _fir(coeffs, x).tobytes() == lfilter(coeffs, [1.0], x, axis=1).tobytes()
 
 
-# --- blocks drawn one ahead ----------------------------------------------------
+# --- row groups drawn one ahead ------------------------------------------------
 
 # one model per innovation kind, none of unit variance, J = 0 among them
 OVERLAP_MODELS = [
@@ -218,10 +218,16 @@ def _serial_reference(model, stream, n, Ns):
             "strest": [float(v) for v in scaled.mean(axis=0)]}
 
 
+def cut_blocks_into_groups(monkeypatch, rows, n=97):
+    """Make the linear loop draw, filter and fold blocks of n-step paths
+    ``rows`` paths at a time, as it does on its own at n = _FOLD_VALUES // rows."""
+    monkeypatch.setattr(experiments, "_FOLD_VALUES", rows * n)
+
+
 def check_blocks_drawn_ahead(workers=(1, 2), n=97, Ns=(13, 97)):
     """Byte oracle of the linear block loop: two fixtures of three blocks
     each, for one model per innovation kind, against a serial reference
-    that shares no code with the loop."""
+    that shares no code with the loop and draws each block in one call."""
     for model in OVERLAP_MODELS:
         fixtures = [sample_fixture(model, RandomStream(77, [0, i])) for i in range(2)]
         streams = [RandomStream(77, [1, i]) for i in range(2)]
@@ -251,6 +257,16 @@ def test_blocks_drawn_ahead_keep_the_serial_bytes_when_each_draw_wins(monkeypatc
     # every draw of block b + 1 ends before block b is filtered and reduced
     monkeypatch.setattr(experiments, "ThreadPoolExecutor", EagerHelper)
     check_blocks_drawn_ahead(workers=(1,))
+
+
+@pytest.mark.parametrize("rows", [7, 1])
+def test_row_groups_that_cut_each_block_keep_the_serial_bytes(rows, monkeypatch):
+    # at n = 97 a group is a whole block; seven rows cut every block, the
+    # partial 44-row one included, and end each with a partial group; one
+    # row is the group of every n >= _FOLD_VALUES, and strest's mean must
+    # not depend on the memory layout of one-row results
+    cut_blocks_into_groups(monkeypatch, rows)
+    check_blocks_drawn_ahead()
 
 
 def test_linear_run_leaves_no_thread_behind(rho_model):

@@ -21,14 +21,16 @@ from qlab import cli, experiments, markov_ops, models, projections, stats
 
 from conftest import MODELS_DIR
 
-from test_cli import check_models_report_their_own_digests, check_rewritten_model_is_read_anew
+from test_cli import (check_infinite_report_refused, check_models_report_their_own_digests,
+                      check_rewritten_model_is_read_anew)
 from test_experiments import (IID, check_chain_decomposition_exact,
                               check_doob_bound_by_enumeration,
                               check_doob_rhs_per_term, check_endpoint_law_exactly_normal,
                               check_run_reports_as_fixtures_alone,
                               check_supremum_stores_no_paths)
 from test_experiments import _lazy_cycle
-from test_linear_centering import EagerHelper, check_blocks_drawn_ahead
+from test_linear_centering import (EagerHelper, check_blocks_drawn_ahead,
+                                   cut_blocks_into_groups)
 from test_markov_ops import (check_duality, check_hopf_statistic,
                              check_hopf_tie_stability, check_streamed_pass)
 from test_paths import check_cut_grids_fold_as_one
@@ -134,20 +136,28 @@ def _mutant(function, old, new):
     return namespace[function.__name__]
 
 
-@pytest.mark.parametrize("old, new", [
-    # one innovation buffer, which block b + 1 is drawn into while block b is read
-    ("fresh[b % 2,", "fresh[0,"),
-    # the helper draws block b + 1 from block b's address
-    ("RandomStream(seed, path)", "RandomStream(seed, blocks[max(b - 1, 0)][2])"),
-], ids=["one-shared-buffer", "draw-from-the-block-before"])
-def test_linear_blocks_drawn_ahead_wrongly(old, new, monkeypatch):
-    # every draw ends before the block ahead of it is filtered, so a shared
-    # buffer is overwritten on every run, not only when the thread wins a race
+@pytest.mark.parametrize("function, old, new", [
+    # one innovation buffer, which group g + 1 is drawn into while group g is read
+    ("_reduce_linear_blocks", "fresh[g % 2,", "fresh[0,"),
+    # block b's groups draw from block b - 1's address
+    ("_row_groups", "RandomStream(seed, path)",
+     "RandomStream(seed, path[:-1] + (max(path[-1] - 1, 0),))"),
+    # each group rebuilds its block's stream, which restarts the block's draws
+    ("_row_groups", "yield stream,", "yield RandomStream(seed, path),"),
+    # a group's rows are filtered and folded in reverse order
+    ("_reduce_linear_blocks", ".reshape(count, n)", ".reshape(count, n)[::-1]"),
+], ids=["one-shared-buffer", "draw-from-the-block-before", "restart-the-draws-per-group",
+        "fold-a-group-out-of-order"])
+def test_linear_blocks_drawn_ahead_wrongly(function, old, new, monkeypatch):
+    # every draw ends before the group ahead of it is filtered, so a shared
+    # buffer is overwritten on every run, not only when the thread wins a
+    # race; groups of seven paths cut every block
     monkeypatch.setattr(experiments, "ThreadPoolExecutor", EagerHelper)
+    cut_blocks_into_groups(monkeypatch, 7)
     oracle = lambda: check_blocks_drawn_ahead(workers=(1,))
     oracle()
-    monkeypatch.setattr(experiments, "_reduce_linear_blocks",
-                        _mutant(experiments._reduce_linear_blocks, old, new))
+    monkeypatch.setattr(experiments, function,
+                        _mutant(getattr(experiments, function), old, new))
     _fails_at("assert [v.tobytes() for v in got] == [ref[kind].tobytes() for ref in refs]",
               oracle)
 
@@ -502,3 +512,13 @@ def test_one_digest_memo_shared_by_every_model(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "digest_of", one_memo)
     _fails_at("assert _model_digest_of_run(_model(name), tmp_path / name) == cold",
               lambda: check_models_report_their_own_digests(tmp_path / "bug"))
+
+
+def test_json_written_with_nan_allowed(tmp_path, capsys, monkeypatch):
+    # the bug lets json write an infinity as the bare word Infinity, which
+    # no JSON parser need accept, and the run passes on a vacuous allowance
+    oracle = lambda: check_infinite_report_refused(tmp_path, capsys)
+    oracle()
+    monkeypatch.setattr(cli, "_write_json",
+                        _mutant(cli._write_json, "allow_nan=False", "allow_nan=True"))
+    _fails_at("assert code == 3, err", oracle)

@@ -63,15 +63,23 @@ BAD_MODELS = {
                                        "g": [1.0, -1.0], "coeffs": [1.0]},
     "models/innovation_not_object.json": {"type": "linear", "coeffs": [1.0],
                                           "innovation": "rademacher"},
+    "models/square_overflows.json": {"type": "linear", "coeffs": [1e300]},
+    "models/sum_overflows.json": {"type": "linear", "coeffs": [1e200, 1e200]},
 }
+# a valid model whose identity check's allowance n * tail_bound * sigma is
+# infinite, which its report.json cannot hold; every model file written
+HUGE_TAIL = "models/huge_tail_bound.json"
+MODEL_FILES = {**BAD_MODELS, HUGE_TAIL: {"type": "linear", "coeffs": [1.0],
+                                         "tail_bound": 1e308}}
 # the arguments of one invalid invocation per rule that RunConfig checks,
 # then per rule on a value that the library checks where the value is read,
 # then quenched-clt's endpoint rule, a markov-only experiment on a linear
 # model, four that set a field the run does not read, two suites whose
 # second model is missing or is linear for a markov-only experiment, and
-# three whose run names repeat, leave --out or take the summary's, then one
-# suite per file of BAD_MODELS; a dict stands for ``run-all`` on a suite
-# file holding it, whose model paths are relative to the root of the checkout
+# three whose run names repeat, leave --out or take the summary's, one whose
+# report would hold an infinity, then one suite per file of BAD_MODELS; a
+# dict stands for ``run-all`` on a suite file holding it, whose model paths
+# are relative to the root of the checkout
 REFUSALS = [
     f"sigma2 --model {RHO05}",
     {"seed": 1, "runs": [{"experiment": "sigma2", "n": "16"}]},
@@ -125,6 +133,8 @@ REFUSALS = [
                          {"name": "a", "experiment": "sigma2", "model": RHO05}]},
     {"seed": 1, "runs": [{"name": "../escaped", "experiment": "sigma2", "model": RHO05}]},
     {"seed": 1, "runs": [{"name": "summary.json", "experiment": "sigma2", "model": RHO05}]},
+    {"seed": 1, "runs": [{"experiment": "identity", "model": HUGE_TAIL, "n": 64,
+                          "fixtures": 1}]},
     *({"seed": 1, "runs": [{"experiment": "sigma2", "model": path}]} for path in BAD_MODELS),
 ]
 
@@ -182,7 +192,7 @@ def _refusals(out: str) -> None:
     with tempfile.TemporaryDirectory() as scratch:
         # the suite files are written here, so their model paths resolve here
         shutil.copytree(os.path.join(ROOT, "models"), os.path.join(scratch, "models"))
-        for path, model in BAD_MODELS.items():
+        for path, model in MODEL_FILES.items():
             with open(os.path.join(scratch, path), "w") as fh:
                 json.dump(model, fh)
         for index, entry in enumerate(REFUSALS):
